@@ -3,11 +3,11 @@
 //!
 //! A fixed 8×8 grid of 64 routers with heterogeneous link delays
 //! carries four corner-to-corner flows while the same scenario runs at
-//! every shard count under both the barrier and the channel-merge
-//! engine. For every cell the report must serialize byte-identically
-//! to the sequential baseline — sharding buys wall-clock time, never a
-//! different answer — and the table records events/second and speedup
-//! so the scaling curve can be read off directly.
+//! every shard count. For every cell the report must serialize
+//! byte-identically to the sequential baseline — sharding buys
+//! wall-clock time, never a different answer — and the table records
+//! events/second and speedup so the scaling curve can be read off
+//! directly.
 //!
 //! Run: `cargo run --release -p mpls-bench --bin scaling`
 //! (`--quick` for the CI smoke subset; `--json <path>` writes the

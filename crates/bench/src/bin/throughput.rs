@@ -7,15 +7,13 @@
 //! highest rank. The same scenario runs with the linear-scan software
 //! router and with the fast path (open-addressed hash FIB reporting
 //! canonical linear-equivalent probe counts, plus a per-ingress flow
-//! cache), with telemetry enabled; the fast path is additionally
-//! measured under the channel-merge engine.
+//! cache), with telemetry enabled.
 //!
 //! Two things are certified:
 //!
 //! * **Identity** — the serialized `SimReport` (telemetry export
 //!   included) is byte-identical between the linear and fast paths,
-//!   with the cache on or off, under both engines, at every shard
-//!   count. The fast path buys host wall-clock only; the simulated
+//!   with the cache on or off, at every shard count. The fast path buys host wall-clock only; the simulated
 //!   answer cannot move.
 //! * **Throughput** — the table records host events/second for each
 //!   configuration; the fast path's advantage grows with table depth.

@@ -13,8 +13,8 @@ use mpls_core::ClockSpec;
 use mpls_dataplane::ftn::Prefix;
 use mpls_net::traffic::{ClosedLoopSpec, FlowSpec, TrafficPattern};
 use mpls_net::{
-    EngineKind, FaultPlan, LdpConfig, QueueDiscipline, RestorationPolicy, RouterKind, ScaleFamily,
-    ScaleSpec, SimReport, Simulation, TelemetryConfig,
+    FaultPlan, LdpConfig, QueueDiscipline, RestorationPolicy, RouterKind, ScaleFamily, ScaleSpec,
+    SimReport, Simulation, TelemetryConfig,
 };
 use mpls_packet::ipv4::parse_addr;
 use mpls_router::SwTimingModel;
@@ -94,9 +94,7 @@ const CORNERS: [u32; 4] = [0, SIDE - 1, (SIDE - 1) * SIDE, SIDE * SIDE - 1];
 /// 8×8 grid with *heterogeneous* link delays: per-link salted jitter
 /// plus an 8x stretch on the row-2/3 and row-5/6 boundaries. The
 /// min-cut partitioner steers its cuts through the slow links, so the
-/// merge engine's per-channel bounds get real lookahead to exploit —
-/// uniform delays would make every channel bound identical and the
-/// comparison vacuous.
+/// epoch lookahead depends on where the cuts land.
 fn scaling_grid() -> ControlPlane {
     let mut topo = Topology::new();
     for id in 0..SIDE * SIDE {
@@ -175,9 +173,9 @@ fn scaling_flows(run_ns: u64) -> Vec<FlowSpec> {
         .collect()
 }
 
-/// EXT-10: the same heterogeneous-delay scenario at 1/2/4/8 shards
-/// under both engines. Byte-identity against the sequential report is
-/// asserted for every cell; the table reads off events/s and speedup.
+/// EXT-10: the same heterogeneous-delay scenario at 1/2/4/8 shards.
+/// Byte-identity against the sequential report is asserted for every
+/// cell; the table reads off events/s and speedup.
 pub fn ext10_scaling(quick: bool) -> Section {
     let run_ns: u64 = if quick { 10_000_000 } else { 50_000_000 };
     let horizon_ns = run_ns + 20_000_000;
@@ -185,7 +183,7 @@ pub fn ext10_scaling(quick: bool) -> Section {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let cp = scaling_grid();
 
-    let run_at = |shards: usize, engine: EngineKind| {
+    let run_at = |shards: usize| {
         let mut sim = Simulation::build(
             &cp,
             RouterKind::Embedded {
@@ -195,7 +193,6 @@ pub fn ext10_scaling(quick: bool) -> Section {
             7,
         );
         sim.set_shards(shards);
-        sim.set_engine(engine);
         for f in scaling_flows(run_ns) {
             sim.add_flow(f);
         }
@@ -205,7 +202,6 @@ pub fn ext10_scaling(quick: bool) -> Section {
     };
 
     let mut t = MarkdownTable::new(&[
-        "engine",
         "shards",
         "effective",
         "lookahead µs",
@@ -217,68 +213,60 @@ pub fn ext10_scaling(quick: bool) -> Section {
     ]);
     let mut rows = Vec::new();
     let mut baseline_json = String::new();
-    let mut baseline_secs = 0.0;
-    let mut merge4_eps = 0.0;
-    let mut merge1_eps = 0.0;
-    for engine in [EngineKind::Barrier, EngineKind::Merge] {
-        for &shards in shard_counts {
-            let (report, secs) = best_of(|| run_at(shards, engine));
-            let json = serde_json::to_string(&report).expect("report serializes");
-            if baseline_json.is_empty() {
-                baseline_json = json.clone();
-                baseline_secs = secs;
-            }
-            assert_eq!(
-                baseline_json,
-                json,
-                "report diverged from sequential under {} at {shards} shards",
-                engine.name()
-            );
-            let e = &report.engine;
-            let events = e.total_events();
-            let eps = events as f64 / secs;
-            if engine == EngineKind::Merge && shards == 1 {
-                merge1_eps = eps;
-            }
-            if engine == EngineKind::Merge && shards == 4 {
-                merge4_eps = eps;
-            }
-            t.row(&[
-                engine.name().to_string(),
-                shards.to_string(),
-                e.shards.to_string(),
-                e.lookahead_ns
-                    .map_or("-".into(), |ns| format!("{:.0}", ns as f64 / 1e3)),
-                e.epochs.to_string(),
-                events.to_string(),
-                format!("{:.1}", secs * 1e3),
-                format!("{:.0}", eps),
-                format!("{:.2}x", baseline_secs / secs),
-            ]);
-            rows.push(obj(&[
-                ("engine", Value::Str(engine.name().into())),
-                ("shards", Value::U64(shards as u64)),
-                ("rounds", Value::U64(e.epochs)),
-                ("events", Value::U64(events)),
-                ("wall_ms", Value::F64(secs * 1e3)),
-                ("events_per_sec", Value::F64(eps)),
-            ]));
+    let mut baseline_eps = 0.0;
+    let mut eps4 = 0.0;
+    for &shards in shard_counts {
+        let (report, secs) = best_of(|| run_at(shards));
+        let json = serde_json::to_string(&report).expect("report serializes");
+        let e = &report.engine;
+        let events = e.total_events();
+        let eps = events as f64 / secs;
+        if baseline_json.is_empty() {
+            baseline_json = json.clone();
+            baseline_eps = eps;
         }
+        assert_eq!(
+            baseline_json, json,
+            "report diverged from sequential at {shards} shards"
+        );
+        if shards == 4 {
+            eps4 = eps;
+        }
+        t.row(&[
+            shards.to_string(),
+            e.shards.to_string(),
+            e.lookahead_ns
+                .map_or("-".into(), |ns| format!("{:.0}", ns as f64 / 1e3)),
+            e.epochs.to_string(),
+            events.to_string(),
+            format!("{:.1}", secs * 1e3),
+            format!("{:.0}", eps),
+            format!("{:.2}x", eps / baseline_eps),
+        ]);
+        // The `engine` key keeps each row paired with its earlier
+        // trajectory rows in the regression gate.
+        rows.push(obj(&[
+            ("engine", Value::Str(e.kind.name().into())),
+            ("shards", Value::U64(shards as u64)),
+            ("rounds", Value::U64(e.epochs)),
+            ("events", Value::U64(events)),
+            ("wall_ms", Value::F64(secs * 1e3)),
+            ("events_per_sec", Value::F64(eps)),
+        ]));
     }
     let mut notes = vec![
-        "all engine x shard cells byte-identical to the sequential report -- OK".into(),
+        "all shard counts byte-identical to the sequential report -- OK".into(),
         format!(
-            "merge engine, 4 shards vs 1 shard: {:.2}x events/s on {} host core(s)",
-            merge4_eps / merge1_eps,
+            "4 shards vs 1 shard: {:.2}x events/s on {} host core(s)",
+            eps4 / baseline_eps,
             cores
         ),
     ];
     if cores < 2 {
         notes.push(
-            "note: single-core host — shard speedup cannot exceed 1x here; the \
-             rounds column shows the coordination-overhead win (fewer, larger \
-             rounds under merge), which is what translates to speedup on \
-             multi-core hosts"
+            "note: single-core host — shard speedup cannot exceed 1x here; \
+             every multi-shard row pays coordination overhead with no cores \
+             to spend it on"
                 .into(),
         );
     }
@@ -385,10 +373,9 @@ fn throughput_flows(lsps_per_pair: u32, run_ns: u64) -> Vec<FlowSpec> {
         .collect()
 }
 
-/// EXT-12: hash FIB + flow cache vs the linear info-base, with the
-/// fast path additionally measured under the merge engine. Reports
-/// must stay byte-identical across lookup strategy, cache setting,
-/// shard count AND engine.
+/// EXT-12: hash FIB + flow cache vs the linear info-base. Reports must
+/// stay byte-identical across lookup strategy, cache setting and shard
+/// count.
 pub fn ext12_throughput(quick: bool) -> Section {
     let lsps_per_pair: u32 = if quick { 32 } else { 4096 };
     let run_ns: u64 = if quick { 5_000_000 } else { 30_000_000 };
@@ -396,10 +383,9 @@ pub fn ext12_throughput(quick: bool) -> Section {
     let timing = SwTimingModel::default();
     let cp = throughput_grid(lsps_per_pair);
 
-    let run_at = |kind: RouterKind, shards: usize, engine: EngineKind| {
+    let run_at = |kind: RouterKind, shards: usize| {
         let mut sim = Simulation::build(&cp, kind, QueueDiscipline::Fifo { capacity: 64 }, 7);
         sim.set_shards(shards);
-        sim.set_engine(engine);
         for f in throughput_flows(lsps_per_pair, run_ns) {
             sim.add_flow(f);
         }
@@ -415,7 +401,6 @@ pub fn ext12_throughput(quick: bool) -> Section {
     let mut t = MarkdownTable::new(&[
         "lookup",
         "cache",
-        "engine",
         "shards",
         "events",
         "wall ms",
@@ -446,75 +431,53 @@ pub fn ext12_throughput(quick: bool) -> Section {
         ),
     ];
     for (lookup, cache, kind) in variants {
-        // The linear baseline only runs sequentially (it is the slow
-        // side being measured, not the one under test for sharding);
-        // the merge engine is measured on the full fast path only.
+        // The linear baseline only runs sequentially: it is the slow
+        // side being measured, not the one under test for sharding.
         let counts: &[usize] = if lookup == "linear" {
             &shard_counts[..1]
         } else {
             shard_counts
         };
-        let engines: &[EngineKind] = if lookup == "hash" && cache == "on" {
-            &[EngineKind::Barrier, EngineKind::Merge]
-        } else {
-            &[EngineKind::Barrier]
-        };
-        for &engine in engines {
-            for &shards in counts {
-                let (report, secs) = best_of(|| run_at(kind, shards, engine));
-                let json = serde_json::to_string(&report).expect("report serializes");
-                if baseline_json.is_empty() {
-                    baseline_json = json.clone();
-                }
-                assert_eq!(
-                    baseline_json,
-                    json,
-                    "{lookup} (cache {cache}, {}, {shards} shard(s)) diverged from the \
-                     linear baseline",
-                    engine.name()
-                );
-                let events = report.engine.total_events();
-                let eps = events as f64 / secs;
-                if lookup == "linear" {
-                    linear_eps = eps;
-                }
-                if lookup == "hash" && cache == "on" && shards == 1 && engine == EngineKind::Barrier
-                {
-                    fast_eps_1shard = eps;
-                }
-                t.row(&[
-                    lookup.to_string(),
-                    cache.to_string(),
-                    engine.name().to_string(),
-                    shards.to_string(),
-                    events.to_string(),
-                    format!("{:.1}", secs * 1e3),
-                    format!("{:.0}", eps),
-                    format!("{:.2}x", eps / linear_eps),
-                ]);
-                // Barrier rows keep the BENCH_6 row shape (no `engine`
-                // key) so the regression gate can compare across the
-                // schema change; merge rows tag themselves.
-                let mut row = vec![
-                    ("lookup".to_string(), Value::Str(lookup.into())),
-                    ("cache".to_string(), Value::Str(cache.into())),
-                ];
-                if engine == EngineKind::Merge {
-                    row.push(("engine".to_string(), Value::Str("merge".into())));
-                }
-                row.push(("shards".to_string(), Value::U64(shards as u64)));
-                row.push(("events".to_string(), Value::U64(events)));
-                row.push(("wall_ms".to_string(), Value::F64(secs * 1e3)));
-                row.push(("events_per_sec".to_string(), Value::F64(eps)));
-                rows.push(Value::Map(row));
+        for &shards in counts {
+            let (report, secs) = best_of(|| run_at(kind, shards));
+            let json = serde_json::to_string(&report).expect("report serializes");
+            if baseline_json.is_empty() {
+                baseline_json = json.clone();
             }
+            assert_eq!(
+                baseline_json, json,
+                "{lookup} (cache {cache}, {shards} shard(s)) diverged from the linear baseline"
+            );
+            let events = report.engine.total_events();
+            let eps = events as f64 / secs;
+            if lookup == "linear" {
+                linear_eps = eps;
+            }
+            if lookup == "hash" && cache == "on" && shards == 1 {
+                fast_eps_1shard = eps;
+            }
+            t.row(&[
+                lookup.to_string(),
+                cache.to_string(),
+                shards.to_string(),
+                events.to_string(),
+                format!("{:.1}", secs * 1e3),
+                format!("{:.0}", eps),
+                format!("{:.2}x", eps / linear_eps),
+            ]);
+            rows.push(obj(&[
+                ("lookup", Value::Str(lookup.into())),
+                ("cache", Value::Str(cache.into())),
+                ("shards", Value::U64(shards as u64)),
+                ("events", Value::U64(events)),
+                ("wall_ms", Value::F64(secs * 1e3)),
+                ("events_per_sec", Value::F64(eps)),
+            ]));
         }
     }
     let ratio = fast_eps_1shard / linear_eps;
     let mut notes = vec![
-        "reports byte-identical across lookup strategy, cache setting, engine and \
-         shard count -- OK"
-            .into(),
+        "reports byte-identical across lookup strategy, cache setting and shard count -- OK".into(),
         format!("fast path (cache on, 1 shard) vs linear: {ratio:.2}x events/s"),
     ];
     if !quick && ratio < 3.0 {
@@ -798,7 +761,7 @@ fn ext15_spec(family: ScaleFamily, lsps_total: usize, flows: usize, run_ns: u64)
 }
 
 /// EXT-15: streaming bring-up of production-scale workloads, then the
-/// probed data plane under the shard × engine matrix.
+/// probed data plane at 1 and 4 shards.
 ///
 /// Quick keeps CI at ~256-node widths and tens of thousands of LSPs;
 /// full is the paper-scale point — a 1088-node fat tree carrying one
@@ -812,7 +775,7 @@ fn ext15_spec(family: ScaleFamily, lsps_total: usize, flows: usize, run_ns: u64)
 ///   accounted for at the horizon: delivered or attributed to a drop
 ///   class, nothing in flight.
 /// * **identity** — the serialized report is byte-identical across
-///   shards {1, 4} under both the barrier and merge engines.
+///   shards {1, 4}.
 pub fn ext15_scale(quick: bool) -> Section {
     let run_ns: u64 = if quick { 5_000_000 } else { 10_000_000 };
     let cases: Vec<(&'static str, ScaleSpec)> = if quick {
@@ -886,7 +849,6 @@ pub fn ext15_scale(quick: bool) -> Section {
         "labels",
         "bring-up s",
         "sig/s",
-        "engine",
         "shards",
         "events",
         "wall ms",
@@ -914,7 +876,7 @@ pub fn ext15_scale(quick: bool) -> Section {
             ("events_per_sec", Value::F64(sig_rate)),
         ]));
 
-        let run_cell = |shards: usize, engine: EngineKind| {
+        let run_cell = |shards: usize| {
             let mut sim = Simulation::build(
                 &w.cp,
                 RouterKind::SoftwareFast {
@@ -925,7 +887,6 @@ pub fn ext15_scale(quick: bool) -> Section {
                 15,
             );
             sim.set_shards(shards);
-            sim.set_engine(engine);
             for f in w.flows.clone() {
                 sim.add_flow(f);
             }
@@ -935,72 +896,69 @@ pub fn ext15_scale(quick: bool) -> Section {
         };
 
         let mut baseline_json = String::new();
-        for engine in [EngineKind::Barrier, EngineKind::Merge] {
-            for shards in [1usize, 4] {
-                // Single-shot timing: at the full widths one cell is a
-                // whole-machine run, and the identity assert is the
-                // point — events/s here is informational.
-                let (report, secs) = run_cell(shards, engine);
-                let json = serde_json::to_string(&report).expect("report serializes");
-                if baseline_json.is_empty() {
-                    baseline_json = json.clone();
-                }
-                assert_eq!(
-                    baseline_json,
-                    json,
-                    "{label}: report diverged under {} at {shards} shards",
-                    engine.name()
-                );
-                let mut delivered = 0u64;
-                for (spec, s) in &report.flows {
-                    let accounted = s.delivered
-                        + s.router_dropped
-                        + s.queue_dropped
-                        + s.policer_dropped
-                        + s.link_dropped
-                        + s.loss_dropped;
-                    assert_eq!(
-                        s.sent, accounted,
-                        "{label}: conservation violated on {:?}",
-                        spec.name
-                    );
-                    assert!(
-                        s.delivered > 0,
-                        "{label}: {:?} delivered nothing",
-                        spec.name
-                    );
-                    delivered += s.delivered;
-                }
-                assert!(delivered > 0, "{label}: no probe traffic delivered");
-                let events = report.engine.total_events();
-                let eps = events as f64 / secs;
-                t.row(&[
-                    (*label).to_string(),
-                    nodes.to_string(),
-                    w.lsps.to_string(),
-                    labels.to_string(),
-                    format!("{build_secs:.1}"),
-                    format!("{sig_rate:.0}"),
-                    engine.name().to_string(),
-                    shards.to_string(),
-                    events.to_string(),
-                    format!("{:.1}", secs * 1e3),
-                    format!("{eps:.0}"),
-                ]);
-                rows.push(obj(&[
-                    ("family", Value::Str((*label).into())),
-                    ("engine", Value::Str(engine.name().into())),
-                    ("shards", Value::U64(shards as u64)),
-                    ("events", Value::U64(events)),
-                    ("wall_ms", Value::F64(secs * 1e3)),
-                    ("events_per_sec", Value::F64(eps)),
-                ]));
+        for shards in [1usize, 4] {
+            // Single-shot timing: at the full widths one cell is a
+            // whole-machine run, and the identity assert is the
+            // point — events/s here is informational.
+            let (report, secs) = run_cell(shards);
+            let json = serde_json::to_string(&report).expect("report serializes");
+            if baseline_json.is_empty() {
+                baseline_json = json.clone();
             }
+            assert_eq!(
+                baseline_json, json,
+                "{label}: report diverged at {shards} shards"
+            );
+            let mut delivered = 0u64;
+            for (spec, s) in &report.flows {
+                let accounted = s.delivered
+                    + s.router_dropped
+                    + s.queue_dropped
+                    + s.policer_dropped
+                    + s.link_dropped
+                    + s.loss_dropped;
+                assert_eq!(
+                    s.sent, accounted,
+                    "{label}: conservation violated on {:?}",
+                    spec.name
+                );
+                assert!(
+                    s.delivered > 0,
+                    "{label}: {:?} delivered nothing",
+                    spec.name
+                );
+                delivered += s.delivered;
+            }
+            assert!(delivered > 0, "{label}: no probe traffic delivered");
+            let events = report.engine.total_events();
+            let eps = events as f64 / secs;
+            t.row(&[
+                (*label).to_string(),
+                nodes.to_string(),
+                w.lsps.to_string(),
+                labels.to_string(),
+                format!("{build_secs:.1}"),
+                format!("{sig_rate:.0}"),
+                shards.to_string(),
+                events.to_string(),
+                format!("{:.1}", secs * 1e3),
+                format!("{eps:.0}"),
+            ]);
+            // The `engine` key keeps each row paired with its earlier
+            // trajectory rows in the regression gate.
+            rows.push(obj(&[
+                ("family", Value::Str((*label).into())),
+                ("engine", Value::Str(report.engine.kind.name().into())),
+                ("shards", Value::U64(shards as u64)),
+                ("events", Value::U64(events)),
+                ("wall_ms", Value::F64(secs * 1e3)),
+                ("events_per_sec", Value::F64(eps)),
+            ]));
         }
         notes.push(format!(
             "{label}: {nodes} nodes, {} tunnels + {} LSPs signaled in {build_secs:.1}s \
              ({sig_rate:.0} ops/s), {labels} labels allocated; reports byte-identical \
-             across shards {{1,4}} x {{barrier,merge}} -- OK",
+             across shards {{1,4}} -- OK",
             w.tunnels, w.lsps
         ));
     }
@@ -1108,7 +1066,7 @@ fn ext16_footprint(
 /// * **events/s** — data-plane throughput as a function of stack depth
 ///   and RLD, with per-flow conservation asserted;
 /// * **identity** — every SR config's serialized report is
-///   byte-identical across shards {1, 4} × engines {barrier, merge}.
+///   byte-identical across shards {1, 4}.
 pub fn ext16_sr_vs_ldp(quick: bool) -> Section {
     let stop_ns: u64 = if quick { 10_000_000 } else { 30_000_000 };
     let down_ns: u64 = if quick { 3_000_000 } else { 8_000_000 };
@@ -1225,7 +1183,7 @@ pub fn ext16_sr_vs_ldp(quick: bool) -> Section {
                 rld,
                 ..SrConfig::default()
             };
-            let build = |shards: usize, engine: EngineKind| {
+            let build = |shards: usize| {
                 let mut sim = Simulation::build(
                     &cp,
                     RouterKind::SoftwareHash { timing },
@@ -1233,7 +1191,6 @@ pub fn ext16_sr_vs_ldp(quick: bool) -> Section {
                     16,
                 );
                 sim.set_shards(shards);
-                sim.set_engine(engine);
                 sim.enable_sr(cfg);
                 let mut plan = FaultPlan::new(RestorationPolicy::default());
                 plan.outage(cut, down_ns, up_ns);
@@ -1244,31 +1201,25 @@ pub fn ext16_sr_vs_ldp(quick: bool) -> Section {
                 sim
             };
             let state = {
-                let sim = build(1, EngineKind::Barrier);
+                let sim = build(1);
                 sim.sr_fabric().expect("sr enabled").state()
             };
 
-            // Identity across the shard x engine matrix; time the
-            // 1-shard barrier cell (best-of like every other leg).
-            let run_cell = |shards: usize, engine: EngineKind| {
-                let sim = build(shards, engine);
+            // Identity across shards {1, 4}; time the 1-shard cell
+            // (best-of like every other leg).
+            let run_cell = |shards: usize| {
+                let sim = build(shards);
                 let start = Instant::now();
                 let report = sim.run(horizon_ns);
                 (report, start.elapsed().as_secs_f64())
             };
-            let (report, secs) = best_of(|| run_cell(1, EngineKind::Barrier));
-            let baseline = serde_json::to_string(&report).expect("report serializes");
-            for engine in [EngineKind::Barrier, EngineKind::Merge] {
-                for shards in [1usize, 4] {
-                    let (twin, _) = run_cell(shards, engine);
-                    assert_eq!(
-                        baseline,
-                        serde_json::to_string(&twin).expect("report serializes"),
-                        "sr depth {depth} rld {rld}: report diverged under {} at {shards} shards",
-                        engine.name()
-                    );
-                }
-            }
+            let (report, secs) = best_of(|| run_cell(1));
+            let (twin, _) = run_cell(4);
+            assert_eq!(
+                serde_json::to_string(&report).expect("report serializes"),
+                serde_json::to_string(&twin).expect("report serializes"),
+                "sr depth {depth} rld {rld}: report diverged at 4 shards"
+            );
 
             assert_eq!(report.control.mode, "sr");
             check_flows(&format!("sr d{depth} r{rld}"), &report);
@@ -1369,9 +1320,7 @@ pub fn ext16_sr_vs_ldp(quick: bool) -> Section {
     notes.push("    entropy pair, and falls back to first-next-hop (counted) when not.".into());
     notes.push("".into());
     notes.push(
-        "sr reports byte-identical across shards {1,4} x {barrier,merge} at \
-         every depth/RLD point -- OK"
-            .into(),
+        "sr reports byte-identical across shards {1,4} at every depth/RLD point -- OK".into(),
     );
     let config = vec![
         ("quick".to_string(), Value::Bool(quick)),
@@ -1416,7 +1365,7 @@ fn ext17_plane() -> ControlPlane {
 /// restoration — while the open-loop source just keeps spraying into
 /// the outage. Every leg asserts per-flow conservation (with
 /// retransmissions accounted) and serialized-report byte-identity
-/// across shards {1, 4} x engines {barrier, merge}.
+/// across shards {1, 4}.
 pub fn ext17_closed_loop(quick: bool) -> Section {
     let stop_ns: u64 = if quick { 25_000_000 } else { 60_000_000 };
     let (down_ns, up_ns): (u64, u64) = if quick {
@@ -1487,7 +1436,7 @@ pub fn ext17_closed_loop(quick: bool) -> Section {
         for with_fault in [false, true] {
             let leg = format!("{kind}/{}", if with_fault { "fault" } else { "clean" });
             let specs = flows(&pattern);
-            let build = |shards: usize, engine: EngineKind| {
+            let build = |shards: usize| {
                 let mut sim = Simulation::build(
                     &cp,
                     RouterKind::Embedded {
@@ -1497,7 +1446,6 @@ pub fn ext17_closed_loop(quick: bool) -> Section {
                     17,
                 );
                 sim.set_shards(shards);
-                sim.set_engine(engine);
                 if with_fault {
                     let mut plan = FaultPlan::new(RestorationPolicy::default());
                     plan.outage(cut, down_ns, up_ns);
@@ -1508,27 +1456,21 @@ pub fn ext17_closed_loop(quick: bool) -> Section {
                 }
                 sim
             };
-            let run_cell = |shards: usize, engine: EngineKind| {
-                let sim = build(shards, engine);
+            let run_cell = |shards: usize| {
+                let sim = build(shards);
                 let start = Instant::now();
                 let report = sim.run(horizon_ns);
                 (report, start.elapsed().as_secs_f64())
             };
-            let (report, secs) = best_of(|| run_cell(1, EngineKind::Barrier));
+            let (report, secs) = best_of(|| run_cell(1));
 
-            // Identity across the shard x engine matrix.
-            let baseline = serde_json::to_string(&report).expect("report serializes");
-            for engine in [EngineKind::Barrier, EngineKind::Merge] {
-                for shards in [1usize, 4] {
-                    let (twin, _) = run_cell(shards, engine);
-                    assert_eq!(
-                        baseline,
-                        serde_json::to_string(&twin).expect("report serializes"),
-                        "{leg}: report diverged under {} at {shards} shards",
-                        engine.name()
-                    );
-                }
-            }
+            // Identity across shards {1, 4}.
+            let (twin, _) = run_cell(4);
+            assert_eq!(
+                serde_json::to_string(&report).expect("report serializes"),
+                serde_json::to_string(&twin).expect("report serializes"),
+                "{leg}: report diverged at 4 shards"
+            );
 
             // Conservation with retransmissions accounted, per flow.
             let mut sent = 0u64;
@@ -1655,7 +1597,7 @@ pub fn ext17_closed_loop(quick: bool) -> Section {
     notes.push("  - ECN marks at the queue threshold halve windows at most once per".into());
     notes.push("    window even on the clean path, keeping clean-path retransmits at 0.".into());
     notes.push("".into());
-    notes.push("all four legs byte-identical across shards {1,4} x {barrier,merge} -- OK".into());
+    notes.push("all four legs byte-identical across shards {1,4} -- OK".into());
 
     let config = vec![
         ("quick".to_string(), Value::Bool(quick)),

@@ -46,9 +46,8 @@ use std::collections::BTreeMap;
 /// One oracle violation: which invariant broke and how.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// Oracle name: `conservation`, `shard_identity`, `engine_identity`,
-    /// `router_identity`, `fixed_point`, `quiesce`, `sr_source_route` or
-    /// `runnable`.
+    /// Oracle name: `conservation`, `shard_identity`, `router_identity`,
+    /// `fixed_point`, `quiesce`, `sr_source_route` or `runnable`.
     pub oracle: &'static str,
     /// Human-readable specifics.
     pub detail: String,
@@ -272,9 +271,9 @@ pub fn generate(corpus_seed: u64, idx: u64) -> ChaosCase {
     let (nodes, mut links, ler_a, ler_b, protectable) = topology(&mut rng);
 
     // Heterogeneous propagation delays: stretch a subset of links by a
-    // large factor so per-channel lookahead differs wildly — the regime
-    // the merge engine's per-shard bounds are supposed to exploit, and
-    // where a buggy bound computation would actually misorder events.
+    // large factor so the partitioner's cut and the epoch lookahead
+    // differ wildly from case to case — the regime where a buggy bound
+    // computation would actually misorder events.
     if rng.chance(40) {
         for l in &mut links {
             if rng.chance(35) {
@@ -586,9 +585,6 @@ pub fn generate(corpus_seed: u64, idx: u64) -> ChaosCase {
         seed: rng.next_u64(),
         horizon_ms: last_fault_ms.max(last_stop_ms) + 100,
         shards: None,
-        // Half the corpus runs its base oracles on the merge engine so
-        // the fuzzer exercises both schedulers end to end.
-        engine: rng.chance(50).then(|| "merge".into()),
     };
     ChaosCase { id: idx, scenario }
 }
@@ -776,15 +772,13 @@ fn trace(
 /// Runs every applicable oracle on `sc`. `Ok(())` means the case is
 /// green; the first violation wins otherwise.
 pub fn check(sc: &Scenario) -> Result<(), Violation> {
-    let run_engine =
-        |shards: usize, s: &Scenario, engine: Option<&str>| -> Result<SimReport, Violation> {
-            s.run_with_overrides(false, Some(shards), None, engine)
-                .map_err(|e| Violation {
-                    oracle: "runnable",
-                    detail: e.to_string(),
-                })
-        };
-    let run = |shards: usize, s: &Scenario| run_engine(shards, s, None);
+    let run = |shards: usize, s: &Scenario| -> Result<SimReport, Violation> {
+        s.run_with_overrides(false, Some(shards), None)
+            .map_err(|e| Violation {
+                oracle: "runnable",
+                detail: e.to_string(),
+            })
+    };
     let base = run(1, sc)?;
 
     // Oracle 1: packet conservation, per flow, per cause.
@@ -801,24 +795,6 @@ pub fn check(sc: &Scenario) -> Result<(), Violation> {
                 "4-shard report diverged from sequential ({} vs {} bytes)",
                 a.len(),
                 b.len()
-            ),
-        });
-    }
-
-    // Oracle 2b: engine byte-identity — the barrier and channel-merge
-    // schedulers must agree at 4 shards regardless of which engine the
-    // scenario itself selected.
-    let barrier = run_engine(4, sc, Some("barrier"))?;
-    let merge = run_engine(4, sc, Some("merge"))?;
-    let eb = serde_json::to_string(&barrier).expect("report serializes");
-    let em = serde_json::to_string(&merge).expect("report serializes");
-    if eb != em {
-        return Err(Violation {
-            oracle: "engine_identity",
-            detail: format!(
-                "merge-engine report diverged from barrier at 4 shards ({} vs {} bytes)",
-                eb.len(),
-                em.len()
             ),
         });
     }

@@ -20,12 +20,12 @@ fn generation_is_deterministic() {
 
 /// Generated scenarios cover the fault space: across a modest window
 /// the corpus must include LDP and centralized control, scheduled
-/// events, PDU chaos, wire loss, both execution engines, and
-/// heterogeneous (stretched) link delays.
+/// events, PDU chaos, wire loss, and heterogeneous (stretched) link
+/// delays.
 #[test]
 fn corpus_covers_the_fault_space() {
     let (mut ldp, mut central, mut events, mut chaos, mut loss) = (0, 0, 0, 0, 0);
-    let (mut merge, mut stretched) = (0, 0);
+    let mut stretched = 0;
     let (mut closed_loop, mut subs) = (0, 0);
     for idx in 0..40 {
         let sc = generate(SEED, idx).scenario;
@@ -50,9 +50,6 @@ fn corpus_covers_the_fault_space() {
             chaos += f.pdu_chaos.len();
             loss += f.loss.len();
         }
-        if sc.engine.as_deref() == Some("merge") {
-            merge += 1;
-        }
         // The delay-stretch pass multiplies by >= 4, so any link at 4x
         // the family's base ranges or beyond marks a stretched case.
         if sc.links.iter().any(|l| l.delay_us >= 4000) {
@@ -64,8 +61,6 @@ fn corpus_covers_the_fault_space() {
     assert!(events >= 10, "too few scheduled faults: {events}");
     assert!(chaos >= 2, "too few pdu-chaos windows: {chaos}");
     assert!(loss >= 2, "too few loss entries: {loss}");
-    assert!(merge >= 8, "too few merge-engine cases: {merge}");
-    assert!(merge <= 32, "too few barrier-engine cases: {}", 40 - merge);
     assert!(
         stretched >= 4,
         "too few heterogeneous-delay cases: {stretched}"

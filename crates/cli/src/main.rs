@@ -12,9 +12,6 @@
 //! mpls-sim run --control <mode> <scenario.json>
 //!                                       ... force the control plane:
 //!                                       "centralized", "ldp" or "sr"
-//! mpls-sim run --engine <kind> <scenario.json>
-//!                                       ... force the execution engine:
-//!                                       "barrier" or "merge"
 //! mpls-sim validate <scenario.json>     parse + signal without running traffic
 //! mpls-sim example                      print the bundled example scenario
 //! ```
@@ -29,7 +26,7 @@ const EXAMPLE: &str = include_str!("../scenarios/example.json");
 fn usage() -> ExitCode {
     eprintln!(
         "usage: mpls-sim <run|validate> [--json] [--metrics-out <path>] [--shards <n>] \
-         [--control <centralized|ldp|sr>] [--engine <barrier|merge>] <scenario.json> | \
+         [--control <centralized|ldp|sr>] <scenario.json> | \
          mpls-sim example"
     );
     ExitCode::from(2)
@@ -47,7 +44,6 @@ fn main() -> ExitCode {
             let mut metrics_out: Option<String> = None;
             let mut shards: Option<usize> = None;
             let mut control: Option<String> = None;
-            let mut engine: Option<String> = None;
             let mut path: Option<String> = None;
             let mut rest = args.iter().skip(1);
             while let Some(arg) = rest.next() {
@@ -74,13 +70,10 @@ fn main() -> ExitCode {
                             return usage();
                         }
                     },
-                    "--engine" => match rest.next() {
-                        Some(k) => engine = Some(k.clone()),
-                        None => {
-                            eprintln!("error: --engine needs a kind (barrier or merge)");
-                            return usage();
-                        }
-                    },
+                    other if other.starts_with("--") => {
+                        eprintln!("error: unknown option {other}");
+                        return usage();
+                    }
                     other if path.is_none() => path = Some(other.to_string()),
                     other => {
                         eprintln!("error: unexpected argument {other:?}");
@@ -115,12 +108,8 @@ fn main() -> ExitCode {
                     }
                 }
             } else {
-                let result = scenario.run_with_overrides(
-                    metrics_out.is_some(),
-                    shards,
-                    control.as_deref(),
-                    engine.as_deref(),
-                );
+                let result =
+                    scenario.run_with_overrides(metrics_out.is_some(), shards, control.as_deref());
                 match result {
                     Ok(report) => {
                         if let Some(out) = &metrics_out {

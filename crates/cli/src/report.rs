@@ -188,9 +188,8 @@ mod tests {
         assert!(text.contains("utilized"));
         assert!(!text.contains("faults:"), "no fault section without faults");
         assert!(text.contains("control: centralized"));
-        // Shard count follows MPLS_SIM_SHARDS and the kind follows
-        // MPLS_SIM_ENGINE, so only assert the shape.
-        assert!(text.starts_with("engine: "));
+        // Shard count follows MPLS_SIM_SHARDS, so only assert the shape.
+        assert!(text.starts_with("engine: barrier, "));
         assert!(text.contains("rounds"));
         assert!(!text.contains("ldp:"), "no ldp block on centralized runs");
     }

@@ -140,12 +140,6 @@ pub struct Scenario {
     /// is identical at any value — sharding only trades wall-clock time.
     #[serde(default)]
     pub shards: Option<usize>,
-    /// Execution engine: `"barrier"` (global epoch barrier, the
-    /// default) or `"merge"` (channel-merge scheduler with per-shard
-    /// conservative bounds). `--engine` overrides. The report is
-    /// byte-identical either way — the engine only trades wall-clock.
-    #[serde(default)]
-    pub engine: Option<String>,
 }
 
 fn default_horizon_ms() -> u64 {
@@ -1424,29 +1418,26 @@ impl Scenario {
     /// Builds and runs the whole scenario. Telemetry is collected when
     /// the scenario's `telemetry` section asks for it.
     pub fn run(&self) -> Result<mpls_net::SimReport, ScenarioError> {
-        self.run_with(false, None, None, None)
+        self.run_with(false, None, None)
     }
 
     /// Like [`Self::run`], but collects telemetry even without a
     /// `telemetry` section (the `--metrics-out` path).
     pub fn run_with_telemetry(&self) -> Result<mpls_net::SimReport, ScenarioError> {
-        self.run_with(true, None, None, None)
+        self.run_with(true, None, None)
     }
 
     /// Like [`Self::run`], with the command-line overrides applied:
     /// `force_telemetry` for `--metrics-out`, `shards` for `--shards`
-    /// (which beats the scenario's own `shards` field), `control` for
-    /// `--control` (which beats the scenario's `control` field), and
-    /// `engine` for `--engine` (which beats the scenario's `engine`
-    /// field).
+    /// (which beats the scenario's own `shards` field), and `control`
+    /// for `--control` (which beats the scenario's `control` field).
     pub fn run_with_overrides(
         &self,
         force_telemetry: bool,
         shards: Option<usize>,
         control: Option<&str>,
-        engine: Option<&str>,
     ) -> Result<mpls_net::SimReport, ScenarioError> {
-        self.run_with(force_telemetry, shards, control, engine)
+        self.run_with(force_telemetry, shards, control)
     }
 
     fn run_with(
@@ -1454,7 +1445,6 @@ impl Scenario {
         force_telemetry: bool,
         shards_override: Option<usize>,
         control_override: Option<&str>,
-        engine_override: Option<&str>,
     ) -> Result<mpls_net::SimReport, ScenarioError> {
         let cp = self.build_control_plane()?;
         let mut sim =
@@ -1464,14 +1454,6 @@ impl Scenario {
                 return Err(ScenarioError::Invalid("shards must be >= 1".into()));
             }
             sim.set_shards(shards);
-        }
-        if let Some(name) = engine_override.or(self.engine.as_deref()) {
-            let kind = mpls_net::EngineKind::parse(name).ok_or_else(|| {
-                ScenarioError::Invalid(format!(
-                    "unknown engine {name:?} (expected \"barrier\" or \"merge\")"
-                ))
-            })?;
-            sim.set_engine(kind);
         }
         for n in &self.nodes {
             if let Some(hint) = n.shard {
@@ -1536,11 +1518,14 @@ mod tests {
 
     #[test]
     fn unknown_fields_are_rejected() {
-        let bad = r#"{"nodes": [], "links": [], "warp_drive": true}"#;
-        assert!(matches!(
-            Scenario::from_json(bad),
-            Err(ScenarioError::Parse(_))
-        ));
+        // `engine` once picked a second scheduler; there is one now, so
+        // asking for another must fail by name, not run silently.
+        for (field, value) in [("warp_drive", "true"), ("engine", r#""merge""#)] {
+            let bad = format!(r#"{{"nodes": [], "links": [], "{field}": {value}}}"#);
+            let err = Scenario::from_json(&bad).expect_err("unknown field parses");
+            assert!(matches!(err, ScenarioError::Parse(_)));
+            assert!(err.to_string().contains(&format!("`{field}`")), "{err}");
+        }
     }
 
     /// Figure-1 style two-path topology with a mid-run outage on the fast
@@ -1664,14 +1649,11 @@ mod tests {
     fn shard_overrides_do_not_change_the_report() {
         let sc = Scenario::from_json(FAULTY).unwrap();
         let baseline =
-            serde_json::to_string(&sc.run_with_overrides(false, Some(1), None, None).unwrap())
-                .unwrap();
+            serde_json::to_string(&sc.run_with_overrides(false, Some(1), None).unwrap()).unwrap();
         for shards in [2, 4] {
-            let sharded = serde_json::to_string(
-                &sc.run_with_overrides(false, Some(shards), None, None)
-                    .unwrap(),
-            )
-            .unwrap();
+            let sharded =
+                serde_json::to_string(&sc.run_with_overrides(false, Some(shards), None).unwrap())
+                    .unwrap();
             assert_eq!(baseline, sharded, "--shards {shards} diverged");
         }
         // The scenario's own field works too, and 0 is rejected.
@@ -1728,7 +1710,7 @@ mod tests {
         // The same run under the centralized override must converge
         // before t=0 (no control summary beyond the mode).
         let central = sc
-            .run_with_overrides(false, None, Some("centralized"), None)
+            .run_with_overrides(false, None, Some("centralized"))
             .unwrap();
         assert_eq!(central.control.mode, "centralized");
         assert!(central.control.convergence_ns.is_none());
@@ -1775,9 +1757,8 @@ mod tests {
 
     /// The bundled SR scenario delivers everything over the diamond,
     /// spreads flows across both equal-cost paths via the entropy
-    /// label, and reports byte-identically at any shard count and
-    /// under both engines (the CI smoke job re-checks this from the
-    /// built binary).
+    /// label, and reports byte-identically at any shard count (the CI
+    /// smoke job re-checks this from the built binary).
     #[test]
     fn sr_scenario_runs_and_is_shard_invariant() {
         let sc = Scenario::from_json(SR_FABRIC).expect("sr scenario parses");
@@ -1792,16 +1773,12 @@ mod tests {
         assert!(ecmp > 0, "loose-hop diamond must exercise ECMP");
         let baseline = serde_json::to_string(&report).unwrap();
         for shards in [2, 4] {
-            for engine in ["barrier", "merge"] {
-                let run = sc
-                    .run_with_overrides(false, Some(shards), None, Some(engine))
-                    .unwrap();
-                assert_eq!(
-                    baseline,
-                    serde_json::to_string(&run).unwrap(),
-                    "{shards} shards / {engine} diverged"
-                );
-            }
+            let run = sc.run_with_overrides(false, Some(shards), None).unwrap();
+            assert_eq!(
+                baseline,
+                serde_json::to_string(&run).unwrap(),
+                "{shards} shards diverged"
+            );
         }
     }
 
@@ -1883,16 +1860,12 @@ mod tests {
         );
         let baseline = serde_json::to_string(&report).unwrap();
         for shards in [2, 4] {
-            for engine in ["barrier", "merge"] {
-                let run = sc
-                    .run_with_overrides(false, Some(shards), None, Some(engine))
-                    .unwrap();
-                assert_eq!(
-                    baseline,
-                    serde_json::to_string(&run).unwrap(),
-                    "{shards} shards / {engine} diverged"
-                );
-            }
+            let run = sc.run_with_overrides(false, Some(shards), None).unwrap();
+            assert_eq!(
+                baseline,
+                serde_json::to_string(&run).unwrap(),
+                "{shards} shards diverged"
+            );
         }
     }
 
@@ -1982,7 +1955,7 @@ mod tests {
         }
         // Byte-identical at any shard count, as everywhere else.
         let base = serde_json::to_string(&report).unwrap();
-        let sharded = sc.run_with_overrides(false, Some(4), None, None).unwrap();
+        let sharded = sc.run_with_overrides(false, Some(4), None).unwrap();
         assert_eq!(base, serde_json::to_string(&sharded).unwrap());
     }
 

@@ -54,42 +54,26 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::marker::PhantomData;
 use wheel::EventWheel;
 
-/// Which coordination scheme keeps shards causally safe. Both produce
-/// byte-identical reports — the knob only trades coordination overhead,
-/// exactly like the shard count itself.
+/// The shard coordination scheme. There is one: the global epoch
+/// barrier, where every shard advances to the same conservative bound
+/// `min(next_global, earliest_local + lookahead, horizon + 1)` and
+/// `lookahead` is the minimum cross-shard channel delay.
+///
+/// A one-variant enum is kept, together with [`EngineStats::kind`],
+/// only because the standalone benchmark package under `perfbench/`
+/// prints `report.engine.kind.name()` and must keep building unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// The global epoch barrier: every shard advances to the same
-    /// conservative bound `min(next_global, earliest_local + lookahead)`
-    /// where `lookahead` is the *global* minimum cross-shard delay. One
-    /// slow pair of shards throttles everyone.
+    /// The global epoch barrier.
     #[default]
     Barrier,
-    /// The channel-merge scheduler: each shard advances to its own
-    /// bound, the minimum over incoming cross-shard channels of the
-    /// sending shard's clock plus that pair's minimum channel delay.
-    /// Idle neighbors (empty wheels) impose no bound at all — the
-    /// coordinator's per-round clock gather is the null-message
-    /// heartbeat — so no shard ever waits on the global minimum.
-    Merge,
 }
 
 impl EngineKind {
-    /// Parses a CLI/scenario/env spelling (`"barrier"`/`"epoch"` or
-    /// `"merge"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "barrier" | "epoch" => Some(Self::Barrier),
-            "merge" => Some(Self::Merge),
-            _ => None,
-        }
-    }
-
     /// The canonical spelling, as printed in reports.
     pub fn name(self) -> &'static str {
         match self {
             Self::Barrier => "barrier",
-            Self::Merge => "merge",
         }
     }
 }
@@ -99,16 +83,14 @@ impl EngineKind {
 /// identical at any shard count, so this is operational metadata only.
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
-    /// Coordination scheme the run used.
+    /// Coordination scheme the run used (always the epoch barrier).
     pub kind: EngineKind,
     /// Shards the run actually used (after degenerate fallbacks).
     pub shards: usize,
-    /// Conservative lookahead, `None` when no channel crossed shards.
-    /// (The barrier engine's global bound; the merge engine's per-pair
-    /// bounds are at least this wide.)
+    /// Conservative lookahead: the minimum cross-shard channel delay
+    /// that bounds every epoch. `None` when no channel crossed shards.
     pub lookahead_ns: Option<u64>,
-    /// Parallel rounds executed (epochs under the barrier engine, merge
-    /// rounds under the channel-merge scheduler).
+    /// Parallel rounds (epochs) executed.
     pub epochs: u64,
     /// Coordinator (control) events executed.
     pub global_events: u64,
@@ -168,7 +150,6 @@ pub(crate) struct EngineParts<S> {
     pub instr: SimInstruments,
     pub shards: usize,
     pub hints: HashMap<NodeId, usize>,
-    pub engine: EngineKind,
     pub ldp: Option<LdpRuntime>,
     pub sr: Option<SrRuntime>,
     pub pdu_chaos: Vec<crate::fault::PduChaos>,
@@ -191,12 +172,6 @@ pub(crate) struct Engine<S: TelemetrySink> {
     /// Liveness snapshot shards read; refreshed after channel mutations.
     chan_state: Vec<ChanState>,
     lookahead: SimTime,
-    kind: EngineKind,
-    /// `min_delay[from * shards + to]`: minimum channel delay between
-    /// each ordered shard pair (`SimTime::MAX` when no channel connects
-    /// the pair). The merge scheduler's per-shard bounds come from this
-    /// matrix instead of the single global `lookahead`.
-    min_delay: Vec<SimTime>,
     /// Shard owning each flow's ingress node (ack destination).
     flow_shard: Vec<usize>,
     /// Per closed-loop ingress: static shortest-path delay from every
@@ -261,7 +236,6 @@ impl<S: TelemetrySink> Engine<S> {
                 deltas: Vec::new(),
                 events_processed: 0,
                 last_time: 0,
-                round_end: 0,
                 batch: batch_limit(),
                 batch_items: Vec::new(),
                 batch_live: Vec::new(),
@@ -295,10 +269,6 @@ impl<S: TelemetrySink> Engine<S> {
         let mut chan_owner = Vec::with_capacity(nchans);
         let mut chan_dest_shard = Vec::with_capacity(nchans);
         let mut chan_state = Vec::with_capacity(nchans);
-        // Per-ordered-shard-pair minimum channel delay: the conservative
-        // bound the merge scheduler applies per *pair* where the barrier
-        // engine applies the global minimum to everyone.
-        let mut min_delay = vec![SimTime::MAX; part.shards * part.shards];
         for c in parts.channels {
             let owner = part.shard_of_node[&c.from];
             let dest = part.shard_of_node[&c.to];
@@ -307,10 +277,6 @@ impl<S: TelemetrySink> Engine<S> {
                 up: c.up,
                 gen: c.gen,
             });
-            if owner != dest {
-                let cell = &mut min_delay[owner * part.shards + dest];
-                *cell = (*cell).min(c.delay_ns);
-            }
             let sh = &mut shards[owner];
             chan_owner.push((owner, sh.channels.len()));
             sh.channels.push(c);
@@ -354,8 +320,6 @@ impl<S: TelemetrySink> Engine<S> {
             chan_dest_shard,
             chan_state,
             lookahead: part.lookahead,
-            kind: parts.engine,
-            min_delay,
             flow_shard,
             ack_dist,
             peeks: vec![None; nsh],
@@ -383,15 +347,12 @@ impl<S: TelemetrySink> Engine<S> {
     /// node that can reach it. One Dijkstra per ingress, over reversed
     /// edges.
     ///
-    /// Causal safety of `ack at = delivery + dist`: collapse the
-    /// shortest node path onto the shard graph — every crossed
-    /// shard-pair channel contributes at least that pair's `min_delay`
-    /// entry, intra-shard hops at least zero — so `dist` is never below
-    /// the merge scheduler's transitive bound between the delivering
-    /// shard and the ingress shard, nor (when they differ) below the
-    /// barrier engine's global lookahead. The ack therefore always
-    /// lands at or after the receiving shard's round end and rides the
-    /// ordinary outbox exchange.
+    /// Causal safety of `ack at = delivery + dist`: when the delivering
+    /// node and the ingress sit on different shards, the shortest node
+    /// path between them crosses at least one cross-shard channel, so
+    /// `dist` is at least the epoch `lookahead`. An ack delivered at
+    /// `u >= earliest_local` therefore lands at or after the epoch's
+    /// end and rides the ordinary outbox exchange.
     fn ack_distances(
         flows: &[FlowSpec],
         channels: &[Channel],
@@ -435,15 +396,6 @@ impl<S: TelemetrySink> Engine<S> {
         out
     }
 
-    /// Runs until every queue drains or `horizon_ns` passes, then
-    /// merges the shards into a report.
-    pub fn run(self, horizon_ns: SimTime) -> SimReport {
-        match self.kind {
-            EngineKind::Barrier => self.run_barrier(horizon_ns),
-            EngineKind::Merge => self.run_merge(horizon_ns),
-        }
-    }
-
     /// Refreshes the per-shard wheel peeks and decides the next step:
     /// `None` when everything drained or passed the horizon,
     /// `Some(true)` when the next global event should run now,
@@ -478,11 +430,12 @@ impl<S: TelemetrySink> Engine<S> {
         self.handle_global(ev);
     }
 
-    /// The epoch-barrier coordinator: every round, every shard advances
-    /// to the same conservative bound
+    /// Runs until every queue drains or `horizon_ns` passes, then
+    /// merges the shards into a report. Every round, every shard
+    /// advances to the same conservative bound
     /// `end = min(next_global, earliest_local + lookahead, horizon + 1)`
     /// where `lookahead` is the global minimum cross-shard delay.
-    fn run_barrier(mut self, horizon_ns: SimTime) -> SimReport {
+    pub fn run(mut self, horizon_ns: SimTime) -> SimReport {
         loop {
             match self.next_step(horizon_ns) {
                 None => break,
@@ -504,122 +457,16 @@ impl<S: TelemetrySink> Engine<S> {
                 .unwrap_or(SimTime::MAX)
                 .min(tl.saturating_add(self.lookahead))
                 .min(horizon_ns.saturating_add(1));
-            for s in &mut self.shards {
-                s.round_end = end;
-            }
-            self.run_round();
+            self.run_round(end);
         }
         self.finish()
     }
 
-    /// The channel-merge coordinator. Each round, shard `i` advances to
-    /// its own bound
-    ///
-    /// ```text
-    /// out_j = min(t_j, min over k with a channel k -> j
-    ///                      of (out_k + min_delay[k][j]))
-    /// end_i = min(next_global, horizon + 1,
-    ///             min over shards j != i with a channel j -> i
-    ///                 of (out_j + min_delay[j][i]))
-    /// ```
-    ///
-    /// where `t_j` is shard `j`'s earliest pending event and `out_j`
-    /// (a shortest-path fixpoint over the channel graph, seeded by the
-    /// busy shards) is the earliest instant `j` could *ever* put an
-    /// arrival on an outgoing channel — whether from its own wheel or
-    /// by forwarding something it has not even received yet. This is
-    /// the conservative null-message rule with the coordinator's clock
-    /// gather standing in for explicit null messages; propagating
-    /// through `out` rather than reading raw clocks is what makes the
-    /// lookahead *transitive*: an idle shard `j` relays its upstream's
-    /// bound (shifted by the channel delays) instead of imposing none,
-    /// while a shard with no busy upstream at all (`out_j = MAX`) truly
-    /// cannot wake and never stalls its receiver — an idle or one-way
-    /// channel costs nothing, and a shard with no busy ancestors runs
-    /// all the way to the horizon.
-    ///
-    /// Liveness: every `out_j >= t_min`, the globally minimal clock, so
-    /// the shard holding `t_min` gets `end_i >= t_min + min cross-shard
-    /// delay > t_min` (zero-delay cuts degrade to one shard at
-    /// partition time), and every round executes at least one event —
-    /// no deadlock, no starvation.
-    ///
-    /// Determinism: any arrival that ever reaches shard `i` traces back
-    /// to an event pending *now* on some shard `k`, through a channel
-    /// path whose delays sum to at least `out`'s shortest path, so it is
-    /// stamped `>= end_i` and reaches the receiving wheel (at a round
-    /// boundary) before the receiver executes any event at that time.
-    /// Per-shard pop order is canonical in `(time, key)` regardless of
-    /// round boundaries, and globals still outrank locals at equal
-    /// instants, so the report is byte-identical to the barrier
-    /// engine's at any shard count.
-    fn run_merge(mut self, horizon_ns: SimTime) -> SimReport {
-        let nsh = self.shards.len();
-        let mut out: Vec<SimTime> = Vec::with_capacity(nsh);
-        loop {
-            match self.next_step(horizon_ns) {
-                None => break,
-                Some(true) => {
-                    self.pop_global();
-                    continue;
-                }
-                Some(false) => {}
-            }
-            let cap = self
-                .globals
-                .peek_time()
-                .unwrap_or(SimTime::MAX)
-                .min(horizon_ns.saturating_add(1));
-            // Earliest-possible-output fixpoint (Bellman-Ford over the
-            // shard channel graph; nsh is small and cross-shard delays
-            // are positive, so this settles in < nsh sweeps).
-            out.clear();
-            out.extend((0..nsh).map(|j| self.peeks[j].unwrap_or(SimTime::MAX)));
-            loop {
-                let mut changed = false;
-                for j in 0..nsh {
-                    for k in 0..nsh {
-                        if k == j {
-                            continue;
-                        }
-                        let d = self.min_delay[k * nsh + j];
-                        if d == SimTime::MAX || out[k] == SimTime::MAX {
-                            continue;
-                        }
-                        let cand = out[k].saturating_add(d);
-                        if cand < out[j] {
-                            out[j] = cand;
-                            changed = true;
-                        }
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-            for i in 0..nsh {
-                let mut end = cap;
-                for (j, &oj) in out.iter().enumerate() {
-                    if j == i {
-                        continue;
-                    }
-                    let d = self.min_delay[j * nsh + i];
-                    if d != SimTime::MAX && oj != SimTime::MAX {
-                        end = end.min(oj.saturating_add(d));
-                    }
-                }
-                self.shards[i].round_end = end;
-            }
-            self.run_round();
-        }
-        self.finish()
-    }
-
-    /// One conservative round: shard `i` executes its local events
-    /// strictly before its `round_end` (in parallel when there are
-    /// multiple shards), then cross-shard arrivals are exchanged at the
-    /// round boundary.
-    fn run_round(&mut self) {
+    /// One conservative round: every shard executes its local events
+    /// strictly before `end` (in parallel when there are multiple
+    /// shards), then cross-shard arrivals are exchanged at the round
+    /// boundary.
+    fn run_round(&mut self, end: SimTime) {
         self.epochs += 1;
         let ctx = SharedCtx {
             flows: &self.flows,
@@ -634,13 +481,12 @@ impl<S: TelemetrySink> Engine<S> {
             ack_dist: &self.ack_dist,
         };
         if self.shards.len() == 1 {
-            let end = self.shards[0].round_end;
             self.shards[0].run_until(end, &ctx);
         } else {
             use rayon::prelude::*;
             self.shards
                 .par_iter_mut()
-                .for_each(|s| s.run_until(s.round_end, &ctx));
+                .for_each(|s| s.run_until(end, &ctx));
         }
         for i in 0..self.shards.len() {
             let outbox = std::mem::take(&mut self.shards[i].outbox);
@@ -1323,7 +1169,7 @@ impl<S: TelemetrySink> Engine<S> {
             }
         }
         let engine = EngineStats {
-            kind: self.kind,
+            kind: EngineKind::Barrier,
             shards: self.shards.len(),
             lookahead_ns: (self.lookahead != SimTime::MAX).then_some(self.lookahead),
             epochs: self.epochs,

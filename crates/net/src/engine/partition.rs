@@ -6,8 +6,8 @@
 //! time `u` can, at the earliest, influence another shard at
 //! `u + lookahead`, so an epoch `[start, end)` with
 //! `end <= earliest_pending + lookahead` is causally safe to run
-//! without synchronization. (The channel-merge engine refines this to a
-//! per-shard-pair bound, but the same rule applies pairwise.)
+//! without synchronization. Every shard runs to that same bound, so the
+//! fastest cut channel sets the epoch width for all of them.
 //!
 //! # Min-cut refinement
 //!
@@ -24,7 +24,7 @@
 //! Which partition is chosen cannot affect the report — only wall-clock
 //! time. Byte-identity across shard counts (and across partitioning
 //! strategies) is the engine's invariant, certified by
-//! `tests/shard_determinism.rs` and `tests/merge_determinism.rs`.
+//! `tests/shard_determinism.rs` and `tests/cross_shard_identity.rs`.
 
 use crate::event::SimTime;
 use crate::link::Channel;

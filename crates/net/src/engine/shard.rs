@@ -106,8 +106,8 @@ pub(crate) enum LocalEvent {
     /// scheduled at delivery time plus the static shortest-path
     /// propagation delay back to the ingress (an uncongested, reliable
     /// reverse path — the forward direction is the one under test). The
-    /// delay is never below the engines' cross-shard lookahead bounds,
-    /// so acks ride the normal outbox exchange safely.
+    /// delay is never below the engine's cross-shard lookahead, so acks
+    /// ride the normal outbox exchange safely.
     Ack {
         /// The acked flow.
         flow: FlowId,
@@ -195,9 +195,9 @@ pub(crate) struct SharedCtx<'a> {
     pub flow_shard: &'a [usize],
     /// Per closed-loop ingress: static shortest-path propagation delay
     /// from every reachable node back to that ingress, over the full
-    /// (fault-free) channel graph. Lower-bounds nothing and is bounded
-    /// below by every cross-shard lookahead on the reverse path, which
-    /// is what makes ack scheduling conservative-safe (see
+    /// (fault-free) channel graph. Whenever the reverse path crosses
+    /// shards it is at least the cross-shard lookahead, which is what
+    /// makes ack scheduling conservative-safe (see
     /// `Engine::ack_distances`).
     pub ack_dist: &'a HashMap<NodeId, HashMap<NodeId, SimTime>>,
 }
@@ -354,11 +354,6 @@ pub(crate) struct ShardState<S> {
     pub events_processed: u64,
     /// Timestamp of the most recently executed event.
     pub last_time: SimTime,
-    /// Exclusive upper bound for the current round, set by the
-    /// coordinator before the parallel section. Under the epoch barrier
-    /// every shard gets the same bound; under the channel-merge
-    /// scheduler each shard gets its own (see `Engine::run_merge`).
-    pub round_end: SimTime,
     /// Batch drain bound (see [`batch_limit`]); reusable scratch
     /// buffers keep the hot loop allocation-free.
     pub batch: usize,
@@ -811,9 +806,9 @@ impl<S: TelemetrySink> ShardState<S> {
                 // mark) back to the ingress, arriving one static
                 // shortest-path propagation delay later. The reverse
                 // path is modeled reliable and uncongested; its delay is
-                // never below any cross-shard lookahead on the route, so
+                // never below the cross-shard lookahead on the route, so
                 // the ack can cross shards through the normal outbox
-                // without violating either engine's conservative bound.
+                // without violating the epoch's conservative bound.
                 if matches!(ctx.flows[flow].pattern, TrafficPattern::ClosedLoop(_)) {
                     let ingress = ctx.flows[flow].ingress;
                     let d = ctx

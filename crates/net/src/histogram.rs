@@ -3,12 +3,12 @@
 //! Delay distributions under congestion are heavy-tailed, so the QoS
 //! experiments report percentiles (p50/p95/p99), not just means. The
 //! histogram uses logarithmically spaced buckets — constant relative
-//! error (~7% per bucket at 10 buckets/decade), constant memory,
+//! resolution (20 buckets/decade, each ~12% wide), constant memory,
 //! O(1) insertion — the standard latency-recording trade-off.
 
 use serde::{Deserialize, Serialize};
 
-/// Buckets per decade; 10 gives ~26% bucket width (10^(1/10)).
+/// Buckets per decade; 20 gives ~12% bucket width (10^(1/20)).
 const BUCKETS_PER_DECADE: usize = 20;
 /// Decades covered: 1 ns .. 10^8 ns (100 ms) plus an overflow bucket.
 const DECADES: usize = 9;
@@ -61,8 +61,8 @@ impl LatencyHistogram {
     }
 
     /// Estimates the `q`-quantile (0.0–1.0) in nanoseconds: the lower
-    /// edge of the bucket containing the quantile rank (a ≤7% relative
-    /// underestimate by construction). Returns 0 for an empty histogram.
+    /// edge of the bucket containing the quantile rank (an underestimate
+    /// of less than 11% relative, 1 - 10^(-1/20), by construction). Returns 0 for an empty histogram.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.total == 0 {
             return 0.0;

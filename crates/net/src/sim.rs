@@ -21,9 +21,7 @@
 //! telemetry export — is byte-identical at any shard count; sharding is
 //! purely a wall-clock optimization. See [`crate::engine`].
 
-use crate::engine::{
-    stream_seed, Engine, EngineKind, EngineParts, EngineStats, LdpRuntime, SrRuntime,
-};
+use crate::engine::{stream_seed, Engine, EngineParts, EngineStats, LdpRuntime, SrRuntime};
 use crate::event::{ControlEvent, EventQueue, SimTime};
 use crate::fault::{FaultKind, FaultPlan, FaultRecord, RestorationPolicy};
 use crate::link::Channel;
@@ -421,7 +419,6 @@ pub struct Simulation<S: TelemetrySink = NoopSink> {
     sink: S,
     instr: SimInstruments,
     requested_shards: Option<usize>,
-    requested_engine: Option<EngineKind>,
     shard_hints: HashMap<NodeId, usize>,
     /// Present when the run uses the distributed control plane.
     ldp: Option<LdpRuntime>,
@@ -487,7 +484,6 @@ impl Simulation {
             sink: NoopSink,
             instr: SimInstruments::default(),
             requested_shards: None,
-            requested_engine: None,
             shard_hints: HashMap::new(),
             ldp: None,
             sr: None,
@@ -530,7 +526,6 @@ impl Simulation {
             sink,
             instr,
             requested_shards: self.requested_shards,
-            requested_engine: self.requested_engine,
             shard_hints: self.shard_hints,
             ldp: self.ldp,
             sr: self.sr,
@@ -557,15 +552,6 @@ impl<S: TelemetrySink> Simulation<S> {
     /// any value — this only trades wall-clock time.
     pub fn set_shards(&mut self, shards: usize) {
         self.requested_shards = Some(shards);
-    }
-
-    /// Selects the shard coordination scheme ([`EngineKind`]). Overrides
-    /// the `MPLS_SIM_ENGINE` environment variable (`"barrier"` or
-    /// `"merge"`); the default is the epoch barrier. The report is
-    /// identical either way — like the shard count, this only trades
-    /// wall-clock time.
-    pub fn set_engine(&mut self, kind: EngineKind) {
-        self.requested_engine = Some(kind);
     }
 
     /// Pins `node` to shard `hint % shards` instead of its default
@@ -740,9 +726,7 @@ impl<S: TelemetrySink> Simulation<S> {
 
     /// Runs until the event queues drain or `horizon_ns` passes, then
     /// reports. The shard count resolves as [`Self::set_shards`], else
-    /// the `MPLS_SIM_SHARDS` environment variable, else 1; the engine
-    /// kind as [`Self::set_engine`], else `MPLS_SIM_ENGINE`, else the
-    /// epoch barrier.
+    /// the `MPLS_SIM_SHARDS` environment variable, else 1.
     pub fn run(self, horizon_ns: SimTime) -> SimReport {
         let shards = self
             .requested_shards
@@ -752,14 +736,6 @@ impl<S: TelemetrySink> Simulation<S> {
                     .and_then(|v| v.parse().ok())
             })
             .unwrap_or(1);
-        let engine = self
-            .requested_engine
-            .or_else(|| {
-                std::env::var("MPLS_SIM_ENGINE")
-                    .ok()
-                    .and_then(|v| EngineKind::parse(&v))
-            })
-            .unwrap_or_default();
         Engine::new(EngineParts {
             channels: self.channels,
             chan_index: self.chan_index,
@@ -775,7 +751,6 @@ impl<S: TelemetrySink> Simulation<S> {
             instr: self.instr,
             shards,
             hints: self.shard_hints,
-            engine,
             ldp: self.ldp,
             sr: self.sr,
             pdu_chaos: self.pdu_chaos,

@@ -1,10 +1,9 @@
-//! Determinism of the channel-merge scheduler: for any random topology,
-//! heterogeneous delay assignment, traffic mix, fault schedule and
-//! control plane, the serialized report is byte-identical across shard
-//! counts {1, 2, 4, 8} AND across both execution engines — the merge
-//! engine's per-shard conservative bounds reorder wall-clock work, never
+//! Cross-shard identity under heterogeneous delays: for any random
+//! topology, delay assignment, traffic mix, fault schedule and control
+//! plane, the serialized report is byte-identical across shard counts
+//! {1, 2, 4, 8} — the epoch barrier reorders wall-clock work, never
 //! simulated history. Per-shard event counts must also sum to the
-//! sequential total under every configuration: scheduling moves events
+//! sequential total at every shard count: scheduling moves events
 //! between threads, it never creates or destroys them.
 
 use mpls_control::{ControlPlane, LinkSpec, LspRequest, RouterRole, Topology};
@@ -13,8 +12,8 @@ use mpls_dataplane::ftn::Prefix;
 use mpls_ldp::LdpConfig;
 use mpls_net::traffic::{FlowSpec, TrafficPattern};
 use mpls_net::{
-    EngineKind, EngineStats, FaultPlan, QueueDiscipline, RecoveryMode, RestorationPolicy,
-    RouterKind, Simulation,
+    EngineStats, FaultPlan, QueueDiscipline, RecoveryMode, RestorationPolicy, RouterKind,
+    Simulation,
 };
 use mpls_packet::ipv4::parse_addr;
 use proptest::prelude::*;
@@ -22,9 +21,9 @@ use proptest::prelude::*;
 /// A `rows x cols` grid with LERs in opposite corners and *strongly*
 /// heterogeneous link delays: every link gets salted jitter, and links
 /// whose hash clears `stretch_mask` are stretched by `stretch`x. Wide
-/// delay spreads are exactly where the merge engine's per-channel
-/// bounds diverge from the global barrier's single lookahead, so this
-/// is the regime where a bound bug would actually misorder events.
+/// delay spreads make the partitioner's cut, and with it the epoch
+/// lookahead, differ from run to run, so this is the regime where a
+/// bound bug would actually misorder events.
 fn hetero_grid(
     rows: u32,
     cols: u32,
@@ -85,14 +84,12 @@ fn hetero_grid(
     cp
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_once(
     cp: &ControlPlane,
     flows: &[FlowSpec],
     plan: Option<&FaultPlan>,
     seed: u64,
     shards: usize,
-    engine: EngineKind,
     ldp: bool,
     horizon_ns: u64,
 ) -> (String, EngineStats) {
@@ -105,7 +102,6 @@ fn run_once(
         seed,
     );
     sim.set_shards(shards);
-    sim.set_engine(engine);
     if ldp {
         sim.enable_ldp(LdpConfig::default());
     }
@@ -120,21 +116,19 @@ fn run_once(
     (json, report.engine)
 }
 
-/// Regression: the merge bound must be *transitively* conservative.
-/// A shard with no direct channel from any busy shard is still reached
-/// through relays — each hop receives at one round boundary and
-/// forwards at the next — so bounds must propagate along channel paths
-/// (shifted by the delays), not just across direct edges. The failure
-/// is only visible in order-sensitive state, so this scenario is a
-/// miniature of the EXT-10 bench that first exposed it: four corner
-/// flows on a grid whose corner shards are mutually non-adjacent,
-/// saturating every ingress FIFO, so each corner shard drains its own
-/// backlog while cross-traffic is still in flight through the middle.
-/// The non-transitive bound let a corner run its drain ahead of
-/// arrivals routed through idle relays and dropped a different set of
-/// packets.
+/// Regression: a shard with no direct channel from any busy shard is
+/// still reached through relays — each hop receives at one round
+/// boundary and forwards at the next — so the round bound must hold
+/// along whole channel paths, not just across direct edges. A bound
+/// bug is only visible in order-sensitive state, so this scenario is a
+/// miniature of the EXT-10 bench that once exposed a non-transitive
+/// bound: four corner flows on a grid whose corner shards are mutually
+/// non-adjacent, saturating every ingress FIFO, so each corner shard
+/// drains its own backlog while cross-traffic is still in flight
+/// through the middle. Running a corner's drain ahead of arrivals
+/// routed through idle relays drops a different set of packets.
 #[test]
-fn idle_relay_shards_stay_transitively_bounded() {
+fn congested_idle_relay_grid_is_shard_invariant() {
     const SIDE: u32 = 8;
     const CORNERS: [u32; 4] = [0, SIDE - 1, (SIDE - 1) * SIDE, SIDE * SIDE - 1];
     let mut topo = Topology::new();
@@ -203,35 +197,17 @@ fn idle_relay_shards_stay_transitively_bounded() {
         })
         .collect();
 
-    let (baseline, _) = run_once(
-        &cp,
-        &flows,
-        None,
-        7,
-        1,
-        EngineKind::Barrier,
-        false,
-        30_000_000,
-    );
+    let (baseline, _) = run_once(&cp, &flows, None, 7, 1, false, 30_000_000);
     assert!(
         !baseline.contains("\"queue_dropped\":0"),
         "scenario must saturate the queues for order sensitivity"
     );
     for shards in [4usize, 8] {
-        let (json, stats) = run_once(
-            &cp,
-            &flows,
-            None,
-            7,
-            shards,
-            EngineKind::Merge,
-            false,
-            30_000_000,
-        );
+        let (json, stats) = run_once(&cp, &flows, None, 7, shards, false, 30_000_000);
         assert_eq!(stats.shards, shards);
         assert_eq!(
             baseline, json,
-            "merge at {shards} shards diverged on the congested relay path"
+            "{shards} shards diverged on the congested relay path"
         );
     }
 }
@@ -240,7 +216,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn merge_engine_is_byte_identical_across_shards_and_engines(
+    fn reports_are_byte_identical_at_1_2_4_8_shards(
         seed in 0u64..10_000,
         rows in 2u32..4,
         cols in 2u32..5,
@@ -315,39 +291,29 @@ proptest! {
             plan
         });
 
-        let (baseline, seq) = run_once(
-            &cp, &flows, plan.as_ref(), seed, 1, EngineKind::Barrier, ldp, horizon_ns,
-        );
+        let (baseline, seq) = run_once(&cp, &flows, plan.as_ref(), seed, 1, ldp, horizon_ns);
         prop_assert_eq!(seq.shards, 1);
         let seq_total = seq.total_events();
         prop_assert!(seq_total > 0, "scenario generated no events");
 
-        for engine in [EngineKind::Barrier, EngineKind::Merge] {
-            for shards in [1usize, 2, 4, 8] {
-                if engine == EngineKind::Barrier && shards == 1 {
-                    continue; // that's the baseline itself
-                }
-                let (json, stats) = run_once(
-                    &cp, &flows, plan.as_ref(), seed, shards, engine, ldp, horizon_ns,
-                );
-                prop_assert_eq!(stats.kind, engine);
-                prop_assert_eq!(
-                    &baseline, &json,
-                    "report diverged under {} at {} shards (effective {})",
-                    engine.name(), shards, stats.shards
-                );
-                prop_assert_eq!(
-                    stats.total_events(), seq_total,
-                    "event count changed under {} at {} shards", engine.name(), shards
-                );
-                prop_assert_eq!(stats.shard_events.len(), stats.shards);
-                prop_assert_eq!(
-                    stats.global_events + stats.shard_events.iter().sum::<u64>(),
-                    seq_total,
-                    "per-shard counts do not sum to the sequential total under {} at {} shards",
-                    engine.name(), shards
-                );
-            }
+        for shards in [2usize, 4, 8] {
+            let (json, stats) =
+                run_once(&cp, &flows, plan.as_ref(), seed, shards, ldp, horizon_ns);
+            prop_assert_eq!(
+                &baseline, &json,
+                "report diverged at {} shards (effective {})", shards, stats.shards
+            );
+            prop_assert_eq!(
+                stats.total_events(), seq_total,
+                "event count changed at {} shards", shards
+            );
+            prop_assert_eq!(stats.shard_events.len(), stats.shards);
+            prop_assert_eq!(
+                stats.global_events + stats.shard_events.iter().sum::<u64>(),
+                seq_total,
+                "per-shard counts do not sum to the sequential total at {} shards",
+                shards
+            );
         }
     }
 }

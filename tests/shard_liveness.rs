@@ -1,15 +1,16 @@
-//! Deadlock and starvation battery for the channel-merge scheduler.
+//! Deadlock and starvation battery for the sharded engine.
 //!
 //! Conservative parallel simulation deadlocks when every shard waits on
-//! a channel bound that never advances. The merge engine avoids this by
-//! construction — an empty wheel imposes no bound, the null-message
-//! equivalent of "nothing is coming" — but that argument only holds if
-//! the implementation actually refreshes peeks and skips empty senders.
-//! These scenarios are built so a naive bound computation WOULD stall:
-//! shards with permanently empty wheels, channels that only ever carry
-//! traffic one way, and partition windows that silence the control
-//! plane mid-run. Every run executes under a wall-clock watchdog and
-//! must still produce the barrier engine's byte-identical report.
+//! a bound that never advances. The epoch barrier avoids this by
+//! construction — each round's bound is computed from the earliest
+//! pending event anywhere, so an empty wheel never holds anyone back —
+//! but that argument only holds if the implementation actually
+//! refreshes peeks every round. These scenarios are built so a naive
+//! bound computation WOULD stall: shards with permanently empty wheels,
+//! channels that only ever carry traffic one way, and partition windows
+//! that silence the control plane mid-run. Every run executes under a
+//! wall-clock watchdog and must still produce the 1-shard run's
+//! byte-identical report.
 
 use mpls_control::{ControlPlane, LinkSpec, LspRequest, RouterRole, Topology};
 use mpls_core::ClockSpec;
@@ -17,8 +18,7 @@ use mpls_dataplane::ftn::Prefix;
 use mpls_ldp::LdpConfig;
 use mpls_net::traffic::{FlowSpec, TrafficPattern};
 use mpls_net::{
-    EngineKind, FaultPlan, QueueDiscipline, RecoveryMode, RestorationPolicy, RouterKind, SimReport,
-    Simulation,
+    FaultPlan, QueueDiscipline, RecoveryMode, RestorationPolicy, RouterKind, SimReport, Simulation,
 };
 use mpls_packet::ipv4::parse_addr;
 use std::time::Duration;
@@ -44,7 +44,7 @@ fn with_watchdog<T: Send + 'static>(
 }
 
 /// A line 0-1-...-(n-1) with LERs at both ends and heterogeneous
-/// delays: odd-indexed links are 20x slower, so per-channel bounds
+/// delays: odd-indexed links are 20x slower, so cut channel delays
 /// differ by more than an order of magnitude.
 fn line(n: u32) -> ControlPlane {
     let last = n - 1;
@@ -101,14 +101,12 @@ fn one_way_flow(ingress: u32) -> FlowSpec {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run(
     cp: &ControlPlane,
     flows: &[FlowSpec],
     plan: Option<FaultPlan>,
     hints: &[(u32, usize)],
     shards: usize,
-    engine: EngineKind,
     ldp: bool,
     horizon_ns: u64,
 ) -> SimReport {
@@ -121,7 +119,6 @@ fn run(
         7,
     );
     sim.set_shards(shards);
-    sim.set_engine(engine);
     for &(node, shard) in hints {
         sim.shard_hint(node, shard);
     }
@@ -140,10 +137,7 @@ fn run(
 fn assert_identical(baseline: &SimReport, report: &SimReport, what: &str) {
     let a = serde_json::to_string(baseline).expect("report serializes");
     let b = serde_json::to_string(report).expect("report serializes");
-    assert_eq!(
-        a, b,
-        "{what}: report diverged from the sequential barrier run"
-    );
+    assert_eq!(a, b, "{what}: report diverged from the sequential run");
 }
 
 /// Shards 2 and 3 hold only reactive routers that never see a packet:
@@ -193,36 +187,26 @@ fn zero_traffic_shards_do_not_starve_the_busy_ones() {
         ];
         let base = run(
             &cp,
-            &[flow.clone()],
+            std::slice::from_ref(&flow),
             None,
             &[],
             1,
-            EngineKind::Barrier,
             false,
             20_000_000,
         );
-        let merge = run(
-            &cp,
-            &[flow],
-            None,
-            &hints,
-            4,
-            EngineKind::Merge,
-            false,
-            20_000_000,
-        );
-        (base, merge)
+        let sharded = run(&cp, &[flow], None, &hints, 4, false, 20_000_000);
+        (base, sharded)
     });
-    let (base, merge) = reports;
+    let (base, sharded) = reports;
     assert!(
         base.flow("fwd").unwrap().delivered > 0,
         "traffic must actually cross the busy boundary"
     );
-    assert_identical(&base, &merge, "zero-traffic shards");
+    assert_identical(&base, &sharded, "zero-traffic shards");
 }
 
 /// Traffic crosses every shard boundary in one direction only, so the
-/// reverse channels never carry an event. If the engine's bounds only
+/// reverse channels never carry an event. If the engine's bound only
 /// advanced when a channel delivered something (no null-message
 /// equivalent), the upstream shard would block on its silent inbound
 /// channel forever.
@@ -233,30 +217,20 @@ fn one_way_channels_do_not_deadlock() {
         let flow = one_way_flow(0);
         let base = run(
             &cp,
-            &[flow.clone()],
+            std::slice::from_ref(&flow),
             None,
             &[],
             1,
-            EngineKind::Barrier,
             false,
             20_000_000,
         );
-        let merge = run(
-            &cp,
-            &[flow],
-            None,
-            &[],
-            4,
-            EngineKind::Merge,
-            false,
-            20_000_000,
-        );
-        (base, merge)
+        let sharded = run(&cp, &[flow], None, &[], 4, false, 20_000_000);
+        (base, sharded)
     });
-    let (base, merge) = reports;
+    let (base, sharded) = reports;
     let s = base.flow("fwd").unwrap();
     assert!(s.delivered > 0, "one-way traffic must actually flow");
-    assert_identical(&base, &merge, "one-way channels");
+    assert_identical(&base, &sharded, "one-way channels");
 }
 
 /// A partition window under LDP silences the middle of the line while
@@ -288,32 +262,22 @@ fn partition_window_under_ldp_keeps_advancing() {
         let horizon = 60_000_000;
         let base = run(
             &cp,
-            &[flow.clone()],
+            std::slice::from_ref(&flow),
             Some(make_plan()),
             &[],
             1,
-            EngineKind::Barrier,
             true,
             horizon,
         );
-        let merge = run(
-            &cp,
-            &[flow],
-            Some(make_plan()),
-            &[],
-            4,
-            EngineKind::Merge,
-            true,
-            horizon,
-        );
-        (base, merge)
+        let sharded = run(&cp, &[flow], Some(make_plan()), &[], 4, true, horizon);
+        (base, sharded)
     });
-    let (base, merge) = reports;
+    let (base, sharded) = reports;
     assert!(
         base.control.sessions_established > 0,
         "LDP must come up before the partition"
     );
-    assert_identical(&base, &merge, "ldp partition window");
+    assert_identical(&base, &sharded, "ldp partition window");
 }
 
 /// Eight shards on an eight-node line: every shard holds exactly one
@@ -326,27 +290,17 @@ fn one_node_per_shard_terminates() {
         let flow = one_way_flow(0);
         let base = run(
             &cp,
-            &[flow.clone()],
+            std::slice::from_ref(&flow),
             None,
             &[],
             1,
-            EngineKind::Barrier,
             false,
             20_000_000,
         );
-        let merge = run(
-            &cp,
-            &[flow],
-            None,
-            &[],
-            8,
-            EngineKind::Merge,
-            false,
-            20_000_000,
-        );
-        (base, merge)
+        let sharded = run(&cp, &[flow], None, &[], 8, false, 20_000_000);
+        (base, sharded)
     });
-    let (base, merge) = reports;
-    assert_eq!(merge.engine.shards, 8, "line must actually split 8 ways");
-    assert_identical(&base, &merge, "one node per shard");
+    let (base, sharded) = reports;
+    assert_eq!(sharded.engine.shards, 8, "line must actually split 8 ways");
+    assert_identical(&base, &sharded, "one node per shard");
 }
