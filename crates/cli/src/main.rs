@@ -12,7 +12,8 @@
 //! mpls-sim run --control <mode> <scenario.json>
 //!                                       ... force the control plane:
 //!                                       "centralized", "ldp" or "sr"
-//! mpls-sim validate <scenario.json>     parse + signal without running traffic
+//! mpls-sim validate <scenario.json>     parse, signal and check flow ingresses
+//!                                       without running traffic
 //! mpls-sim example                      print the bundled example scenario
 //! ```
 
@@ -92,7 +93,7 @@ fn main() -> ExitCode {
                 }
             };
             if cmd == "validate" {
-                match scenario.build_control_plane() {
+                match scenario.validate() {
                     Ok(cp) => {
                         println!(
                             "ok: {} nodes, {} links, {} LSPs signaled",

@@ -229,12 +229,8 @@ mod tests {
         );
         sc.router = crate::scenario::RouterDecl::SoftwareFast;
         let text = format_report(&sc.run().unwrap());
-        // The cache can be globally disabled by env; only assert the
-        // block when it is live.
-        if std::env::var("MPLS_SIM_FLOW_CACHE").map_or(true, |v| v != "0") {
-            assert!(text.contains("fast path:"), "missing diagnostics:\n{text}");
-            assert!(text.contains("hit rate"));
-        }
+        assert!(text.contains("fast path:"), "missing diagnostics:\n{text}");
+        assert!(text.contains("hit rate"));
     }
 
     #[test]

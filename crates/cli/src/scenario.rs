@@ -950,7 +950,6 @@ pub enum RouterDecl {
     /// Software fast path: hash FIB with canonical (linear-equivalent)
     /// probe counts plus a per-ingress flow cache. Reports are
     /// byte-identical to `software_linear`; only the host runs faster.
-    /// `MPLS_SIM_FLOW_CACHE=0` disables the cache,
     /// `MPLS_SIM_DIFF_LOOKUP=1` cross-checks every lookup against a
     /// shadow linear table.
     SoftwareFast,
@@ -1081,6 +1080,27 @@ impl Scenario {
             if l.protected {
                 cp.protect_lsp(id)
                     .map_err(|e| ScenarioError::Signal(format!("lsp #{i} backup: {e:?}")))?;
+            }
+        }
+        Ok(cp)
+    }
+
+    /// Builds the control plane and checks that every flow and every
+    /// subscriber population enters the network at one of its nodes.
+    /// [`Self::run`] makes these checks before any traffic; `mpls-sim
+    /// validate` makes only these.
+    pub fn validate(&self) -> Result<ControlPlane, ScenarioError> {
+        let cp = self.build_control_plane()?;
+        let flows = self.flows.iter().map(|f| ("flow", &f.name, f.ingress));
+        let populations = self
+            .subscribers
+            .iter()
+            .map(|s| ("subscriber population", &s.name, s.ingress));
+        for (what, name, ingress) in flows.chain(populations) {
+            if cp.topology().node(ingress).is_none() {
+                return Err(ScenarioError::Invalid(format!(
+                    "{what} {name:?}: ingress {ingress} is not a node"
+                )));
             }
         }
         Ok(cp)
@@ -1446,7 +1466,7 @@ impl Scenario {
         shards_override: Option<usize>,
         control_override: Option<&str>,
     ) -> Result<mpls_net::SimReport, ScenarioError> {
-        let cp = self.build_control_plane()?;
+        let cp = self.validate()?;
         let mut sim =
             Simulation::build(&cp, self.router_kind(), self.queue_discipline(), self.seed);
         if let Some(shards) = shards_override.or(self.shards) {
@@ -1506,6 +1526,25 @@ mod tests {
             sc.build_control_plane(),
             Err(ScenarioError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn ingress_outside_the_topology_is_rejected() {
+        let mut flow = Scenario::from_json(EXAMPLE).unwrap();
+        flow.flows[0].ingress = 9;
+        let mut population =
+            Scenario::from_json(include_str!("../scenarios/closed_loop.json")).unwrap();
+        population.subscribers[0].ingress = 9;
+        for (sc, named) in [
+            (flow, r#"flow "voip": ingress 9"#),
+            (population, r#"subscriber population "metro": ingress 9"#),
+        ] {
+            for err in [sc.run().map(drop), sc.validate().map(drop)] {
+                let err = err.expect_err("no node 9 to enter at");
+                assert!(matches!(err, ScenarioError::Invalid(_)), "{err}");
+                assert!(err.to_string().contains(named), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,16 @@
 //! push/pop/swap with TTL handling and discard rules), so the two planes
 //! are interchangeable behind the router crate's forwarding trait and
 //! differentially testable.
+//!
+//! # TTL ordering
+//!
+//! The checks run in the order of the hardware's `VerifyInfo` state:
+//! search first (a miss is `NoEntryFound` even at TTL 0), then TTL, then
+//! the operation. A labeled packet arriving with TTL ≤ 1 is discarded
+//! with `TtlExpired` before swap, push or pop touches the stack, and an
+//! unlabeled packet with TTL 0 before the ingress push installs anything,
+//! so no discard path half-applies an operation. The `ttl_*` tests below
+//! pin this at the push, swap and PHP-pop points.
 
 use crate::cache::FlowCache;
 use crate::fib::{Fib, FibLevel};

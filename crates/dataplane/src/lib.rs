@@ -4,8 +4,8 @@
 //! "Most existing MPLS solutions are entirely software based" (paper §1,
 //! abstract) — this crate is that baseline: a pure-software label
 //! forwarder with the same observable semantics as the hardware label
-//! stack modifier in `mpls-core`, plus the classic RFC 3031 table
-//! structure (FTN / ILM / NHLFE) a real router stack would expose.
+//! stack modifier in `mpls-core`, plus prefix-based FEC-to-NHLFE
+//! classification ([`ftn::PrefixFtn`]) for ingress LERs.
 //!
 //! Two lookup strategies are provided so the benchmarks can separate the
 //! *architecture* comparison from the *algorithm* comparison:
@@ -33,7 +33,6 @@ pub mod forwarder;
 pub mod ftn;
 pub mod hash_fib;
 pub mod lookup;
-pub mod rfc;
 pub mod types;
 
 pub use cache::FlowCache;
@@ -42,5 +41,4 @@ pub use forwarder::{ProcessResult, SoftwareForwarder};
 pub use ftn::PrefixFtn;
 pub use hash_fib::{diff_lookup_enabled, HashFib};
 pub use lookup::{HashTable, LinearTable, LookupStrategy};
-pub use rfc::{NextHop, Nhlfe, RfcTables};
 pub use types::{Discard, LabelBinding, LabelOp, SwRouterType};

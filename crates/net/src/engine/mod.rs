@@ -34,21 +34,17 @@ pub(crate) use sr::SrRuntime;
 use crate::event::{ControlEvent, EventQueue, SimTime};
 use crate::fault::{FaultRecord, RecoveryMode, RestorationPolicy};
 use crate::link::Channel;
-use crate::node::Node;
 use crate::policer::TokenBucket;
 use crate::sim::{FlowTemplate, LinkUsage, SimInstruments, SimReport};
 use crate::stats::{FlowId, FlowStats};
 use crate::traffic::{FlowSpec, TrafficPattern};
 use mpls_control::{ControlPlane, LinkId, LspRequest, NodeConfig, NodeId};
-use mpls_router::DiscardCause;
+use mpls_router::{DiscardCause, MplsForwarder};
 use mpls_telemetry::TelemetrySink;
 use partition::partition;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use shard::{
-    batch_limit, ChanState, ClosedLoopState, EmitState, FlowDelta, LocalEvent, ShardState,
-    SharedCtx,
-};
+use shard::{ChanState, ClosedLoopState, EmitState, FlowDelta, LocalEvent, ShardState, SharedCtx};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::marker::PhantomData;
@@ -139,7 +135,7 @@ pub(crate) struct EngineParts<S> {
     pub channels: Vec<Channel>,
     pub chan_index: HashMap<(NodeId, NodeId), usize>,
     pub chan_link: Vec<LinkId>,
-    pub nodes: Vec<Box<dyn Node>>,
+    pub nodes: Vec<Box<dyn MplsForwarder + Send>>,
     pub cp: ControlPlane,
     pub flows: Vec<FlowSpec>,
     pub policers: Vec<Option<TokenBucket>>,
@@ -212,7 +208,7 @@ impl<S: TelemetrySink> Engine<S> {
     pub fn new(parts: EngineParts<S>) -> Self {
         let nflows = parts.flows.len();
         let nchans = parts.channels.len();
-        let node_ids: Vec<NodeId> = parts.nodes.iter().map(|n| n.id()).collect();
+        let node_ids: Vec<NodeId> = parts.nodes.iter().map(|n| n.node_id()).collect();
         let part = partition(&node_ids, parts.shards, &parts.hints, &parts.channels);
         // Slot width is a performance knob only; pop order is canonical.
         let slot_ns = if part.lookahead == SimTime::MAX {
@@ -236,10 +232,6 @@ impl<S: TelemetrySink> Engine<S> {
                 deltas: Vec::new(),
                 events_processed: 0,
                 last_time: 0,
-                batch: batch_limit(),
-                batch_items: Vec::new(),
-                batch_live: Vec::new(),
-                batch_outs: Vec::new(),
                 _sink: PhantomData,
             })
             .collect();
@@ -252,12 +244,8 @@ impl<S: TelemetrySink> Engine<S> {
             }
         }
         for node in parts.nodes {
-            let sh = &mut shards[part.shard_of_node[&node.id()]];
-            sh.node_local.insert(node.id(), sh.nodes.len());
-            if let Some(iv) = node.tick_interval() {
-                sh.wheel
-                    .schedule(iv.max(1), LocalEvent::NodeTick { node: node.id() });
-            }
+            let sh = &mut shards[part.shard_of_node[&node.node_id()]];
+            sh.node_local.insert(node.node_id(), sh.nodes.len());
             sh.nodes.push(node);
         }
         let ack_dist = Self::ack_distances(&parts.flows, &parts.channels);
@@ -609,7 +597,7 @@ impl<S: TelemetrySink> Engine<S> {
     fn reprogram_routers(&mut self) {
         for sh in &mut self.shards {
             for node in &mut sh.nodes {
-                let cfg = self.cp.config_for(node.id());
+                let cfg = self.cp.config_for(node.node_id());
                 node.reprogram(&cfg);
             }
         }
@@ -1165,7 +1153,7 @@ impl<S: TelemetrySink> Engine<S> {
         let mut routers = BTreeMap::new();
         for sh in &self.shards {
             for node in &sh.nodes {
-                routers.insert(node.id(), node.stats());
+                routers.insert(node.node_id(), node.stats());
             }
         }
         let engine = EngineStats {

@@ -30,14 +30,12 @@
 use super::wheel::EventWheel;
 use crate::event::SimTime;
 use crate::link::{Channel, OfferResult};
-use crate::node::Node;
 use crate::policer::TokenBucket;
 use crate::sim::{FlowTemplate, SimPacket};
 use crate::stats::{FlowId, FlowStats};
 use crate::traffic::{ClosedLoopSpec, FlowSpec, TrafficPattern};
 use mpls_control::{LinkId, NodeId};
-use mpls_packet::MplsPacket;
-use mpls_router::{Action, DiscardCause, Forwarding};
+use mpls_router::{Action, DiscardCause, Forwarding, MplsForwarder};
 use mpls_telemetry::{Histogram, TelemetrySink};
 use rand::rngs::StdRng;
 use std::collections::{HashMap, VecDeque};
@@ -52,23 +50,6 @@ pub(crate) type EventKey = (u8, u64, u64);
 /// router's per-ingress flow cache never conflates a source lane with a
 /// wire channel.
 const SOURCE_LANE: u64 = 1 << 32;
-
-/// Up to how many same-instant arrivals for one node drain as a single
-/// batch (`MPLS_SIM_BATCH`, default 32; 1 disables batching). A batch
-/// resolves the node once and streams the packets through its data
-/// plane back to back; the drain is a conditional peek at the wheel's
-/// head, so the consumed event sequence — and therefore the report —
-/// is identical at any batch bound.
-pub(crate) fn batch_limit() -> usize {
-    static B: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *B.get_or_init(|| {
-        std::env::var("MPLS_SIM_BATCH")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&b| b >= 1)
-            .unwrap_or(32)
-    })
-}
 
 /// A shard-local event.
 #[derive(Debug)]
@@ -96,11 +77,6 @@ pub(crate) enum LocalEvent {
         channel: usize,
         /// Channel incarnation at scheduling time; stale if it moved on.
         gen: u64,
-    },
-    /// A node's periodic tick (see [`Node::tick_interval`]).
-    NodeTick {
-        /// The ticking node.
-        node: NodeId,
     },
     /// A closed-loop delivery acknowledgment reaching the flow's ingress:
     /// scheduled at delivery time plus the static shortest-path
@@ -131,9 +107,10 @@ pub(crate) enum LocalEvent {
 
 impl LocalEvent {
     /// The canonical same-timestamp ordering key. Emissions first, then
-    /// arrivals, then transmit completions, then ticks — matching the
-    /// causal chains `SourceEmit -> Arrive` and
-    /// `Arrive -> TransmitDone` that occur at one instant.
+    /// arrivals, then transmit completions — matching the causal chains
+    /// `SourceEmit -> Arrive` and `Arrive -> TransmitDone` that occur at
+    /// one instant — then the closed-loop acks, transfer arrivals and
+    /// timeout checks.
     pub fn key(&self) -> EventKey {
         match *self {
             LocalEvent::SourceEmit { flow } => (0, flow as u64, 0),
@@ -151,13 +128,12 @@ impl LocalEvent {
                 (1, node as u64, lane)
             }
             LocalEvent::TransmitDone { channel, gen } => (2, channel as u64, gen),
-            LocalEvent::NodeTick { node } => (3, node as u64, 0),
             // Unique per timestamp: seqs are unique per flow, and the
             // chain/timer flags keep at most one XferArrive / RtoCheck
             // pending per flow.
-            LocalEvent::Ack { flow, seq, .. } => (4, flow as u64, seq),
-            LocalEvent::XferArrive { flow } => (5, flow as u64, 0),
-            LocalEvent::RtoCheck { flow } => (6, flow as u64, 0),
+            LocalEvent::Ack { flow, seq, .. } => (3, flow as u64, seq),
+            LocalEvent::XferArrive { flow } => (4, flow as u64, 0),
+            LocalEvent::RtoCheck { flow } => (5, flow as u64, 0),
         }
     }
 }
@@ -328,7 +304,8 @@ impl FlowDelta {
 pub(crate) struct ShardState<S> {
     pub id: usize,
     pub wheel: EventWheel,
-    pub nodes: Vec<Box<dyn Node>>,
+    /// The routers at this shard's nodes, by local index.
+    pub nodes: Vec<Box<dyn MplsForwarder + Send>>,
     pub node_local: HashMap<NodeId, usize>,
     /// Channels this shard transmits on (its nodes are the `from` ends).
     pub channels: Vec<Channel>,
@@ -354,12 +331,6 @@ pub(crate) struct ShardState<S> {
     pub events_processed: u64,
     /// Timestamp of the most recently executed event.
     pub last_time: SimTime,
-    /// Batch drain bound (see [`batch_limit`]); reusable scratch
-    /// buffers keep the hot loop allocation-free.
-    pub batch: usize,
-    pub batch_items: Vec<(SimPacket, Option<(usize, u64)>)>,
-    pub batch_live: Vec<(MplsPacket, FlowId, u64, SimTime, bool, u64)>,
-    pub batch_outs: Vec<(Forwarding, FlowId, u64, SimTime, bool)>,
     pub _sink: PhantomData<fn() -> S>,
 }
 
@@ -372,32 +343,11 @@ impl<S: TelemetrySink> ShardState<S> {
             match ev {
                 LocalEvent::SourceEmit { flow } => self.on_source_emit(t, flow, ctx),
                 LocalEvent::Arrive { node, packet, via } => {
-                    // Same-instant arrivals for one node are consecutive
-                    // in canonical pop order (class 1, keyed by node);
-                    // drain them and stream the whole batch through the
-                    // router in one go. Arrival processing only schedules
-                    // later-class or later-time events, so nothing can
-                    // slot in between — the event sequence is exactly the
-                    // unbatched one.
-                    let mut items = std::mem::take(&mut self.batch_items);
-                    items.clear();
-                    items.push((packet, via));
-                    while items.len() < self.batch {
-                        match self.wheel.pop_arrival_for(t, node as u64) {
-                            Some(LocalEvent::Arrive { packet, via, .. }) => {
-                                self.events_processed += 1;
-                                items.push((packet, via));
-                            }
-                            _ => break,
-                        }
-                    }
-                    self.on_arrive_batch(t, node, &mut items, ctx);
-                    self.batch_items = items;
+                    self.on_arrive(t, node, packet, via, ctx)
                 }
                 LocalEvent::TransmitDone { channel, gen } => {
                     self.on_transmit_done(t, channel, gen, ctx)
                 }
-                LocalEvent::NodeTick { node } => self.on_node_tick(t, node),
                 LocalEvent::Ack { flow, seq, ecn } => self.on_ack(t, flow, seq, ecn, ctx),
                 LocalEvent::XferArrive { flow } => self.on_xfer_arrive(t, flow, ctx),
                 LocalEvent::RtoCheck { flow } => self.on_rto_check(t, flow, ctx),
@@ -681,26 +631,21 @@ impl<S: TelemetrySink> ShardState<S> {
         }
     }
 
-    /// Processes a drained batch of same-instant arrivals at `node`:
-    /// stale-incarnation losses are taken first, then the node's router
-    /// is resolved *once* and the surviving packets stream through its
-    /// data plane back to back, then the resulting actions apply in
-    /// packet order. Each phase preserves the per-packet order of the
-    /// unbatched loop, and no phase's effects feed an earlier phase, so
-    /// the outcome is identical to processing one event at a time.
-    fn on_arrive_batch(
+    /// One packet reaching `node`'s input. A packet that was on the wire
+    /// when its link was cut is lost; any other goes through the node's
+    /// router, and the router's decision is applied.
+    fn on_arrive(
         &mut self,
         now: SimTime,
         node: NodeId,
-        items: &mut Vec<(SimPacket, Option<(usize, u64)>)>,
+        packet: SimPacket,
+        via: Option<(usize, u64)>,
         ctx: &SharedCtx<'_>,
     ) {
-        let mut live = std::mem::take(&mut self.batch_live);
-        live.clear();
-        for (packet, via) in items.drain(..) {
-            // A packet that was on the wire when its link was cut never
-            // arrives: the channel's incarnation has moved on.
-            if let Some((chan, gen)) = via {
+        let port = match via {
+            Some((chan, gen)) => {
+                // The channel's incarnation moved on while the packet
+                // propagated: the link was cut under it.
                 if ctx.chan_state[chan].gen != gen {
                     let (owner, local) = ctx.chan_owner[chan];
                     if owner == self.id {
@@ -709,62 +654,39 @@ impl<S: TelemetrySink> ShardState<S> {
                         self.foreign_fault_drops[chan] += 1;
                     }
                     self.count_fault_loss(ctx.chan_link[chan], packet.flow, ctx);
-                    continue;
+                    return;
                 }
+                chan as u64
             }
-            let port = match via {
-                Some((chan, _)) => chan as u64,
-                // Same value as the event key's lane: stable across
-                // shard counts, disjoint from wire channel indices.
-                None => SOURCE_LANE + packet.flow as u64,
-            };
-            // The router boundary: materialize the wire packet from the
-            // flow's interned template plus the in-flight delta. The ECN
-            // mark rides alongside — routers don't read it.
-            let inner = ctx.templates[packet.flow].materialize(&packet.stack, packet.seq);
-            live.push((
-                inner,
-                packet.flow,
-                packet.seq,
-                packet.sent_ns,
-                packet.ecn,
-                port,
-            ));
-        }
-        let mut outs = std::mem::take(&mut self.batch_outs);
-        outs.clear();
-        let li = self.node_local[&node];
-        let router = &mut self.nodes[li];
-        for (inner, flow, seq, sent_ns, ecn, port) in live.drain(..) {
-            outs.push((
-                router.on_packet_via(now, inner, port),
-                flow,
-                seq,
-                sent_ns,
-                ecn,
-            ));
-        }
-        for (out, flow, seq, sent_ns, ecn) in outs.drain(..) {
-            self.apply_forwarding(now, node, out, flow, seq, sent_ns, ecn, ctx);
-        }
-        self.batch_live = live;
-        self.batch_outs = outs;
+            // Same value as the event key's lane: stable across shard
+            // counts, disjoint from wire channel indices.
+            None => SOURCE_LANE + packet.flow as u64,
+        };
+        // The router boundary: materialize the wire packet from the
+        // flow's interned template plus the in-flight delta. The ECN mark
+        // rides alongside — routers don't read it.
+        let inner = ctx.templates[packet.flow].materialize(&packet.stack, packet.seq);
+        let out = self.nodes[self.node_local[&node]].handle_on_port(inner, port);
+        self.apply_forwarding(now, node, out, &packet, ctx);
     }
 
-    /// Applies one forwarding decision: transmit, deliver or account the
-    /// drop.
-    #[allow(clippy::too_many_arguments)]
+    /// Applies the forwarding decision `out` for the in-flight `packet`:
+    /// transmit, deliver or account the drop.
     fn apply_forwarding(
         &mut self,
         now: SimTime,
         node: NodeId,
         out: Forwarding,
-        flow: FlowId,
-        seq: u64,
-        sent_ns: SimTime,
-        ecn: bool,
+        packet: &SimPacket,
         ctx: &SharedCtx<'_>,
     ) {
+        let SimPacket {
+            flow,
+            seq,
+            sent_ns,
+            ecn,
+            ..
+        } = *packet;
         let done = now + out.latency_ns;
         match out.action {
             Action::Forward {
@@ -927,15 +849,6 @@ impl<S: TelemetrySink> ShardState<S> {
             self.wheel.schedule(at, ev);
         } else {
             self.outbox.push((at, ctx.chan_dest_shard[chan], ev));
-        }
-    }
-
-    fn on_node_tick(&mut self, now: SimTime, node: NodeId) {
-        let li = self.node_local[&node];
-        self.nodes[li].on_tick(now);
-        if let Some(iv) = self.nodes[li].tick_interval() {
-            self.wheel
-                .schedule(now + iv.max(1), LocalEvent::NodeTick { node });
         }
     }
 

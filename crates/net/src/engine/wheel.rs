@@ -136,23 +136,6 @@ impl EventWheel {
         self.current.peek().map(|e| e.time)
     }
 
-    /// Pops the head event only if it is an `Arrive` for `node` at
-    /// exactly `time` — the batching drain. Because the head is what
-    /// [`EventWheel::pop_next`] would return anyway, draining with this
-    /// method consumes the identical event sequence the unbatched loop
-    /// would, one conditional peek at a time.
-    pub fn pop_arrival_for(&mut self, time: SimTime, node: u64) -> Option<LocalEvent> {
-        self.refill();
-        let head = self.current.peek()?;
-        let (class, a, _) = head.key;
-        if head.time != time || class != 1 || a != node {
-            return None;
-        }
-        let e = self.current.pop().expect("peeked");
-        self.len -= 1;
-        Some(e.ev)
-    }
-
     /// Number of pending events.
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn len(&self) -> usize {
@@ -169,7 +152,7 @@ impl EventWheel {
 mod tests {
     use super::*;
 
-    fn tick(flow: usize) -> LocalEvent {
+    fn emit(flow: usize) -> LocalEvent {
         LocalEvent::SourceEmit { flow }
     }
 
@@ -178,7 +161,7 @@ mod tests {
         let mut w = EventWheel::new(100);
         // Same slot, next slot, far beyond the ring, and slot zero.
         for &t in &[250u64, 90, 1_000_000, 3, 255, 26_000] {
-            w.schedule(t, tick(t as usize));
+            w.schedule(t, emit(t as usize));
         }
         assert_eq!(w.len(), 6);
         assert_eq!(w.peek_time(), Some(3));
@@ -194,8 +177,8 @@ mod tests {
     fn equal_times_pop_in_key_order_regardless_of_insertion() {
         let mut w = EventWheel::new(1_000);
         w.schedule(500, LocalEvent::TransmitDone { channel: 2, gen: 0 });
-        w.schedule(500, tick(9));
-        w.schedule(500, tick(1));
+        w.schedule(500, emit(9));
+        w.schedule(500, emit(1));
         let keys: Vec<EventKey> =
             std::iter::from_fn(|| w.pop_next(600).map(|(_, e)| e.key())).collect();
         // SourceEmit (class 0) by flow id, then TransmitDone (class 2).
@@ -203,41 +186,15 @@ mod tests {
     }
 
     #[test]
-    fn pop_arrival_for_drains_only_the_matching_head() {
-        use crate::sim::tests_support::packet_with_cos;
-        let arrive = |node: u32, chan: usize| LocalEvent::Arrive {
-            node,
-            packet: packet_with_cos(0, 0),
-            via: Some((chan, 0)),
-        };
-        let mut w = EventWheel::new(100);
-        w.schedule(50, arrive(7, 1));
-        w.schedule(50, arrive(7, 3));
-        w.schedule(50, arrive(8, 2));
-        w.schedule(60, arrive(7, 0));
-        // Wrong node and wrong time never drain.
-        assert!(w.pop_arrival_for(50, 9).is_none());
-        assert!(w.pop_arrival_for(60, 7).is_none(), "60 is not the head");
-        // The two node-7 arrivals at t=50 drain in lane order; the
-        // node-8 arrival then blocks the drain.
-        assert!(w.pop_arrival_for(50, 7).is_some());
-        assert!(w.pop_arrival_for(50, 7).is_some());
-        assert!(w.pop_arrival_for(50, 7).is_none());
-        assert_eq!(w.pop_next(SimTime::MAX).map(|(t, _)| t), Some(50));
-        assert_eq!(w.pop_next(SimTime::MAX).map(|(t, _)| t), Some(60));
-        assert!(w.is_empty());
-    }
-
-    #[test]
     fn pop_next_respects_the_epoch_boundary() {
         let mut w = EventWheel::new(10);
-        w.schedule(5, tick(0));
-        w.schedule(15, tick(1));
+        w.schedule(5, emit(0));
+        w.schedule(15, emit(1));
         assert_eq!(w.pop_next(10).map(|(t, _)| t), Some(5));
         assert!(w.pop_next(10).is_none(), "15 is at or past the boundary");
         assert_eq!(w.len(), 1);
         // Events scheduled mid-drain for the current slot still pop.
-        w.schedule(15, tick(2));
+        w.schedule(15, emit(2));
         assert_eq!(w.pop_next(16).map(|(t, _)| t), Some(15));
         assert_eq!(w.pop_next(16).map(|(t, _)| t), Some(15));
         assert!(w.is_empty());

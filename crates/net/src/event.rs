@@ -1,13 +1,14 @@
 //! The simulator's time-ordered event queue and the coordinator's
 //! control events.
 //!
-//! The queue is generic over its payload: shards use it for packet-level
-//! events (ordered by a canonical key, see `engine::shard`), the
-//! coordinator for [`ControlEvent`]s. Events at equal timestamps pop by
-//! [`EventRank`] first — global deliveries before local timers — then in
-//! insertion order (a monotone sequence number breaks the remaining
-//! ties), which keeps runs deterministic for a fixed seed *and*
-//! independent of how many shards raced to schedule them.
+//! The coordinator keeps its [`ControlEvent`]s in an [`EventQueue`].
+//! Shards do not use it: each keeps its packet-level events in its own
+//! event wheel (`engine::wheel`), ordered by the canonical key of
+//! `engine::shard`. Events at equal timestamps pop by [`EventRank`]
+//! first — deliveries before timers — then in insertion order (a
+//! monotone sequence number breaks the remaining ties). Only the
+//! coordinator schedules into the queue, so runs are deterministic for
+//! a fixed seed at any shard count.
 
 use mpls_control::{LinkId, NodeId};
 use std::cmp::Ordering;

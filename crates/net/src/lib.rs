@@ -8,17 +8,23 @@
 //! the workloads the paper's introduction names — VoIP and streaming
 //! video against background bulk transfer.
 //!
-//! * [`event`] — the time-ordered event queue and control events.
+//! * [`event`] — the coordinator's time-ordered queue of control events.
 //! * [`queue`] — FIFO and CoS-priority link queues with tail drop.
 //! * [`link`] — directed channels with serialization + propagation delay.
 //! * [`traffic`] — CBR, Poisson, on/off and closed-loop generators.
 //! * [`subscriber`] — subscriber populations expanded into per-SLA-class
 //!   closed-loop flows (diurnal load, flash crowds).
+//! * [`policer`] — token-bucket edge policing.
 //! * [`stats`] — per-flow delay/jitter/loss/throughput accounting.
+//! * [`histogram`] — the log-bucketed latency histogram behind the
+//!   percentiles.
 //! * [`fault`] — scheduled link failures and the timed-restoration model.
-//! * [`node`] — the [`Node`] trait the engine drives at each vertex.
+//! * [`scale`] — streaming synthesis of million-LSP workloads.
 //! * [`engine`] — the sharded discrete-event engine (per-shard event
-//!   wheels, conservative epoch barriers, deterministic merge).
+//!   wheels, conservative epoch barriers, deterministic merge). Each
+//!   vertex holds the boxed `MplsForwarder` that
+//!   [`RouterKind::build`](mpls_router::RouterKind::build) returns, and
+//!   every packet arrival is one `handle_on_port` call on it.
 //! * [`sim`] — the facade tying routers (`mpls-router`) to the network.
 
 pub mod engine;
@@ -26,7 +32,6 @@ pub mod event;
 pub mod fault;
 pub mod histogram;
 pub mod link;
-pub mod node;
 pub mod policer;
 pub mod queue;
 pub mod scale;
@@ -40,7 +45,6 @@ pub use event::{ControlEvent, EventQueue, SimTime};
 pub use fault::{FaultPlan, FaultRecord, PduChaos, RecoveryMode, RestorationPolicy};
 pub use histogram::LatencyHistogram;
 pub use link::Channel;
-pub use node::{ForwarderNode, Node};
 pub use policer::{PolicerSpec, TokenBucket};
 pub use queue::{LinkQueue, QueueDiscipline};
 pub use scale::{ScaleFamily, ScaleSpec, ScaleWorkload};

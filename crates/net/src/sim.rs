@@ -25,7 +25,6 @@ use crate::engine::{stream_seed, Engine, EngineParts, EngineStats, LdpRuntime, S
 use crate::event::{ControlEvent, EventQueue, SimTime};
 use crate::fault::{FaultKind, FaultPlan, FaultRecord, RestorationPolicy};
 use crate::link::Channel;
-use crate::node::{ForwarderNode, Node};
 use crate::queue::QueueDiscipline;
 use crate::stats::{FlowId, FlowStats};
 use crate::traffic::FlowSpec;
@@ -33,7 +32,7 @@ use mpls_control::{ControlPlane, LinkId, NodeConfig, NodeId};
 use mpls_ldp::{LdpConfig, LdpFabric};
 use mpls_packet::{EtherType, EthernetFrame, Ipv4Header, MacAddr, MplsPacket};
 pub use mpls_router::RouterKind;
-use mpls_router::RouterStats;
+use mpls_router::{MplsForwarder, RouterStats};
 use mpls_telemetry::{
     CounterId, HistId, NoopSink, Registry, SeriesId, SpanId, TelemetryConfig, TelemetryReport,
     TelemetrySink,
@@ -407,7 +406,7 @@ pub struct Simulation<S: TelemetrySink = NoopSink> {
     chan_index: HashMap<(NodeId, NodeId), usize>,
     /// `chan_link[i]` is the topology link channel `i` belongs to.
     chan_link: Vec<LinkId>,
-    nodes: Vec<Box<dyn Node>>,
+    nodes: Vec<Box<dyn MplsForwarder + Send>>,
     /// The simulation's own control plane — a clone of the one it was
     /// built from, mutated by runtime faults.
     cp: ControlPlane,
@@ -462,13 +461,10 @@ impl Simulation {
                 chan_link.push(link_id as LinkId);
             }
         }
-        let nodes: Vec<Box<dyn Node>> = topo
+        let nodes = topo
             .nodes()
             .iter()
-            .map(|node| {
-                let cfg = cp.config_for(node.id);
-                Box::new(ForwarderNode::new(kind.build(node.id, node.role, &cfg))) as Box<dyn Node>
-            })
+            .map(|node| kind.build(node.id, node.role, &cp.config_for(node.id)))
             .collect();
         Self {
             channels,
@@ -631,7 +627,7 @@ impl<S: TelemetrySink> Simulation<S> {
         // Strip the omniscient programming: nodes start with only their
         // locally originated state and learn the rest over the wire.
         for node in &mut self.nodes {
-            let cfg = fabric.config_for(node.id());
+            let cfg = fabric.config_for(node.node_id());
             node.reprogram(&cfg);
         }
         fabric.take_dirty();
@@ -670,7 +666,7 @@ impl<S: TelemetrySink> Simulation<S> {
         // Replace the centrally solved per-LSP state with the compiled
         // SR fabric's.
         for node in &mut self.nodes {
-            let cfg = fabric.config_for(node.id());
+            let cfg = fabric.config_for(node.node_id());
             node.reprogram(&cfg);
         }
         fabric.take_dirty();
@@ -882,8 +878,11 @@ mod tests {
         // Routers saw traffic.
         assert!(report.routers[&0].packets_in >= 10);
         assert_eq!(report.routers[&1].delivered, 10);
-        // A default run is sequential.
-        assert_eq!(report.engine.shards, 1);
+        // A default run is sequential; MPLS_SIM_SHARDS changes the
+        // default, so only check it when the variable is unset.
+        if std::env::var_os("MPLS_SIM_SHARDS").is_none() {
+            assert_eq!(report.engine.shards, 1);
+        }
         assert!(report.engine.total_events() > 0);
     }
 

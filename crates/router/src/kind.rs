@@ -31,25 +31,15 @@ pub enum RouterKind {
     /// Software fast path: open-addressed hash FIB reporting canonical
     /// (linear-equivalent) probe counts, plus a per-ingress flow cache.
     /// Produces a byte-identical report to [`RouterKind::SoftwareLinear`]
-    /// while looking up in O(1) host time. The cache can be switched off
-    /// with `MPLS_SIM_FLOW_CACHE=0` (the report does not change either
-    /// way); `MPLS_SIM_DIFF_LOOKUP=1` cross-checks every lookup against
-    /// a shadow linear table.
+    /// while looking up in O(1) host time. `MPLS_SIM_DIFF_LOOKUP=1`
+    /// cross-checks every lookup against a shadow linear table.
     SoftwareFast {
         /// Latency model.
         timing: SwTimingModel,
         /// Per-ingress flow cache on top of the hash FIB. The report is
-        /// byte-identical either way; `MPLS_SIM_FLOW_CACHE=0` force-
-        /// disables it globally.
+        /// byte-identical either way.
         cache: bool,
     },
-}
-
-/// False only when `MPLS_SIM_FLOW_CACHE=0`: the flow cache is on by
-/// default for [`RouterKind::SoftwareFast`].
-fn flow_cache_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("MPLS_SIM_FLOW_CACHE").map_or(true, |v| v != "0"))
 }
 
 impl RouterKind {
@@ -77,11 +67,7 @@ impl RouterKind {
             }
             RouterKind::SoftwareFast { timing, cache } => {
                 Box::new(SoftwareRouter::<mpls_dataplane::HashFib>::with_options(
-                    node,
-                    role,
-                    config,
-                    timing,
-                    cache && flow_cache_enabled(),
+                    node, role, config, timing, cache,
                 ))
             }
         }
