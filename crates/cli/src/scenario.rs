@@ -20,6 +20,7 @@ use mpls_packet::CosBits;
 use mpls_router::SwTimingModel;
 use mpls_sr::SrConfig;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 
 /// Errors while loading or running a scenario.
 #[derive(Debug)]
@@ -1085,11 +1086,52 @@ impl Scenario {
         Ok(cp)
     }
 
-    /// Builds the control plane and checks that every flow and every
-    /// subscriber population enters the network at one of its nodes.
-    /// [`Self::run`] makes these checks before any traffic; `mpls-sim
-    /// validate` makes only these.
+    /// Checks what building the topology and running the engine take
+    /// for granted: node ids are unique, every link joins two distinct
+    /// declared nodes and carries some bandwidth, and an embedded
+    /// router's clock ticks.
+    fn check_declarations(&self) -> Result<(), ScenarioError> {
+        let mut ids = BTreeSet::new();
+        for n in &self.nodes {
+            if !ids.insert(n.id) {
+                return Err(ScenarioError::Invalid(format!(
+                    "node {} is declared twice",
+                    n.id
+                )));
+            }
+        }
+        for l in &self.links {
+            let link = format!("link {}-{}", l.a, l.b);
+            if let Some(end) = [l.a, l.b].into_iter().find(|end| !ids.contains(end)) {
+                return Err(ScenarioError::Invalid(format!("{link}: no node {end}")));
+            }
+            if l.a == l.b {
+                return Err(ScenarioError::Invalid(format!(
+                    "{link}: a link joins two distinct nodes"
+                )));
+            }
+            if l.bandwidth_mbps == 0 {
+                return Err(ScenarioError::Invalid(format!(
+                    "{link}: bandwidth_mbps must be at least 1"
+                )));
+            }
+        }
+        if let RouterDecl::Embedded { clock_mhz } = self.router {
+            if !(clock_mhz > 0.0 && clock_mhz.is_finite()) {
+                return Err(ScenarioError::Invalid(format!(
+                    "router clock_mhz {clock_mhz} must be positive"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks the declarations, builds the control plane and checks
+    /// that every flow and every subscriber population enters the
+    /// network at one of its nodes. [`Self::run`] makes these checks
+    /// before any traffic; `mpls-sim validate` makes only these.
     pub fn validate(&self) -> Result<ControlPlane, ScenarioError> {
+        self.check_declarations()?;
         let cp = self.build_control_plane()?;
         let flows = self.flows.iter().map(|f| ("flow", &f.name, f.ingress));
         let populations = self
@@ -1541,6 +1583,41 @@ mod tests {
         ] {
             for err in [sc.run().map(drop), sc.validate().map(drop)] {
                 let err = err.expect_err("no node 9 to enter at");
+                assert!(matches!(err, ScenarioError::Invalid(_)), "{err}");
+                assert!(err.to_string().contains(named), "{err}");
+            }
+        }
+    }
+
+    /// One-field mutations that topology building or the engine cannot
+    /// take: each is a typed error from `validate` and from `run`.
+    #[test]
+    fn declarations_the_engine_cannot_build_are_rejected() {
+        type Mutation = fn(&mut Scenario);
+        let cases: [(Mutation, &str); 5] = [
+            (
+                |sc| sc.nodes.push(sc.nodes[3].clone()),
+                "node 3 is declared twice",
+            ),
+            (|sc| sc.links[1].b = 9, "link 2-9: no node 9"),
+            (
+                |sc| sc.links[1].b = 2,
+                "link 2-2: a link joins two distinct nodes",
+            ),
+            (
+                |sc| sc.links[1].bandwidth_mbps = 0,
+                "link 2-3: bandwidth_mbps must be at least 1",
+            ),
+            (
+                |sc| sc.router = RouterDecl::Embedded { clock_mhz: 0.0 },
+                "router clock_mhz 0 must be positive",
+            ),
+        ];
+        for (mutate, named) in cases {
+            let mut sc = Scenario::from_json(EXAMPLE).unwrap();
+            mutate(&mut sc);
+            for err in [sc.validate().map(drop), sc.run().map(drop)] {
+                let err = err.expect_err(named);
                 assert!(matches!(err, ScenarioError::Invalid(_)), "{err}");
                 assert!(err.to_string().contains(named), "{err}");
             }

@@ -34,6 +34,9 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct FlowCache {
     slots: Vec<Option<Entry>>,
+    /// Set by [`Self::install`], cleared by a flush: an empty cache
+    /// flushes without touching its slots.
+    filled: bool,
     mask: u64,
     hits: u64,
     misses: u64,
@@ -56,6 +59,7 @@ impl FlowCache {
         let n = slots.max(1).next_power_of_two();
         Self {
             slots: vec![None; n],
+            filled: false,
             mask: n as u64 - 1,
             hits: 0,
             misses: 0,
@@ -107,6 +111,7 @@ impl FlowCache {
         probes: usize,
     ) {
         let i = self.index(level, key, port);
+        self.filled = true;
         self.slots[i] = Some(Entry {
             level,
             key,
@@ -117,10 +122,13 @@ impl FlowCache {
     }
 
     /// Drops every entry. Called on any FIB mutation — withdraw, fault
-    /// rewrite, LSP retirement, direct table access.
+    /// rewrite, LSP retirement, direct table access. O(1) while nothing
+    /// was installed since the last flush, as when a fresh forwarder
+    /// loads its bindings one by one.
     pub fn invalidate_all(&mut self) {
-        if self.slots.iter().any(Option::is_some) {
+        if self.filled {
             self.slots.iter_mut().for_each(|s| *s = None);
+            self.filled = false;
         }
         self.invalidations += 1;
     }
@@ -180,6 +188,24 @@ mod tests {
         assert_eq!(c.occupancy(), 0);
         assert_eq!(c.invalidations(), 1);
         assert_eq!(c.lookup(FibLevel::L1, 0, 0), None);
+    }
+
+    #[test]
+    fn a_second_flush_after_reinstall_still_empties_the_cache() {
+        let mut c = FlowCache::new(8);
+        for round in 0..2 {
+            for k in 0..8u64 {
+                c.install(FibLevel::L2, k, 0, b(1), 1);
+            }
+            c.invalidate_all();
+            assert_eq!(c.invalidations(), round + 1);
+        }
+        c.invalidate_all(); // already empty: counted, nothing to clear
+        assert_eq!(c.invalidations(), 3);
+        for k in 0..8u64 {
+            assert_eq!(c.lookup(FibLevel::L2, k, 0), None, "key {k}");
+        }
+        assert_eq!(c.stats(), (0, 8));
     }
 
     #[test]

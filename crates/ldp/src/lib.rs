@@ -146,6 +146,19 @@ pub enum LdpEvent {
     },
 }
 
+/// A `(node, FEC)` pair gaining or losing its route. The fabric logs one
+/// for every such transition, in order, until
+/// [`LdpFabric::take_route_changes`] hands them over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RouteChange {
+    /// The node whose route changed.
+    pub node: NodeId,
+    /// The FEC it changed for.
+    pub fec: FecKey,
+    /// True if the pair gained a route, false if it lost one.
+    pub routed: bool,
+}
+
 /// Aggregate protocol counters across the fabric.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LdpStats {
@@ -289,6 +302,9 @@ enum AdvAction {
 
 struct RecomputeOutcome {
     fib_changed: bool,
+    /// `Some(routed)` when the FEC gained (`true`) or lost (`false`) its
+    /// route.
+    route_flip: Option<bool>,
     adv: AdvAction,
 }
 
@@ -360,6 +376,7 @@ impl LdpNode {
             // Never routable and never allocated: nothing to do.
             return RecomputeOutcome {
                 fib_changed: false,
+                route_flip: None,
                 adv: AdvAction::None,
             };
         };
@@ -370,6 +387,7 @@ impl LdpNode {
             Some(Route::Via { nh, out_label, .. }) => Some((Some(*nh), Some(*out_label))),
         };
         let fib_changed = fib_part(&lb.route) != fib_part(&new_route);
+        let route_flip = (lb.route.is_some() != new_route.is_some()).then_some(new_route.is_some());
 
         let new_adv = match &new_route {
             None => None,
@@ -390,7 +408,11 @@ impl LdpNode {
         };
         lb.route = new_route;
         lb.advertised = new_adv;
-        RecomputeOutcome { fib_changed, adv }
+        RecomputeOutcome {
+            fib_changed,
+            route_flip,
+            adv,
+        }
     }
 
     fn operational_peers(&self) -> Vec<NodeId> {
@@ -416,6 +438,9 @@ pub struct LdpFabric {
     stats: LdpStats,
     last_fib_change_ns: u64,
     dirty: BTreeSet<NodeId>,
+    /// Route gains and losses since the last
+    /// [`LdpFabric::take_route_changes`].
+    route_changes: Vec<RouteChange>,
 }
 
 /// Width of each node's private label range. The data-plane next-hop
@@ -482,6 +507,7 @@ impl LdpFabric {
             stats: LdpStats::default(),
             last_fib_change_ns: 0,
             dirty: BTreeSet::new(),
+            route_changes: Vec::new(),
         }
     }
 
@@ -503,6 +529,7 @@ impl LdpFabric {
             if out.fib_changed {
                 self.dirty.insert(egress);
             }
+            self.log_route_flip(egress, fec, out.route_flip);
             // No sessions can be up yet at origination time, so the
             // advertisement (if any) reaches peers via session-up replay.
         }
@@ -562,9 +589,15 @@ impl LdpFabric {
         });
     }
 
+    fn log_route_flip(&mut self, node: NodeId, fec: FecKey, flip: Option<bool>) {
+        if let Some(routed) = flip {
+            self.route_changes.push(RouteChange { node, fec, routed });
+        }
+    }
+
     /// Applies a recompute outcome: marks the node dirty for
-    /// reprogramming and broadcasts the advertisement change to every
-    /// operational peer.
+    /// reprogramming, logs a route gain or loss and broadcasts the
+    /// advertisement change to every operational peer.
     fn apply_recompute(
         &mut self,
         now: u64,
@@ -573,6 +606,7 @@ impl LdpFabric {
         out: RecomputeOutcome,
         sends: &mut Vec<LdpSend>,
     ) {
+        self.log_route_flip(id, fec, out.route_flip);
         if out.fib_changed {
             self.dirty.insert(id);
             self.last_fib_change_ns = self.last_fib_change_ns.max(now);
@@ -1106,6 +1140,15 @@ impl LdpFabric {
         }
         node.alive = false;
         node.lib.clear();
+        for (&fec, lb) in &node.local {
+            if lb.route.is_some() {
+                self.route_changes.push(RouteChange {
+                    node: id,
+                    fec,
+                    routed: false,
+                });
+            }
+        }
         node.local.clear();
         for peer in node.peers.values_mut() {
             peer.state = SessionState::Down;
@@ -1231,8 +1274,17 @@ impl LdpFabric {
         d
     }
 
-    /// Every `(node, fec)` pair that currently holds a route. Used to
-    /// detect when reconvergence has restored reachability.
+    /// Every route gain and loss since the last call, in the order the
+    /// fabric made them. Replayed onto [`Self::routed_pairs`] as it stood
+    /// at the last call, they give its current value, so a caller can
+    /// follow reachability at O(changes). A caller that never drains the
+    /// log keeps every change.
+    pub fn take_route_changes(&mut self) -> Vec<RouteChange> {
+        std::mem::take(&mut self.route_changes)
+    }
+
+    /// Every `(node, fec)` pair that currently holds a route: the
+    /// snapshot an outage's restoration is measured against.
     pub fn routed_pairs(&self) -> BTreeSet<(NodeId, FecKey)> {
         let mut out = BTreeSet::new();
         for (&id, n) in &self.nodes {
@@ -1551,5 +1603,147 @@ mod tests {
         // Sessions re-form and upstream routes return.
         converge(&mut f, 40);
         assert!(!f.config_for(0).fecs.is_empty(), "relearned end to end");
+    }
+
+    /// A 3x3 grid, node `3 * row + col`, unit-cost links; LERs at the
+    /// corners.
+    fn grid3() -> Topology {
+        let mut t = Topology::new();
+        for id in 0..9 {
+            let role = if [0, 2, 6, 8].contains(&id) {
+                RouterRole::Ler
+            } else {
+                RouterRole::Lsr
+            };
+            t.add_node(id, role, format!("n{id}"));
+        }
+        for id in 0..9 {
+            let right = (id % 3 < 2).then_some(id + 1);
+            let down = (id < 6).then_some(id + 3);
+            for b in [right, down].into_iter().flatten() {
+                t.add_link(LinkSpec {
+                    a: id,
+                    b,
+                    cost: 1,
+                    bandwidth_bps: 1_000_000_000,
+                    delay_ns: 1000,
+                });
+            }
+        }
+        t
+    }
+
+    /// The route-change log replayed onto a set, which must equal
+    /// `routed_pairs()` after every fabric call.
+    #[derive(Default)]
+    struct Mirror {
+        routed: BTreeSet<(NodeId, FecKey)>,
+        losses: usize,
+    }
+
+    impl Mirror {
+        fn sync(&mut self, f: &mut LdpFabric, after: &str) {
+            for c in f.take_route_changes() {
+                let pair = (c.node, c.fec);
+                if c.routed {
+                    assert!(self.routed.insert(pair), "{after}: regained {pair:?}");
+                } else {
+                    assert!(self.routed.remove(&pair), "{after}: lost unrouted {pair:?}");
+                    self.losses += 1;
+                }
+            }
+            assert_eq!(self.routed, f.routed_pairs(), "log diverged after {after}");
+        }
+
+        /// Delivers `sends` and everything they provoke in FIFO order at
+        /// `now`, dropping PDUs across the `cut` link.
+        fn pump(
+            &mut self,
+            f: &mut LdpFabric,
+            now: u64,
+            sends: Vec<LdpSend>,
+            cut: Option<(NodeId, NodeId)>,
+        ) {
+            let mut queue: std::collections::VecDeque<LdpSend> = sends.into();
+            while let Some(s) = queue.pop_front() {
+                if cut.is_some_and(|(a, b)| (s.from, s.to) == (a, b) || (s.from, s.to) == (b, a)) {
+                    continue;
+                }
+                let (more, _) = f.deliver(now, s.from, s.to, &s.pdu);
+                self.sync(f, "deliver");
+                queue.extend(more);
+            }
+        }
+
+        /// [`converge`] over ticks `from..to`, checked after every call.
+        fn run_ticks(
+            &mut self,
+            f: &mut LdpFabric,
+            from: u64,
+            to: u64,
+            cut: Option<(NodeId, NodeId)>,
+        ) {
+            let dt = f.config().hello_interval_ns;
+            for i in from..to {
+                let (sends, _) = f.tick(i * dt);
+                self.sync(f, "tick");
+                self.pump(f, i * dt, sends, cut);
+            }
+        }
+    }
+
+    #[test]
+    fn route_change_log_replays_to_routed_pairs() {
+        let mut f = LdpFabric::new(&grid3(), LdpConfig::default());
+        let dt = f.config().hello_interval_ns;
+        for (i, egress) in [0, 2, 4, 6, 8].into_iter().enumerate() {
+            let prefix = Prefix::new(0x0a00_0000 | (i as u32) << 16, 16);
+            f.originate(egress, prefix, CosBits::BEST_EFFORT);
+        }
+        let mut m = Mirror::default();
+        m.sync(&mut f, "originate");
+        m.run_ticks(&mut f, 0, 10, None);
+        let full = f.routed_pairs();
+        assert_eq!(full.len(), 9 * 5, "every node routes every FEC");
+
+        // A Notification resets node 1's session with 2, its only loop-free
+        // source for node 2's FEC.
+        let losses = m.losses;
+        let reset = LdpPdu {
+            lsr_id: 2,
+            msg_id: 0,
+            message: LdpMessage::Notification {
+                status: STATUS_BAD_SEQUENCE,
+            },
+        };
+        let (sends, _) = f.deliver(10 * dt, 2, 1, &reset);
+        m.sync(&mut f, "notification");
+        m.pump(&mut f, 10 * dt, sends, None);
+        m.run_ticks(&mut f, 11, 30, None);
+        assert!(m.losses > losses, "the reset withdrew a route");
+        assert_eq!(f.routed_pairs(), full, "reconverged after the reset");
+
+        // Link 0-1 goes silent: both hold timers expire.
+        let (losses, downs) = (m.losses, f.stats().session_downs);
+        m.run_ticks(&mut f, 30, 40, Some((0, 1)));
+        assert!(f.stats().session_downs >= downs + 2, "hold timers expired");
+        assert!(m.losses > losses, "the expiry withdrew a route");
+        m.run_ticks(&mut f, 40, 80, None);
+        assert_eq!(
+            f.routed_pairs(),
+            full,
+            "reconverged after the link returned"
+        );
+
+        // Node 4 crashes, then restarts cold.
+        let losses = m.losses;
+        f.crash_node(80 * dt, 4);
+        m.sync(&mut f, "crash_node");
+        assert!(m.losses >= losses + 5, "the crash lost node 4's routes");
+        m.run_ticks(&mut f, 81, 90, None);
+        f.restart_node(90 * dt, 4);
+        m.sync(&mut f, "restart_node");
+        m.run_ticks(&mut f, 91, 160, None);
+        assert_eq!(f.routed_pairs(), full, "relearned after the restart");
     }
 }

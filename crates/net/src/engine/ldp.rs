@@ -46,6 +46,17 @@ struct InFlightPdu {
     corrupted: bool,
 }
 
+/// An outage whose routing has not yet been covered again.
+struct PendingRestore {
+    /// Index of the fault record.
+    rec: usize,
+    /// Every routed `(node, FEC)` pair at the cut.
+    snapshot: BTreeSet<(NodeId, FecKey)>,
+    /// The `snapshot` pairs without a route now, kept current from the
+    /// fabric's route changes. Empty at the cut.
+    missing: BTreeSet<(NodeId, FecKey)>,
+}
+
 /// Everything the engine tracks for a `--control ldp` run.
 pub(crate) struct LdpRuntime {
     pub(crate) fabric: LdpFabric,
@@ -68,10 +79,9 @@ pub(crate) struct LdpRuntime {
     /// Time of the last FIB change of the initial convergence, captured
     /// once the protocol first settles and frozen by the first fault.
     pub(crate) convergence_ns: Option<u64>,
-    /// Outstanding reconvergence measurements: `(fault record,
-    /// routed-pairs snapshot taken at the cut)`. Resolved at the first
-    /// settled instant whose routing covers the snapshot again.
-    pending_restore: Vec<(usize, BTreeSet<(NodeId, FecKey)>)>,
+    /// Outstanding reconvergence measurements, resolved at the first
+    /// settled instant whose routing covers the cut's snapshot again.
+    pending_restore: Vec<PendingRestore>,
     pub(crate) pdus_sent: u64,
     pub(crate) pdus_delivered: u64,
     pub(crate) pdus_lost: u64,
@@ -127,6 +137,40 @@ impl LdpRuntime {
             .iter()
             .find(|c| c.link == link && c.from_ns <= now && now < c.until_ns)
             .copied()
+    }
+
+    /// Folds the fabric's route gains and losses into every pending
+    /// outage: a lost snapshot pair goes missing, a regained one is
+    /// covered again.
+    fn track_route_changes(&mut self) {
+        let changes = self.fabric.take_route_changes();
+        for p in &mut self.pending_restore {
+            for c in &changes {
+                let pair = (c.node, c.fec);
+                if c.routed {
+                    p.missing.remove(&pair);
+                } else if p.snapshot.contains(&pair) {
+                    p.missing.insert(pair);
+                }
+            }
+        }
+    }
+
+    /// The differential oracle for [`Self::track_route_changes`] against
+    /// a full rebuild: every missing set equals its snapshot minus what
+    /// the fabric routes now.
+    #[cfg(debug_assertions)]
+    fn assert_missing_sets(&self) {
+        let routed = self.fabric.routed_pairs();
+        for p in &self.pending_restore {
+            let expected: BTreeSet<(NodeId, FecKey)> =
+                p.snapshot.difference(&routed).copied().collect();
+            assert_eq!(
+                p.missing, expected,
+                "route-change log diverged from routed_pairs() for fault record {}",
+                p.rec
+            );
+        }
     }
 }
 
@@ -205,8 +249,11 @@ impl<S: TelemetrySink> Engine<S> {
     /// settle check can tell when reconvergence has covered it again.
     pub(super) fn ldp_note_link_down(&mut self, rec: usize) {
         if let Some(rt) = &mut self.ldp {
-            let snapshot = rt.fabric.routed_pairs();
-            rt.pending_restore.push((rec, snapshot));
+            rt.pending_restore.push(PendingRestore {
+                rec,
+                snapshot: rt.fabric.routed_pairs(),
+                missing: BTreeSet::new(),
+            });
         }
     }
 
@@ -318,7 +365,9 @@ impl<S: TelemetrySink> Engine<S> {
     }
 
     /// Downloads fresh forwarding state into every node whose
-    /// FIB-relevant protocol state changed.
+    /// FIB-relevant protocol state changed, and folds the route changes
+    /// into the pending outages. Runs after every fabric call, so the
+    /// log is empty whenever a cut takes its snapshot.
     pub(super) fn reprogram_ldp_dirty(&mut self, rt: &mut LdpRuntime) {
         for id in rt.fabric.take_dirty() {
             let cfg = rt.fabric.config_for(id);
@@ -328,6 +377,7 @@ impl<S: TelemetrySink> Engine<S> {
                 }
             }
         }
+        rt.track_route_changes();
     }
 
     /// A settled instant: no session/label message is in flight, so no
@@ -347,18 +397,19 @@ impl<S: TelemetrySink> Engine<S> {
         if rt.pending_restore.is_empty() {
             return;
         }
-        let routed = rt.fabric.routed_pairs();
+        #[cfg(debug_assertions)]
+        rt.assert_missing_sets();
         let mut restored: Vec<(usize, SimTime)> = Vec::new();
-        rt.pending_restore.retain(|(rec, snapshot)| {
-            let r = &self.records[*rec];
+        rt.pending_restore.retain(|p| {
+            let r = &self.records[p.rec];
             if r.restored_ns.is_some() {
                 return false; // the link flapped back before detection
             }
             if r.detected_ns.is_none() {
                 return true; // sessions still running on borrowed time
             }
-            if snapshot.is_subset(&routed) {
-                restored.push((*rec, settled_at.max(r.down_ns)));
+            if p.missing.is_empty() {
+                restored.push((p.rec, settled_at.max(r.down_ns)));
                 return false;
             }
             true

@@ -357,7 +357,7 @@ proptest! {
             dst_addr: parse_addr(dst).unwrap(),
             payload_bytes: 200,
             precedence: 0,
-            pattern: pattern.clone(),
+            pattern: *pattern,
             start_ns: 0,
             stop_ns: 20_000,
             police: None,
