@@ -16,8 +16,8 @@
 //! markdown fragment — the table CI posts as a PR comment.
 //!
 //! A file is either one section (`{"bench": ..., rows: [...]}`, the
-//! standalone `--json` shape) or a combined suite document
-//! (`{"bench": "all", "sections": [...]}`). Rows are keyed by their
+//! shape of early points such as `BENCH_6.json`) or a combined suite
+//! document (`{"bench": "all", "sections": [...]}`). Rows are keyed by their
 //! section's bench id + config plus every row field that is not a
 //! measurement (`events`, `wall_ms`, `events_per_sec`), so points taken
 //! under different configs never get compared; rows present in only

@@ -1,8 +1,8 @@
 //! Shared scenario setup and reporting helpers for the benchmark harness.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (or one extension experiment from DESIGN.md); the Criterion benches in
-//! `benches/` measure host-side performance of the models themselves.
+//! (or one early extension experiment from DESIGN.md); `mpls-bench` runs
+//! the EXT trajectory sections of [`suite`].
 
 pub mod figure_print;
 pub mod report;

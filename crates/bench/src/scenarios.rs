@@ -1,5 +1,5 @@
 //! Canonical experiment scenarios shared by the figure binaries, the
-//! Criterion benches and EXPERIMENTS.md.
+//! harness tests and EXPERIMENTS.md.
 
 use mpls_control::{ControlPlane, LspRequest, Topology};
 use mpls_core::modifier::Outcome;

@@ -1,11 +1,11 @@
-//! The standard benchmark suite behind both the per-experiment binaries
-//! and the `mpls-bench` all-in-one entry point.
+//! The standard benchmark suite behind the `mpls-bench` entry point.
 //!
 //! Each `ext*` function runs one experiment's full measurement loop —
 //! including its invariant asserts (byte-identity, conservation,
 //! detection bounds) — and returns a [`Section`]: a rendered table for
 //! humans plus machine-readable rows for the `BENCH_<n>.json`
-//! trajectory files the CI regression gate compares.
+//! trajectory files the CI regression gate compares. [`SECTIONS`] lists
+//! them in run order; `mpls-bench --only <id>` runs a subset.
 
 use crate::MarkdownTable;
 use mpls_control::{ControlPlane, LinkSpec, LspRequest, RouterRole, Topology};
@@ -41,13 +41,46 @@ pub struct Section {
 
 impl Section {
     /// The section as one JSON object: `bench`, the flattened config,
-    /// then `rows` — the same shape the standalone `--json` files use.
+    /// then `rows`.
     pub fn to_json(&self) -> Value {
         let mut entries = vec![("bench".to_string(), Value::Str(self.bench.into()))];
         entries.extend(self.config.iter().cloned());
         entries.push(("rows".to_string(), Value::Seq(self.rows.clone())));
         Value::Map(entries)
     }
+}
+
+/// Runs one section at the quick (`true`) or full config.
+pub type SectionFn = fn(bool) -> Section;
+
+/// Every section in run order, keyed by the id `--only` selects it by:
+/// the prefix of its [`Section::bench`].
+pub const SECTIONS: [(&str, SectionFn); 6] = [
+    ("ext10", ext10_scaling),
+    ("ext11", ext11_convergence),
+    ("ext12", ext12_throughput),
+    ("ext15", ext15_scale),
+    ("ext16", ext16_sr_vs_ldp),
+    ("ext17", ext17_closed_loop),
+];
+
+/// The [`SECTIONS`] entries `ids` names, in run order, each once. An
+/// unknown id is an error that lists the valid ids.
+pub fn select(ids: &[&str]) -> Result<Vec<(&'static str, SectionFn)>, String> {
+    if let Some(bad) = ids
+        .iter()
+        .find(|id| !SECTIONS.iter().any(|(known, _)| known == *id))
+    {
+        let valid: Vec<&str> = SECTIONS.iter().map(|(id, _)| *id).collect();
+        return Err(format!(
+            "unknown section {bad:?} (valid: {})",
+            valid.join(", ")
+        ));
+    }
+    Ok(SECTIONS
+        .into_iter()
+        .filter(|(id, _)| ids.contains(id))
+        .collect())
 }
 
 /// A JSON object literal from `(key, value)` pairs.
@@ -1612,5 +1645,34 @@ pub fn ext17_closed_loop(quick: bool) -> Section {
         rows,
         table: t.render(),
         notes,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ids(selected: &[(&'static str, SectionFn)]) -> Vec<&'static str> {
+        selected.iter().map(|(id, _)| *id).collect()
+    }
+
+    #[test]
+    fn each_id_selects_exactly_its_section() {
+        for (id, _) in SECTIONS {
+            assert_eq!(ids(&select(&[id]).unwrap()), [id]);
+        }
+        let picked = select(&["ext17", "ext10", "ext17"]).unwrap();
+        assert_eq!(ids(&picked), ["ext10", "ext17"]);
+    }
+
+    #[test]
+    fn an_unknown_id_is_an_error_listing_the_valid_ids() {
+        for bad in [&["nope"][..], &[""], &["ext10", ""], &["ext10-scaling"]] {
+            let err = select(bad).unwrap_err();
+            assert!(
+                err.contains("valid: ext10, ext11, ext12, ext15, ext16, ext17"),
+                "{bad:?}: {err}"
+            );
+        }
     }
 }

@@ -71,7 +71,8 @@ fn noop_sink_is_zero_sized_and_disabled() {
 }
 
 /// Telemetry must observe, never perturb: identical seeds give identical
-/// flow outcomes with and without a live registry.
+/// flow outcomes with and without a live registry, and the uncongested
+/// Fig. 1 LSP delivers every packet either way.
 #[test]
 fn telemetry_does_not_change_simulation_outcomes() {
     let cp = figure1_with_lsp();
@@ -79,6 +80,7 @@ fn telemetry_does_not_change_simulation_outcomes() {
     let instrumented = run_telemetry(&cp);
     let p = plain.flow("cbr").unwrap();
     let t = instrumented.flow("cbr").unwrap();
+    assert_eq!(p.delivered, p.sent);
     assert_eq!(p.sent, t.sent);
     assert_eq!(p.delivered, t.delivered);
     assert_eq!(p.delay_sum_ns, t.delay_sum_ns);

@@ -873,9 +873,11 @@ pub fn check(sc: &Scenario) -> Result<(), Violation> {
 
     // Oracle 5: quiesce — the control plane must stop reprogramming
     // FIBs within a bounded window of the last scheduled disturbance.
-    let hold_ns = sc.ldp_config().hold_ns;
-    let ttl_ns = sc.ldp_config().stale_ttl_ns;
-    let bound = last_disturbance_ns(sc) + hold_ns + ttl_ns + quiesce_budget_ns(sc);
+    let ldp = sc.ldp_config().map_err(|e| Violation {
+        oracle: "runnable",
+        detail: e.to_string(),
+    })?;
+    let bound = last_disturbance_ns(sc) + ldp.hold_ns + ldp.stale_ttl_ns + quiesce_budget_ns(sc);
     if base.control.last_fib_change_ns > bound {
         return Err(Violation {
             oracle: "quiesce",

@@ -12,8 +12,8 @@
 //! mpls-sim run --control <mode> <scenario.json>
 //!                                       ... force the control plane:
 //!                                       "centralized", "ldp" or "sr"
-//! mpls-sim validate <scenario.json>     parse, signal and check flow ingresses
-//!                                       without running traffic
+//! mpls-sim validate <scenario.json>     parse, signal and check every field
+//!                                       a run uses, without running traffic
 //! mpls-sim example                      print the bundled example scenario
 //! ```
 
@@ -94,12 +94,13 @@ fn main() -> ExitCode {
             };
             if cmd == "validate" {
                 match scenario.validate() {
-                    Ok(cp) => {
+                    Ok(plan) => {
+                        let topo = plan.cp.topology();
                         println!(
                             "ok: {} nodes, {} links, {} LSPs signaled",
-                            cp.topology().nodes().len(),
-                            cp.topology().links().len(),
-                            cp.lsp_ids().len()
+                            topo.nodes().len(),
+                            topo.links().len(),
+                            plan.cp.lsp_ids().len()
                         );
                         ExitCode::SUCCESS
                     }

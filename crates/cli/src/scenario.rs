@@ -16,7 +16,7 @@ use mpls_net::{
     TelemetryConfig,
 };
 use mpls_packet::ipv4::parse_addr;
-use mpls_packet::CosBits;
+use mpls_packet::{CosBits, Ipv4Header};
 use mpls_router::SwTimingModel;
 use mpls_sr::SrConfig;
 use serde::{Deserialize, Serialize};
@@ -65,6 +65,55 @@ fn parse_prefix(s: &str) -> Result<Prefix, ScenarioError> {
 
 fn parse_ip(s: &str) -> Result<u32, ScenarioError> {
     parse_addr(s).ok_or_else(|| ScenarioError::Invalid(format!("bad address {s:?}")))
+}
+
+/// Nanoseconds per microsecond.
+const NS_PER_US: u64 = 1_000;
+/// Nanoseconds per millisecond.
+const NS_PER_MS: u64 = 1_000_000;
+/// Bits per second per Mb/s.
+const BPS_PER_MBPS: u64 = 1_000_000;
+/// The largest payload whose IPv4 total length fits 16 bits.
+const MAX_PAYLOAD_BYTES: usize = u16::MAX as usize - Ipv4Header::WIRE_LEN;
+
+/// `value` converted to the engine's unit (`unit` of them per scenario
+/// unit): every scenario field in µs, ms or Mb/s goes through here, so a
+/// value too large for `u64` is an error naming `owner`'s `field`
+/// instead of a product that wraps.
+fn scaled(owner: &str, field: &str, value: u64, unit: u64) -> Result<u64, ScenarioError> {
+    value
+        .checked_mul(unit)
+        .ok_or_else(|| ScenarioError::Invalid(format!("{owner}: {field} {value} is out of range")))
+}
+
+/// `Ok` when `ok` holds, else the error `message` describes.
+fn require(ok: bool, message: impl FnOnce() -> String) -> Result<(), ScenarioError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(ScenarioError::Invalid(message()))
+    }
+}
+
+/// Rejects a zero inter-packet gap, which would emit a packet every
+/// nanosecond for the flow's whole lifetime.
+fn require_gap(owner: &str, field: &str, gap: u64) -> Result<(), ScenarioError> {
+    require(gap > 0, || format!("{owner}: {field} must be at least 1"))
+}
+
+/// Rejects an IP precedence past its 3 bits, which would be masked.
+fn check_precedence(owner: &str, precedence: u8) -> Result<(), ScenarioError> {
+    require(precedence <= 7, || {
+        format!("{owner}: precedence {precedence} exceeds 7")
+    })
+}
+
+/// Rejects a payload past the 16-bit IPv4 total length, which would be
+/// truncated.
+fn check_payload(owner: &str, payload_bytes: usize) -> Result<(), ScenarioError> {
+    require(payload_bytes <= MAX_PAYLOAD_BYTES, || {
+        format!("{owner}: payload_bytes {payload_bytes} exceeds {MAX_PAYLOAD_BYTES}")
+    })
 }
 
 /// Top-level scenario document.
@@ -158,6 +207,33 @@ pub enum ControlChoice {
     Sr,
 }
 
+/// Everything a run takes from a scenario, derived and checked by
+/// [`Scenario::validate`]; [`Scenario::run`] executes it, so the two
+/// cannot disagree about what a scenario means.
+pub struct RunPlan {
+    /// The signaled control plane.
+    pub cp: ControlPlane,
+    /// The router implementation.
+    pub router: RouterKind,
+    /// The queue discipline.
+    pub queue: QueueDiscipline,
+    /// Every flow in id order (see [`Scenario::flow_specs`]).
+    pub flows: Vec<FlowSpec>,
+    /// The `faults` section against `cp`.
+    pub faults: Option<FaultPlan>,
+    /// LDP timers, used when the control mode is `"ldp"`.
+    pub ldp: LdpConfig,
+    /// Segment-routing knobs, used when the control mode is `"sr"`.
+    pub sr: SrConfig,
+    /// Telemetry sampling: the `telemetry` section's, else the
+    /// defaults `--metrics-out` collects with.
+    pub telemetry: TelemetryConfig,
+    /// Whether the `telemetry` section turns collection on.
+    pub telemetry_on: bool,
+    /// When the run stops: the horizon plus a drain margin.
+    pub horizon_ns: u64,
+}
+
 /// A synthesized-topology workload (see [`mpls_net::ScaleSpec`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
@@ -239,6 +315,9 @@ impl TopologyDecl {
     /// Resolves to the streaming generator's spec; `seed` is the
     /// scenario seed, so the whole workload derives from it.
     pub fn to_spec(&self, seed: u64) -> Result<mpls_net::ScaleSpec, ScenarioError> {
+        let owner = "topology";
+        require_gap(owner, "flow_interval_us", self.flow_interval_us)?;
+        check_payload(owner, self.payload_bytes)?;
         let family = match self.family.to_ascii_lowercase().as_str() {
             "fat_tree" => mpls_net::ScaleFamily::FatTree {
                 k: self.k,
@@ -260,11 +339,11 @@ impl TopologyDecl {
             tunnel_strides: self.tunnel_strides,
             flows: self.flows,
             payload_bytes: self.payload_bytes,
-            flow_interval_ns: self.flow_interval_us * 1_000,
-            flow_start_ns: self.flow_start_ms * 1_000_000,
-            flow_stop_ns: self.flow_stop_ms * 1_000_000,
-            bandwidth_bps: self.bandwidth_mbps * 1_000_000,
-            delay_ns: self.delay_us * 1_000,
+            flow_interval_ns: scaled(owner, "flow_interval_us", self.flow_interval_us, NS_PER_US)?,
+            flow_start_ns: scaled(owner, "flow_start_ms", self.flow_start_ms, NS_PER_MS)?,
+            flow_stop_ns: scaled(owner, "flow_stop_ms", self.flow_stop_ms, NS_PER_MS)?,
+            bandwidth_bps: scaled(owner, "bandwidth_mbps", self.bandwidth_mbps, BPS_PER_MBPS)?,
+            delay_ns: scaled(owner, "delay_us", self.delay_us, NS_PER_US)?,
             seed,
         })
     }
@@ -848,23 +927,25 @@ impl Default for ClosedLoopDecl {
 }
 
 impl ClosedLoopDecl {
-    fn to_spec(self) -> ClosedLoopSpec {
-        ClosedLoopSpec {
-            mean_arrival_ns: self.mean_arrival_us * 1_000,
+    fn to_spec(self, owner: &str) -> Result<ClosedLoopSpec, ScenarioError> {
+        let us = |field, value| scaled(owner, field, value, NS_PER_US);
+        let ms = |field, value| scaled(owner, field, value, NS_PER_MS);
+        Ok(ClosedLoopSpec {
+            mean_arrival_ns: us("mean_arrival_us", self.mean_arrival_us)?,
             size_min_pkts: self.size_min_pkts,
             size_max_pkts: self.size_max_pkts,
             size_alpha_milli: self.size_alpha_milli,
             max_cwnd: self.max_cwnd,
-            rto_ns: self.rto_us * 1_000,
+            rto_ns: us("rto_us", self.rto_us)?,
             ecn_threshold: self.ecn_threshold,
-            pacing_ns: self.pacing_us * 1_000,
-            sla_fct_ns: self.sla_fct_ms * 1_000_000,
-            diurnal_period_ns: self.diurnal_period_ms * 1_000_000,
+            pacing_ns: us("pacing_us", self.pacing_us)?,
+            sla_fct_ns: ms("sla_fct_ms", self.sla_fct_ms)?,
+            diurnal_period_ns: ms("diurnal_period_ms", self.diurnal_period_ms)?,
             diurnal_trough_pct: self.diurnal_trough_pct,
-            flash_start_ns: self.flash_start_ms * 1_000_000,
-            flash_duration_ns: self.flash_duration_ms * 1_000_000,
+            flash_start_ns: ms("flash_start_ms", self.flash_start_ms)?,
+            flash_duration_ns: ms("flash_duration_ms", self.flash_duration_ms)?,
             flash_multiplier_pct: self.flash_multiplier_pct,
-        }
+        })
     }
 }
 
@@ -1052,12 +1133,13 @@ impl Scenario {
             topo.add_node(n.id, role, name);
         }
         for l in &self.links {
+            let owner = format!("link {}-{}", l.a, l.b);
             topo.add_link(LinkSpec {
                 a: l.a,
                 b: l.b,
                 cost: l.cost,
-                bandwidth_bps: l.bandwidth_mbps * 1_000_000,
-                delay_ns: l.delay_us * 1_000,
+                bandwidth_bps: scaled(&owner, "bandwidth_mbps", l.bandwidth_mbps, BPS_PER_MBPS)?,
+                delay_ns: scaled(&owner, "delay_us", l.delay_us, NS_PER_US)?,
             });
         }
         let mut cp = ControlPlane::new(topo);
@@ -1065,13 +1147,14 @@ impl Scenario {
             cp.attach_prefix(a.node, parse_prefix(&a.prefix)?);
         }
         for (i, l) in self.lsps.iter().enumerate() {
+            let owner = format!("lsp #{i}");
             let req = LspRequest {
                 ingress: l.ingress,
                 egress: l.egress,
                 fec: parse_prefix(&l.fec)?,
                 cos: CosBits::new(l.cos)
-                    .map_err(|e| ScenarioError::Invalid(format!("lsp #{i}: {e}")))?,
-                bandwidth_bps: l.bandwidth_mbps * 1_000_000,
+                    .map_err(|e| ScenarioError::Invalid(format!("{owner}: {e}")))?,
+                bandwidth_bps: scaled(&owner, "bandwidth_mbps", l.bandwidth_mbps, BPS_PER_MBPS)?,
                 explicit_route: l.explicit_route.clone(),
                 php: l.php,
             };
@@ -1088,8 +1171,8 @@ impl Scenario {
 
     /// Checks what building the topology and running the engine take
     /// for granted: node ids are unique, every link joins two distinct
-    /// declared nodes and carries some bandwidth, and an embedded
-    /// router's clock ticks.
+    /// declared nodes and carries some bandwidth, an embedded router's
+    /// clock ticks and every queue holds a packet.
     fn check_declarations(&self) -> Result<(), ScenarioError> {
         let mut ids = BTreeSet::new();
         for n in &self.nodes {
@@ -1123,29 +1206,54 @@ impl Scenario {
                 )));
             }
         }
-        Ok(())
+        let (field, size) = match self.queue {
+            QueueDecl::Fifo { capacity } | QueueDecl::Red { capacity, .. } => {
+                ("capacity", capacity)
+            }
+            QueueDecl::CosPriority { per_class } => ("per_class", per_class),
+        };
+        require(size > 0, || format!("queue: {field} must be at least 1"))
     }
 
-    /// Checks the declarations, builds the control plane and checks
-    /// that every flow and every subscriber population enters the
-    /// network at one of its nodes. [`Self::run`] makes these checks
-    /// before any traffic; `mpls-sim validate` makes only these.
-    pub fn validate(&self) -> Result<ControlPlane, ScenarioError> {
+    /// Derives everything a run takes from the scenario's fields —
+    /// checking declarations, ranges and unit conversions on the way —
+    /// builds the control plane and checks that every flow and every
+    /// subscriber population enters the network at one of its nodes.
+    /// [`Self::run`] runs exactly this plan; `mpls-sim validate` stops
+    /// here.
+    pub fn validate(&self) -> Result<RunPlan, ScenarioError> {
         self.check_declarations()?;
+        // Field checks come first: they are cheap, and signaling a
+        // synthesized topology is not.
+        let flows = self.flow_specs()?;
+        let ldp = self.ldp_config()?;
+        let telemetry = self.telemetry_config()?;
+        let horizon_ns = self.horizon_ns()?;
         let cp = self.build_control_plane()?;
-        let flows = self.flows.iter().map(|f| ("flow", &f.name, f.ingress));
+        let explicit = self.flows.iter().map(|f| ("flow", &f.name, f.ingress));
         let populations = self
             .subscribers
             .iter()
             .map(|s| ("subscriber population", &s.name, s.ingress));
-        for (what, name, ingress) in flows.chain(populations) {
+        for (what, name, ingress) in explicit.chain(populations) {
             if cp.topology().node(ingress).is_none() {
                 return Err(ScenarioError::Invalid(format!(
                     "{what} {name:?}: ingress {ingress} is not a node"
                 )));
             }
         }
-        Ok(cp)
+        Ok(RunPlan {
+            faults: self.fault_plan(&cp)?,
+            cp,
+            router: self.router_kind(),
+            queue: self.queue_discipline(),
+            flows,
+            ldp,
+            sr: self.sr_config(),
+            telemetry,
+            telemetry_on: self.telemetry.as_ref().is_some_and(|t| t.enabled),
+            horizon_ns,
+        })
     }
 
     /// Translates the `faults` section against the built control plane
@@ -1169,12 +1277,14 @@ impl Scenario {
                 .link_between(a, b)
                 .ok_or_else(|| ScenarioError::Invalid(format!("no link between {a} and {b}")))
         };
+        let us = |field, value| scaled("faults", field, value, NS_PER_US);
+        let ms = |field, value| scaled("faults", field, value, NS_PER_MS);
         let mut plan = FaultPlan::new(RestorationPolicy {
-            detection_delay_ns: f.detection_delay_us * 1_000,
-            resignal_delay_ns: f.resignal_delay_us * 1_000,
+            detection_delay_ns: us("detection_delay_us", f.detection_delay_us)?,
+            resignal_delay_ns: us("resignal_delay_us", f.resignal_delay_us)?,
             backoff_factor: f.backoff_factor,
             max_retries: f.max_retries,
-            hold_down_ns: f.hold_down_ms * 1_000_000,
+            hold_down_ns: ms("hold_down_ms", f.hold_down_ms)?,
             mode,
         });
         let node_of = |n: u32| -> Result<u32, ScenarioError> {
@@ -1187,25 +1297,25 @@ impl Scenario {
         for ev in &f.events {
             match *ev {
                 FaultEventDecl::LinkDown { at_ms, a, b } => {
-                    plan.link_down(at_ms * 1_000_000, link_of(a, b)?);
+                    plan.link_down(ms("at_ms", at_ms)?, link_of(a, b)?);
                 }
                 FaultEventDecl::LinkUp { at_ms, a, b } => {
-                    plan.link_up(at_ms * 1_000_000, link_of(a, b)?);
+                    plan.link_up(ms("at_ms", at_ms)?, link_of(a, b)?);
                 }
                 FaultEventDecl::NodeDown { at_ms, node } => {
-                    plan.node_down(at_ms * 1_000_000, node_of(node)?);
+                    plan.node_down(ms("at_ms", at_ms)?, node_of(node)?);
                 }
                 FaultEventDecl::NodeUp { at_ms, node } => {
-                    plan.node_up(at_ms * 1_000_000, node_of(node)?);
+                    plan.node_up(ms("at_ms", at_ms)?, node_of(node)?);
                 }
                 FaultEventDecl::PartitionStart { at_ms, a, b } => {
                     // Window builders demand start < end; scheduled
                     // endpoints arrive separately here, so push the raw
                     // events instead.
-                    plan.partition_start(at_ms * 1_000_000, link_of(a, b)?);
+                    plan.partition_start(ms("at_ms", at_ms)?, link_of(a, b)?);
                 }
                 FaultEventDecl::PartitionEnd { at_ms, a, b } => {
-                    plan.partition_end(at_ms * 1_000_000, link_of(a, b)?);
+                    plan.partition_end(ms("at_ms", at_ms)?, link_of(a, b)?);
                 }
             }
         }
@@ -1243,8 +1353,8 @@ impl Scenario {
                 duplicate: c.duplicate,
                 reorder: c.reorder,
                 corrupt: c.corrupt,
-                from_ns: c.from_ms * 1_000_000,
-                until_ns: c.until_ms * 1_000_000,
+                from_ns: ms("from_ms", c.from_ms)?,
+                until_ns: ms("until_ms", c.until_ms)?,
             });
         }
         Ok(Some(plan))
@@ -1291,40 +1401,48 @@ impl Scenario {
         }
     }
 
-    /// Converts the flow declarations; subscriber-population flows
-    /// follow the explicit ones, then generated flows from a
-    /// `topology` section. The order fixes flow ids, and with them
-    /// RNG streams and canonical event keys.
+    /// Converts and range-checks the flow declarations;
+    /// subscriber-population flows follow the explicit ones, then
+    /// generated flows from a `topology` section. The order fixes flow
+    /// ids, and with them RNG streams and canonical event keys.
     pub fn flow_specs(&self) -> Result<Vec<FlowSpec>, ScenarioError> {
         let mut flows = self.explicit_flow_specs()?;
         for s in &self.subscribers {
+            let owner = format!("subscriber population {:?}", s.name);
+            let ms = |field, value| scaled(&owner, field, value, NS_PER_MS);
+            require_gap(&owner, "mean_think_ms", s.mean_think_ms)?;
             let classes = if s.classes.is_empty() {
                 SlaClass::residential_mix()
             } else {
                 s.classes
                     .iter()
-                    .map(|c| SlaClass {
-                        name: c.name.clone(),
-                        precedence: c.precedence & 0x7,
-                        weight_pct: c.weight_pct,
-                        sla_fct_ns: c.sla_fct_ms * 1_000_000,
-                        payload_bytes: c.payload_bytes,
+                    .map(|c| {
+                        let class = format!("{owner} class {:?}", c.name);
+                        check_precedence(&class, c.precedence)?;
+                        check_payload(&class, c.payload_bytes)?;
+                        Ok(SlaClass {
+                            name: c.name.clone(),
+                            precedence: c.precedence,
+                            weight_pct: c.weight_pct,
+                            sla_fct_ns: scaled(&class, "sla_fct_ms", c.sla_fct_ms, NS_PER_MS)?,
+                            payload_bytes: c.payload_bytes,
+                        })
                     })
-                    .collect()
+                    .collect::<Result<_, ScenarioError>>()?
             };
             let model = SubscriberModel {
                 name: s.name.clone(),
                 subscribers: s.subscribers,
-                mean_think_ns: s.mean_think_ms * 1_000_000,
-                base: s.base.to_spec(),
+                mean_think_ns: ms("mean_think_ms", s.mean_think_ms)?,
+                base: s.base.to_spec(&owner)?,
                 classes,
             };
             flows.extend(model.flows(
                 s.ingress,
                 parse_ip(&s.src)?,
                 parse_ip(&s.dst)?,
-                s.start_ms * 1_000_000,
-                s.stop_ms * 1_000_000,
+                ms("start_ms", s.start_ms)?,
+                ms("stop_ms", s.stop_ms)?,
             ));
         }
         if let Some(t) = &self.topology {
@@ -1337,45 +1455,54 @@ impl Scenario {
         self.flows
             .iter()
             .map(|f| {
-                Ok(FlowSpec {
-                    name: f.name.clone(),
-                    ingress: f.ingress,
-                    src_addr: parse_ip(&f.src)?,
-                    dst_addr: parse_ip(&f.dst)?,
-                    payload_bytes: f.payload_bytes,
-                    precedence: f.precedence & 0x7,
-                    pattern: match f.pattern {
-                        PatternDecl::Cbr { interval_us } => TrafficPattern::Cbr {
-                            interval_ns: interval_us * 1_000,
-                        },
-                        PatternDecl::Poisson { mean_interval_us } => TrafficPattern::Poisson {
-                            mean_interval_ns: mean_interval_us * 1_000,
-                        },
-                        PatternDecl::OnOff {
-                            on_us,
-                            off_us,
-                            interval_us,
-                        } => TrafficPattern::OnOff {
-                            on_ns: on_us * 1_000,
-                            off_ns: off_us * 1_000,
-                            interval_ns: interval_us * 1_000,
-                        },
-                        PatternDecl::ClosedLoop {
-                            mean_arrival_us,
-                            size_min_pkts,
-                            size_max_pkts,
-                            size_alpha_milli,
-                            max_cwnd,
-                            rto_us,
-                            ecn_threshold,
-                            pacing_us,
-                            sla_fct_ms,
-                            diurnal_period_ms,
-                            diurnal_trough_pct,
-                            flash_start_ms,
-                            flash_duration_ms,
-                            flash_multiplier_pct,
-                        } => TrafficPattern::ClosedLoop(
+                let owner = format!("flow {:?}", f.name);
+                let us = |field, value| scaled(&owner, field, value, NS_PER_US);
+                let ms = |field, value| scaled(&owner, field, value, NS_PER_MS);
+                check_precedence(&owner, f.precedence)?;
+                check_payload(&owner, f.payload_bytes)?;
+                let pattern = match f.pattern {
+                    PatternDecl::Cbr { interval_us } => {
+                        require_gap(&owner, "interval_us", interval_us)?;
+                        TrafficPattern::Cbr {
+                            interval_ns: us("interval_us", interval_us)?,
+                        }
+                    }
+                    PatternDecl::Poisson { mean_interval_us } => {
+                        require_gap(&owner, "mean_interval_us", mean_interval_us)?;
+                        TrafficPattern::Poisson {
+                            mean_interval_ns: us("mean_interval_us", mean_interval_us)?,
+                        }
+                    }
+                    PatternDecl::OnOff {
+                        on_us,
+                        off_us,
+                        interval_us,
+                    } => {
+                        require_gap(&owner, "interval_us", interval_us)?;
+                        TrafficPattern::OnOff {
+                            on_ns: us("on_us", on_us)?,
+                            off_ns: us("off_us", off_us)?,
+                            interval_ns: us("interval_us", interval_us)?,
+                        }
+                    }
+                    PatternDecl::ClosedLoop {
+                        mean_arrival_us,
+                        size_min_pkts,
+                        size_max_pkts,
+                        size_alpha_milli,
+                        max_cwnd,
+                        rto_us,
+                        ecn_threshold,
+                        pacing_us,
+                        sla_fct_ms,
+                        diurnal_period_ms,
+                        diurnal_trough_pct,
+                        flash_start_ms,
+                        flash_duration_ms,
+                        flash_multiplier_pct,
+                    } => {
+                        require_gap(&owner, "mean_arrival_us", mean_arrival_us)?;
+                        TrafficPattern::ClosedLoop(
                             ClosedLoopDecl {
                                 mean_arrival_us,
                                 size_min_pkts,
@@ -1392,38 +1519,41 @@ impl Scenario {
                                 flash_duration_ms,
                                 flash_multiplier_pct,
                             }
-                            .to_spec(),
-                        ),
-                    },
-                    start_ns: f.start_ms * 1_000_000,
-                    stop_ns: f.stop_ms * 1_000_000,
-                    police: f.police.as_ref().map(|p| PolicerSpec {
-                        rate_bps: p.rate_mbps * 1_000_000,
-                        burst_bytes: p.burst_bytes,
-                    }),
+                            .to_spec(&owner)?,
+                        )
+                    }
+                };
+                let police = match &f.police {
+                    Some(p) => {
+                        require(p.rate_mbps > 0, || {
+                            format!("{owner}: police rate_mbps must be at least 1")
+                        })?;
+                        Some(PolicerSpec {
+                            rate_bps: scaled(
+                                &owner,
+                                "police rate_mbps",
+                                p.rate_mbps,
+                                BPS_PER_MBPS,
+                            )?,
+                            burst_bytes: p.burst_bytes,
+                        })
+                    }
+                    None => None,
+                };
+                Ok(FlowSpec {
+                    name: f.name.clone(),
+                    ingress: f.ingress,
+                    src_addr: parse_ip(&f.src)?,
+                    dst_addr: parse_ip(&f.dst)?,
+                    payload_bytes: f.payload_bytes,
+                    precedence: f.precedence,
+                    pattern,
+                    start_ns: ms("start_ms", f.start_ms)?,
+                    stop_ns: ms("stop_ms", f.stop_ms)?,
+                    police,
                 })
             })
             .collect()
-    }
-
-    /// The telemetry configuration for this run: `Some` when the
-    /// scenario's `telemetry` section enables it or `force` is set
-    /// (`--metrics-out`), `None` for a zero-overhead run.
-    pub fn telemetry_config(&self, force: bool) -> Option<TelemetryConfig> {
-        let defaults = TelemetryDecl::default();
-        let decl = match &self.telemetry {
-            // A disabled section still carries tuning; `force` overrides
-            // only the switch.
-            Some(t) if t.enabled || force => t,
-            Some(_) => return None,
-            None if force => &defaults,
-            None => return None,
-        };
-        Some(TelemetryConfig {
-            sample_interval_ns: decl.sample_interval_us * 1_000,
-            series_capacity: decl.series_capacity,
-            event_capacity: decl.event_capacity,
-        })
     }
 
     /// Resolves the control mode: the `control_override` (the
@@ -1465,16 +1595,45 @@ impl Scenario {
         }
     }
 
+    /// Telemetry sampling from the `telemetry` section, or the defaults
+    /// (what `--metrics-out` collects with when the section is absent).
+    fn telemetry_config(&self) -> Result<TelemetryConfig, ScenarioError> {
+        let decl = self.telemetry.clone().unwrap_or_default();
+        Ok(TelemetryConfig {
+            sample_interval_ns: scaled(
+                "telemetry",
+                "sample_interval_us",
+                decl.sample_interval_us,
+                NS_PER_US,
+            )?,
+            series_capacity: decl.series_capacity,
+            event_capacity: decl.event_capacity,
+        })
+    }
+
+    /// When a run stops: `horizon_ms` plus a generous drain margin.
+    fn horizon_ns(&self) -> Result<u64, ScenarioError> {
+        scaled("scenario", "horizon_ms", self.horizon_ms, NS_PER_MS)?
+            .checked_add(500_000_000)
+            .ok_or_else(|| {
+                ScenarioError::Invalid(format!(
+                    "scenario: horizon_ms {} is out of range",
+                    self.horizon_ms
+                ))
+            })
+    }
+
     /// The LDP timer configuration (scenario `ldp` section or defaults).
-    pub fn ldp_config(&self) -> LdpConfig {
+    pub fn ldp_config(&self) -> Result<LdpConfig, ScenarioError> {
         let decl = self.ldp.clone().unwrap_or_default();
-        LdpConfig {
-            hello_interval_ns: decl.hello_interval_us * 1_000,
-            hold_ns: decl.hold_us * 1_000,
+        let us = |field, value| scaled("ldp", field, value, NS_PER_US);
+        Ok(LdpConfig {
+            hello_interval_ns: us("hello_interval_us", decl.hello_interval_us)?,
+            hold_ns: us("hold_us", decl.hold_us)?,
             max_backoff_exp: decl.max_backoff_exp,
             jitter_seed: decl.jitter_seed,
-            stale_ttl_ns: decl.stale_ttl_us * 1_000,
-        }
+            stale_ttl_ns: us("stale_ttl_us", decl.stale_ttl_us)?,
+        })
     }
 
     /// Builds and runs the whole scenario. Telemetry is collected when
@@ -1508,9 +1667,8 @@ impl Scenario {
         shards_override: Option<usize>,
         control_override: Option<&str>,
     ) -> Result<mpls_net::SimReport, ScenarioError> {
-        let cp = self.validate()?;
-        let mut sim =
-            Simulation::build(&cp, self.router_kind(), self.queue_discipline(), self.seed);
+        let plan = self.validate()?;
+        let mut sim = Simulation::build(&plan.cp, plan.router, plan.queue, self.seed);
         if let Some(shards) = shards_override.or(self.shards) {
             if shards == 0 {
                 return Err(ScenarioError::Invalid("shards must be >= 1".into()));
@@ -1524,20 +1682,19 @@ impl Scenario {
         }
         match self.control_mode(control_override)? {
             ControlChoice::Centralized => {}
-            ControlChoice::Ldp => sim.enable_ldp(self.ldp_config()),
-            ControlChoice::Sr => sim.enable_sr(self.sr_config()),
+            ControlChoice::Ldp => sim.enable_ldp(plan.ldp),
+            ControlChoice::Sr => sim.enable_sr(plan.sr),
         }
-        if let Some(plan) = self.fault_plan(&cp)? {
-            sim.set_fault_plan(plan);
+        if let Some(faults) = plan.faults {
+            sim.set_fault_plan(faults);
         }
-        for f in self.flow_specs()? {
+        for f in plan.flows {
             sim.add_flow(f);
         }
-        // Generous drain margin past the horizon.
-        let horizon = self.horizon_ms * 1_000_000 + 500_000_000;
-        match self.telemetry_config(force_telemetry) {
-            Some(config) => Ok(sim.with_telemetry(config).run(horizon)),
-            None => Ok(sim.run(horizon)),
+        if plan.telemetry_on || force_telemetry {
+            Ok(sim.with_telemetry(plan.telemetry).run(plan.horizon_ns))
+        } else {
+            Ok(sim.run(plan.horizon_ns))
         }
     }
 }
@@ -1547,6 +1704,7 @@ mod tests {
     use super::*;
 
     const EXAMPLE: &str = include_str!("../scenarios/example.json");
+    const SCALE_SMOKE: &str = include_str!("../scenarios/scale_smoke.json");
 
     #[test]
     fn example_scenario_parses_and_runs() {
@@ -1617,6 +1775,138 @@ mod tests {
             let mut sc = Scenario::from_json(EXAMPLE).unwrap();
             mutate(&mut sc);
             for err in [sc.validate().map(drop), sc.run().map(drop)] {
+                let err = err.expect_err(named);
+                assert!(matches!(err, ScenarioError::Invalid(_)), "{err}");
+                assert!(err.to_string().contains(named), "{err}");
+            }
+        }
+    }
+
+    /// One-field mutations that `run` could only honor by never ending,
+    /// by wrapping a unit conversion, or by silently changing the value:
+    /// each is a typed error naming the field, from `validate` first.
+    #[test]
+    fn fields_a_run_cannot_honor_are_rejected() {
+        type Mutation = fn(&mut Scenario);
+        const HUGE: u64 = 1 << 62;
+        let cases: [(&str, Mutation, &str); 15] = [
+            (
+                EXAMPLE,
+                |sc| sc.flows[0].pattern = PatternDecl::Cbr { interval_us: 0 },
+                r#"flow "voip": interval_us must be at least 1"#,
+            ),
+            (
+                EXAMPLE,
+                |sc| {
+                    sc.flows[0].pattern = PatternDecl::Poisson {
+                        mean_interval_us: 0,
+                    }
+                },
+                r#"flow "voip": mean_interval_us must be at least 1"#,
+            ),
+            (
+                EXAMPLE,
+                |sc| {
+                    sc.flows[0].pattern = PatternDecl::OnOff {
+                        on_us: 1_000,
+                        off_us: 1_000,
+                        interval_us: 0,
+                    }
+                },
+                r#"flow "voip": interval_us must be at least 1"#,
+            ),
+            (
+                CLOSED_LOOP,
+                |sc| {
+                    let PatternDecl::ClosedLoop {
+                        mean_arrival_us, ..
+                    } = &mut sc.flows[0].pattern
+                    else {
+                        panic!("web is closed-loop")
+                    };
+                    *mean_arrival_us = 0;
+                },
+                r#"flow "web": mean_arrival_us must be at least 1"#,
+            ),
+            (
+                CLOSED_LOOP,
+                |sc| sc.subscribers[0].mean_think_ms = 0,
+                r#"subscriber population "metro": mean_think_ms must be at least 1"#,
+            ),
+            (
+                SCALE_SMOKE,
+                |sc| sc.topology.as_mut().unwrap().flow_interval_us = 0,
+                "topology: flow_interval_us must be at least 1",
+            ),
+            (
+                EXAMPLE,
+                |sc| sc.flows[0].pattern = PatternDecl::Cbr { interval_us: HUGE },
+                r#"flow "voip": interval_us 4611686018427387904 is out of range"#,
+            ),
+            (
+                EXAMPLE,
+                |sc| sc.flows[0].stop_ms = HUGE,
+                r#"flow "voip": stop_ms 4611686018427387904 is out of range"#,
+            ),
+            (
+                EXAMPLE,
+                |sc| sc.horizon_ms = HUGE,
+                "scenario: horizon_ms 4611686018427387904 is out of range",
+            ),
+            (
+                EXAMPLE,
+                |sc| sc.flows[0].precedence = 9,
+                r#"flow "voip": precedence 9 exceeds 7"#,
+            ),
+            (
+                CLOSED_LOOP,
+                |sc| {
+                    sc.subscribers[0].classes.push(ClassDecl {
+                        name: "tin".into(),
+                        precedence: 9,
+                        weight_pct: 100,
+                        sla_fct_ms: 0,
+                        payload_bytes: 100,
+                    })
+                },
+                r#"subscriber population "metro" class "tin": precedence 9 exceeds 7"#,
+            ),
+            (
+                EXAMPLE,
+                |sc| sc.flows[0].payload_bytes = 100_000,
+                r#"flow "voip": payload_bytes 100000 exceeds 65515"#,
+            ),
+            (
+                SCALE_SMOKE,
+                |sc| sc.topology.as_mut().unwrap().payload_bytes = 100_000,
+                "topology: payload_bytes 100000 exceeds 65515",
+            ),
+            (
+                EXAMPLE,
+                |sc| sc.queue = QueueDecl::CosPriority { per_class: 0 },
+                "queue: per_class must be at least 1",
+            ),
+            (
+                EXAMPLE,
+                |sc| {
+                    sc.flows[0].police = Some(PoliceDecl {
+                        rate_mbps: 0,
+                        burst_bytes: 1_500,
+                    })
+                },
+                r#"flow "voip": police rate_mbps must be at least 1"#,
+            ),
+        ];
+        for (text, mutate, named) in cases {
+            let mut sc = Scenario::from_json(text).unwrap();
+            mutate(&mut sc);
+            // `validate` first: a run of an accepted mutation may not end.
+            for run in [false, true] {
+                let err = if run {
+                    sc.run().map(drop)
+                } else {
+                    sc.validate().map(drop)
+                };
                 let err = err.expect_err(named);
                 assert!(matches!(err, ScenarioError::Invalid(_)), "{err}");
                 assert!(err.to_string().contains(named), "{err}");
@@ -1731,17 +2021,18 @@ mod tests {
     #[test]
     fn telemetry_section_enables_collection() {
         let mut sc = Scenario::from_json(EXAMPLE).unwrap();
-        assert!(sc.telemetry_config(false).is_none(), "off by default");
+        let plan = sc.validate().unwrap();
+        assert!(!plan.telemetry_on, "off by default");
         // --metrics-out forces it on with defaults.
-        let forced = sc.telemetry_config(true).unwrap();
-        assert_eq!(forced.sample_interval_ns, 100_000);
+        assert_eq!(plan.telemetry.sample_interval_ns, 100_000);
 
         sc.telemetry = Some(TelemetryDecl {
             sample_interval_us: 50,
             ..TelemetryDecl::default()
         });
-        let cfg = sc.telemetry_config(false).unwrap();
-        assert_eq!(cfg.sample_interval_ns, 50_000);
+        let plan = sc.validate().unwrap();
+        assert!(plan.telemetry_on);
+        assert_eq!(plan.telemetry.sample_interval_ns, 50_000);
         let report = sc.run().unwrap();
         let tel = report.telemetry.expect("section turns telemetry on");
         assert!(tel.counter("flow.voip.sent").unwrap() > 0.0);
@@ -1752,9 +2043,12 @@ mod tests {
 
         // A disabled section keeps the run clean unless forced.
         sc.telemetry.as_mut().unwrap().enabled = false;
-        assert!(sc.telemetry_config(false).is_none());
-        let cfg = sc.telemetry_config(true).unwrap();
-        assert_eq!(cfg.sample_interval_ns, 50_000, "tuning survives forcing");
+        let plan = sc.validate().unwrap();
+        assert!(!plan.telemetry_on);
+        assert_eq!(
+            plan.telemetry.sample_interval_ns, 50_000,
+            "tuning survives forcing"
+        );
         let report = sc.run().unwrap();
         assert!(report.telemetry.is_none());
         let report = sc.run_with_telemetry().unwrap();
@@ -1903,13 +2197,13 @@ mod tests {
     #[test]
     fn closed_loop_pattern_defaults_fill_in() {
         let d: ClosedLoopDecl = serde_json::from_str(r#"{"kind": "closed_loop"}"#).unwrap();
-        let spec = d.to_spec();
+        let spec = d.to_spec("flow").unwrap();
         assert_eq!(spec, ClosedLoopSpec::default());
         // Partial overrides keep the rest at library defaults.
         let d: ClosedLoopDecl =
             serde_json::from_str(r#"{"kind": "closed_loop", "max_cwnd": 8, "sla_fct_ms": 5}"#)
                 .unwrap();
-        let spec = d.to_spec();
+        let spec = d.to_spec("flow").unwrap();
         assert_eq!(spec.max_cwnd, 8);
         assert_eq!(spec.sla_fct_ns, 5_000_000);
         assert_eq!(spec.rto_ns, ClosedLoopSpec::default().rto_ns);
@@ -1988,7 +2282,7 @@ mod tests {
     #[test]
     fn ldp_timer_section_parses() {
         let mut sc = Scenario::from_json(FAULTY).unwrap();
-        let cfg = sc.ldp_config();
+        let cfg = sc.ldp_config().unwrap();
         assert_eq!(cfg.hello_interval_ns, 1_000_000);
         assert_eq!(cfg.hold_ns, 3_500_000);
         sc.ldp = Some(LdpDecl {
@@ -1997,7 +2291,7 @@ mod tests {
             stale_ttl_us: 1_500,
             ..LdpDecl::default()
         });
-        let cfg = sc.ldp_config();
+        let cfg = sc.ldp_config().unwrap();
         assert_eq!(cfg.hello_interval_ns, 200_000);
         assert_eq!(cfg.hold_ns, 700_000);
         assert_eq!(cfg.stale_ttl_ns, 1_500_000);

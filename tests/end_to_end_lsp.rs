@@ -157,23 +157,33 @@ fn labels_swap_and_ttl_decrements_along_path() {
     assert_eq!(p3.stack.top().unwrap().ttl, 62);
 }
 
+/// Builds the software chain over the LSP's path with lookup strategy `S`.
+fn software_chain<S: mpls_dataplane::LookupStrategy>(
+    cp: &ControlPlane,
+) -> Vec<(u32, SoftwareRouter<S>)> {
+    [0u32, 2, 3, 1]
+        .iter()
+        .map(|&id| {
+            let role = cp.topology().node(id).unwrap().role;
+            (
+                id,
+                SoftwareRouter::new(id, role, &cp.config_for(id), SwTimingModel::default()),
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn software_chain_delivers_the_same_packet() {
     let cp = setup();
-    let mk_sw = |id: u32| {
-        let role = cp.topology().node(id).unwrap().role;
-        (
-            id,
-            SoftwareRouter::<mpls_dataplane::HashTable>::new(
-                id,
-                role,
-                &cp.config_for(id),
-                SwTimingModel::default(),
-            ),
-        )
-    };
-    let mut sw_routers: Vec<_> = [0u32, 2, 3, 1].iter().map(|&id| mk_sw(id)).collect();
-    let sw_delivered = walk(&mut sw_routers, &[0, 2, 3, 1], packet_to("192.168.1.5"));
+    let mut hash = software_chain::<mpls_dataplane::HashTable>(&cp);
+    let sw_delivered = walk(&mut hash, &[0, 2, 3, 1], packet_to("192.168.1.5"));
+    let mut linear = software_chain::<mpls_dataplane::LinearTable>(&cp);
+    let linear_delivered = walk(&mut linear, &[0, 2, 3, 1], packet_to("192.168.1.5"));
+    assert_eq!(
+        sw_delivered, linear_delivered,
+        "lookup strategy changed the packet"
+    );
 
     let mut hw_routers: Vec<(u32, EmbeddedRouter)> = [0u32, 2, 3, 1]
         .iter()

@@ -6,6 +6,11 @@ use mpls_dataplane::ftn::Prefix;
 use mpls_net::traffic::{FlowSpec, TrafficPattern};
 use mpls_net::{QueueDiscipline, RouterKind, SimReport, Simulation};
 use mpls_packet::ipv4::parse_addr;
+use mpls_router::SwTimingModel;
+
+const EMBEDDED: RouterKind = RouterKind::Embedded {
+    clock: ClockSpec::STRATIX_50MHZ,
+};
 
 fn traffic() -> FlowSpec {
     FlowSpec {
@@ -24,15 +29,8 @@ fn traffic() -> FlowSpec {
     }
 }
 
-fn run(cp: &ControlPlane) -> SimReport {
-    let mut sim = Simulation::build(
-        cp,
-        RouterKind::Embedded {
-            clock: ClockSpec::STRATIX_50MHZ,
-        },
-        QueueDiscipline::Fifo { capacity: 64 },
-        3,
-    );
+fn run(cp: &ControlPlane, kind: RouterKind) -> SimReport {
+    let mut sim = Simulation::build(cp, kind, QueueDiscipline::Fifo { capacity: 64 }, 3);
     sim.add_flow(traffic());
     sim.run(1_000_000_000)
 }
@@ -48,8 +46,17 @@ fn failure_blackholes_then_reroute_restores() {
         ))
         .unwrap();
 
-    // Healthy: lossless over the northern path.
-    let before = run(&cp);
+    // Healthy: lossless over the northern path, on every router kind.
+    let timing = SwTimingModel::default();
+    for kind in [
+        RouterKind::SoftwareHash { timing },
+        RouterKind::SoftwareLinear { timing },
+    ] {
+        let report = run(&cp, kind);
+        let s = report.flow("app").unwrap();
+        assert_eq!(s.delivered, s.sent, "{kind:?}");
+    }
+    let before = run(&cp, EMBEDDED);
     let s = before.flow("app").unwrap();
     assert_eq!(s.delivered, s.sent);
     let fast_delay = s.mean_delay_ns();
@@ -58,7 +65,7 @@ fn failure_blackholes_then_reroute_restores() {
     // which the simulation builds in the down state and counts against.
     let link = cp.topology().link_between(2, 3).unwrap();
     assert_eq!(cp.fail_link(link), vec![id]);
-    let during = run(&cp);
+    let during = run(&cp, EMBEDDED);
     let s = during.flow("app").unwrap();
     assert_eq!(s.delivered, 0, "stale path must blackhole");
     assert_eq!(s.link_dropped, s.sent);
@@ -66,7 +73,7 @@ fn failure_blackholes_then_reroute_restores() {
     // Restoration: reroute onto the southern path; lossless but slower.
     let new_id = cp.reroute_lsp(id).unwrap();
     assert_eq!(cp.lsp(new_id).unwrap().path, vec![0, 4, 5, 1]);
-    let after = run(&cp);
+    let after = run(&cp, EMBEDDED);
     let s = after.flow("app").unwrap();
     assert_eq!(s.delivered, s.sent);
     assert!(
@@ -80,7 +87,7 @@ fn failure_blackholes_then_reroute_restores() {
     cp.restore_link(link);
     let repaired = cp.reroute_lsp(new_id).unwrap();
     assert_eq!(cp.lsp(repaired).unwrap().path, vec![0, 2, 3, 1]);
-    let healed = run(&cp);
+    let healed = run(&cp, EMBEDDED);
     let s = healed.flow("app").unwrap();
     assert_eq!(s.delivered, s.sent);
     assert!((s.mean_delay_ns() - fast_delay).abs() < fast_delay * 0.1);
