@@ -14,6 +14,7 @@
 //!                                       "centralized", "ldp" or "sr"
 //! mpls-sim validate <scenario.json>     parse, signal and check every field
 //!                                       a run uses, without running traffic
+//!                                       (--shards and --control apply too)
 //! mpls-sim example                      print the bundled example scenario
 //! ```
 
@@ -93,7 +94,7 @@ fn main() -> ExitCode {
                 }
             };
             if cmd == "validate" {
-                match scenario.validate() {
+                match scenario.validate_with_overrides(shards, control.as_deref()) {
                     Ok(plan) => {
                         let topo = plan.cp.topology();
                         println!(

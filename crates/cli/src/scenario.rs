@@ -207,10 +207,23 @@ pub enum ControlChoice {
     Sr,
 }
 
-/// Everything a run takes from a scenario, derived and checked by
-/// [`Scenario::validate`]; [`Scenario::run`] executes it, so the two
-/// cannot disagree about what a scenario means.
+/// Everything a run takes from a scenario and its command-line
+/// overrides, derived and checked by [`Scenario::validate`] (or
+/// [`Scenario::validate_with_overrides`]); [`Scenario::run`] executes
+/// only this plan, so validating and running cannot disagree about what
+/// a scenario means.
 pub struct RunPlan {
+    /// The control-plane mode: `--control`, else the scenario's
+    /// `control` field, else centralized.
+    pub control: ControlChoice,
+    /// The requested engine shard count (at least 1): `--shards`, else
+    /// the scenario's `shards` field. `None` leaves the count to
+    /// [`Simulation::run`]: `MPLS_SIM_SHARDS`, else 1.
+    pub shards: Option<usize>,
+    /// Per-node shard placement hints, `(node, hint)`.
+    pub shard_hints: Vec<(u32, usize)>,
+    /// The RNG seed.
+    pub seed: u64,
     /// The signaled control plane.
     pub cp: ControlPlane,
     /// The router implementation.
@@ -232,6 +245,37 @@ pub struct RunPlan {
     pub telemetry_on: bool,
     /// When the run stops: the horizon plus a drain margin.
     pub horizon_ns: u64,
+}
+
+impl RunPlan {
+    /// Builds the simulation the plan describes and runs it. Telemetry
+    /// is collected when the scenario asks for it or `force_telemetry`
+    /// is set (the `--metrics-out` path).
+    fn execute(self, force_telemetry: bool) -> mpls_net::SimReport {
+        let mut sim = Simulation::build(&self.cp, self.router, self.queue, self.seed);
+        if let Some(shards) = self.shards {
+            sim.set_shards(shards);
+        }
+        for (node, hint) in self.shard_hints {
+            sim.shard_hint(node, hint);
+        }
+        match self.control {
+            ControlChoice::Centralized => {}
+            ControlChoice::Ldp => sim.enable_ldp(self.ldp),
+            ControlChoice::Sr => sim.enable_sr(self.sr),
+        }
+        if let Some(faults) = self.faults {
+            sim.set_fault_plan(faults);
+        }
+        for f in self.flows {
+            sim.add_flow(f);
+        }
+        if self.telemetry_on || force_telemetry {
+            sim.with_telemetry(self.telemetry).run(self.horizon_ns)
+        } else {
+            sim.run(self.horizon_ns)
+        }
+    }
 }
 
 /// A synthesized-topology workload (see [`mpls_net::ScaleSpec`]).
@@ -1222,9 +1266,26 @@ impl Scenario {
     /// [`Self::run`] runs exactly this plan; `mpls-sim validate` stops
     /// here.
     pub fn validate(&self) -> Result<RunPlan, ScenarioError> {
+        self.validate_with_overrides(None, None)
+    }
+
+    /// Like [`Self::validate`], with the command-line overrides applied
+    /// first: `shards` for `--shards` (which beats the scenario's own
+    /// `shards` field) and `control` for `--control` (which beats the
+    /// scenario's `control` field).
+    pub fn validate_with_overrides(
+        &self,
+        shards: Option<usize>,
+        control: Option<&str>,
+    ) -> Result<RunPlan, ScenarioError> {
         self.check_declarations()?;
         // Field checks come first: they are cheap, and signaling a
         // synthesized topology is not.
+        let control = self.control_mode(control)?;
+        let shards = shards.or(self.shards);
+        require(shards != Some(0), || {
+            "scenario: shards must be at least 1".to_string()
+        })?;
         let flows = self.flow_specs()?;
         let ldp = self.ldp_config()?;
         let telemetry = self.telemetry_config()?;
@@ -1243,6 +1304,14 @@ impl Scenario {
             }
         }
         Ok(RunPlan {
+            control,
+            shards,
+            shard_hints: self
+                .nodes
+                .iter()
+                .filter_map(|n| Some((n.id, n.shard?)))
+                .collect(),
+            seed: self.seed,
             faults: self.fault_plan(&cp)?,
             cp,
             router: self.router_kind(),
@@ -1639,63 +1708,26 @@ impl Scenario {
     /// Builds and runs the whole scenario. Telemetry is collected when
     /// the scenario's `telemetry` section asks for it.
     pub fn run(&self) -> Result<mpls_net::SimReport, ScenarioError> {
-        self.run_with(false, None, None)
+        self.run_with_overrides(false, None, None)
     }
 
     /// Like [`Self::run`], but collects telemetry even without a
     /// `telemetry` section (the `--metrics-out` path).
     pub fn run_with_telemetry(&self) -> Result<mpls_net::SimReport, ScenarioError> {
-        self.run_with(true, None, None)
+        self.run_with_overrides(true, None, None)
     }
 
     /// Like [`Self::run`], with the command-line overrides applied:
-    /// `force_telemetry` for `--metrics-out`, `shards` for `--shards`
-    /// (which beats the scenario's own `shards` field), and `control`
-    /// for `--control` (which beats the scenario's `control` field).
+    /// `force_telemetry` for `--metrics-out`, and `shards` and `control`
+    /// as in [`Self::validate_with_overrides`].
     pub fn run_with_overrides(
         &self,
         force_telemetry: bool,
         shards: Option<usize>,
         control: Option<&str>,
     ) -> Result<mpls_net::SimReport, ScenarioError> {
-        self.run_with(force_telemetry, shards, control)
-    }
-
-    fn run_with(
-        &self,
-        force_telemetry: bool,
-        shards_override: Option<usize>,
-        control_override: Option<&str>,
-    ) -> Result<mpls_net::SimReport, ScenarioError> {
-        let plan = self.validate()?;
-        let mut sim = Simulation::build(&plan.cp, plan.router, plan.queue, self.seed);
-        if let Some(shards) = shards_override.or(self.shards) {
-            if shards == 0 {
-                return Err(ScenarioError::Invalid("shards must be >= 1".into()));
-            }
-            sim.set_shards(shards);
-        }
-        for n in &self.nodes {
-            if let Some(hint) = n.shard {
-                sim.shard_hint(n.id, hint);
-            }
-        }
-        match self.control_mode(control_override)? {
-            ControlChoice::Centralized => {}
-            ControlChoice::Ldp => sim.enable_ldp(plan.ldp),
-            ControlChoice::Sr => sim.enable_sr(plan.sr),
-        }
-        if let Some(faults) = plan.faults {
-            sim.set_fault_plan(faults);
-        }
-        for f in plan.flows {
-            sim.add_flow(f);
-        }
-        if plan.telemetry_on || force_telemetry {
-            Ok(sim.with_telemetry(plan.telemetry).run(plan.horizon_ns))
-        } else {
-            Ok(sim.run(plan.horizon_ns))
-        }
+        let plan = self.validate_with_overrides(shards, control)?;
+        Ok(plan.execute(force_telemetry))
     }
 }
 
@@ -1789,7 +1821,7 @@ mod tests {
     fn fields_a_run_cannot_honor_are_rejected() {
         type Mutation = fn(&mut Scenario);
         const HUGE: u64 = 1 << 62;
-        let cases: [(&str, Mutation, &str); 15] = [
+        let cases: [(&str, Mutation, &str); 17] = [
             (
                 EXAMPLE,
                 |sc| sc.flows[0].pattern = PatternDecl::Cbr { interval_us: 0 },
@@ -1895,6 +1927,16 @@ mod tests {
                     })
                 },
                 r#"flow "voip": police rate_mbps must be at least 1"#,
+            ),
+            (
+                EXAMPLE,
+                |sc| sc.control = Some("bogus".into()),
+                r#"unknown control mode "bogus""#,
+            ),
+            (
+                EXAMPLE,
+                |sc| sc.shards = Some(0),
+                "scenario: shards must be at least 1",
             ),
         ];
         for (text, mutate, named) in cases {

@@ -88,63 +88,90 @@ fn declarations_the_engine_cannot_build_are_rejected() {
 }
 
 /// One-field mutations that `run` could honor only by never ending, by
-/// wrapping a unit conversion or by silently changing the value:
-/// `validate` refuses each with exit 1 and an error naming the field.
+/// wrapping a unit conversion or by silently changing the value, and
+/// values (in the file or on the command line) that `run` cannot use:
+/// `validate` refuses each with exit 1 and an error naming the field,
+/// just as `run` does.
 #[test]
 fn fields_a_run_cannot_honor_are_rejected() {
     let scale = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/scale_smoke.json");
     let stop = r#""flow_stop_ms": 10"#;
-    let mutations = [
+    let seed = r#""seed": 7"#;
+    let bogus = r#"unknown control mode "bogus""#;
+    let mutations: [(&str, &str, &str, &[&str], &str); 11] = [
         (
             EXAMPLE,
             r#""interval_us": 2000"#,
             r#""interval_us": 0"#,
+            &[],
             "interval_us",
         ),
         (
             EXAMPLE,
             r#""mean_interval_us": 50"#,
             r#""mean_interval_us": 0"#,
+            &[],
             "mean_interval_us",
         ),
         (
             scale,
             stop,
             r#""flow_stop_ms": 10, "flow_interval_us": 0"#,
+            &[],
             "flow_interval_us",
         ),
         (
             EXAMPLE,
             r#""interval_us": 2000"#,
             r#""interval_us": 4611686018427387904"#,
+            &[],
             "interval_us 4611686018427387904 is out of range",
         ),
         (
             EXAMPLE,
             r#""precedence": 5"#,
             r#""precedence": 9"#,
+            &[],
             "precedence 9",
         ),
         (
             EXAMPLE,
             r#""payload_bytes": 146"#,
             r#""payload_bytes": 100000"#,
+            &[],
             "payload_bytes 100000",
         ),
         (
             EXAMPLE,
             r#""per_class": 64"#,
             r#""per_class": 0"#,
+            &[],
             "per_class",
         ),
         (
             EXAMPLE,
             r#""rate_mbps": 200"#,
             r#""rate_mbps": 0"#,
+            &[],
             "rate_mbps",
         ),
+        (
+            EXAMPLE,
+            seed,
+            r#""seed": 7, "control": "bogus""#,
+            &[],
+            bogus,
+        ),
+        (
+            EXAMPLE,
+            seed,
+            r#""seed": 7, "shards": 0"#,
+            &[],
+            "shards must be at least 1",
+        ),
+        (EXAMPLE, seed, seed, &["--control", "bogus"], bogus),
     ];
-    for (i, (file, from, to, named)) in mutations.into_iter().enumerate() {
+    for (i, (file, from, to, flags, named)) in mutations.into_iter().enumerate() {
         let text = std::fs::read_to_string(file).expect("scenario readable");
         assert!(text.contains(from), "scenario layout changed: {from}");
         let path =
@@ -152,7 +179,9 @@ fn fields_a_run_cannot_honor_are_rejected() {
         std::fs::write(&path, text.replacen(from, to, 1)).expect("scenario written");
         for cmd in ["validate", "run"] {
             let out = Command::new(env!("CARGO_BIN_EXE_mpls-sim"))
-                .args([cmd, path.to_str().expect("utf-8 path")])
+                .arg(cmd)
+                .args(flags)
+                .arg(&path)
                 .output()
                 .expect("mpls-sim runs");
             let stderr = String::from_utf8_lossy(&out.stderr);

@@ -127,13 +127,6 @@ pub struct SignaledLsp {
     standby: bool,
 }
 
-impl SignaledLsp {
-    /// True while this LSP is a pre-signaled standby backup.
-    pub fn is_standby(&self) -> bool {
-        self.standby
-    }
-}
-
 /// A signaled hierarchical tunnel (an LSP between two core nodes carrying
 /// other LSPs — paper Fig. 3).
 #[derive(Debug, Clone)]

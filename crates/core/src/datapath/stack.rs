@@ -107,11 +107,6 @@ impl HwStack {
         }
         out
     }
-
-    /// Raw entry registers (top-first), for waveform probing.
-    pub fn raw_entries(&self) -> &[u32; EMBEDDED_STACK_DEPTH] {
-        &self.entries
-    }
 }
 
 impl Clocked for HwStack {

@@ -110,11 +110,6 @@ impl HashFib {
         self.live
     }
 
-    /// True when the shadow linear oracle is attached.
-    pub fn diff_mode(&self) -> bool {
-        self.shadow.is_some()
-    }
-
     #[inline]
     fn slot_of(&self, key: u64) -> usize {
         // Linear probe from the hashed home slot; the table is never full

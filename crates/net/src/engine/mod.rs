@@ -1,12 +1,13 @@
 //! The sharded discrete-event engine.
 //!
-//! The topology is partitioned into shards (see [`partition`]), each
-//! with its own event wheel. The coordinator alternates between two
-//! modes:
+//! The topology is partitioned into shards (see [`partition`]). The
+//! coordinator and every shard each keep their pending events in an
+//! [`EventQueue`], the one event store the engine has. The coordinator
+//! alternates between two modes:
 //!
 //! * **Global events** ([`ControlEvent`]) — faults, recovery and
 //!   telemetry samples — run on the coordinator thread with exclusive
-//!   access to everything, in `(time, insertion)` order.
+//!   access to everything, in `(time, rank, insertion)` order.
 //! * **Epochs** — between globals, shards execute their local events in
 //!   parallel up to a conservative barrier
 //!   `end = min(next_global, earliest_local + lookahead, horizon + 1)`,
@@ -26,7 +27,6 @@ mod ldp;
 mod partition;
 mod shard;
 mod sr;
-mod wheel;
 
 pub(crate) use ldp::LdpRuntime;
 pub(crate) use sr::SrRuntime;
@@ -48,7 +48,6 @@ use shard::{ChanState, ClosedLoopState, EmitState, FlowDelta, LocalEvent, ShardS
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::marker::PhantomData;
-use wheel::EventWheel;
 
 /// The shard coordination scheme. There is one: the global epoch
 /// barrier, where every shard advances to the same conservative bound
@@ -174,8 +173,6 @@ pub(crate) struct Engine<S: TelemetrySink> {
     /// node that can reach it back to the ingress (see
     /// [`Engine::ack_distances`]). Empty when no flow is closed-loop.
     ack_dist: HashMap<NodeId, HashMap<NodeId, SimTime>>,
-    /// Scratch: per-shard wheel peek times, refreshed every iteration.
-    peeks: Vec<Option<SimTime>>,
     now: SimTime,
     cp: ControlPlane,
     policy: RestorationPolicy,
@@ -210,16 +207,10 @@ impl<S: TelemetrySink> Engine<S> {
         let nchans = parts.channels.len();
         let node_ids: Vec<NodeId> = parts.nodes.iter().map(|n| n.node_id()).collect();
         let part = partition(&node_ids, parts.shards, &parts.hints, &parts.channels);
-        // Slot width is a performance knob only; pop order is canonical.
-        let slot_ns = if part.lookahead == SimTime::MAX {
-            65_536
-        } else {
-            (part.lookahead / 8).clamp(1, 1 << 20)
-        };
         let mut shards: Vec<ShardState<S>> = (0..part.shards)
             .map(|id| ShardState {
                 id,
-                wheel: EventWheel::new(slot_ns),
+                queue: EventQueue::new(),
                 nodes: Vec::new(),
                 node_local: HashMap::new(),
                 channels: Vec::new(),
@@ -289,13 +280,12 @@ impl<S: TelemetrySink> Engine<S> {
             } else {
                 LocalEvent::SourceEmit { flow: f }
             };
-            sh.wheel.schedule(spec.start_ns, ev);
+            sh.queue.schedule(spec.start_ns, ev);
         }
         let mut ldp = parts.ldp;
         if let Some(rt) = &mut ldp {
             rt.chaos = parts.pdu_chaos;
         }
-        let nsh = shards.len();
         let templates = parts.flows.iter().map(FlowTemplate::of).collect();
         Self {
             shards,
@@ -310,7 +300,6 @@ impl<S: TelemetrySink> Engine<S> {
             lookahead: part.lookahead,
             flow_shard,
             ack_dist,
-            peeks: vec![None; nsh],
             now: 0,
             cp: parts.cp,
             policy: parts.policy,
@@ -384,68 +373,40 @@ impl<S: TelemetrySink> Engine<S> {
         out
     }
 
-    /// Refreshes the per-shard wheel peeks and decides the next step:
-    /// `None` when everything drained or passed the horizon,
-    /// `Some(true)` when the next global event should run now,
-    /// `Some(false)` when a parallel round should run. Globals run
-    /// before locals at the same instant, at every shard count.
-    fn next_step(&mut self, horizon_ns: SimTime) -> Option<bool> {
-        let tg = self.globals.peek_time();
-        for i in 0..self.shards.len() {
-            self.peeks[i] = self.shards[i].wheel.peek_time();
-        }
-        let tl = self.peeks.iter().flatten().min().copied();
-        let next = match (tg, tl) {
-            (None, None) => return None,
-            (Some(g), None) => g,
-            (None, Some(l)) => l,
-            (Some(g), Some(l)) => g.min(l),
-        };
-        if next > horizon_ns {
-            return None;
-        }
-        Some(match (tg, tl) {
-            (Some(g), Some(l)) => g <= l,
-            (Some(_), None) => true,
-            _ => false,
-        })
-    }
-
-    fn pop_global(&mut self) {
-        let (t, ev) = self.globals.pop().expect("peeked");
-        self.now = t;
-        self.global_events += 1;
-        self.handle_global(ev);
-    }
-
     /// Runs until every queue drains or `horizon_ns` passes, then
-    /// merges the shards into a report. Every round, every shard
-    /// advances to the same conservative bound
+    /// merges the shards into a report. Each step either runs the next
+    /// global event — globals run before locals at the same instant, at
+    /// every shard count — or a round in which every shard advances to
+    /// the same conservative bound
     /// `end = min(next_global, earliest_local + lookahead, horizon + 1)`
     /// where `lookahead` is the global minimum cross-shard delay.
     pub fn run(mut self, horizon_ns: SimTime) -> SimReport {
         loop {
-            match self.next_step(horizon_ns) {
-                None => break,
-                Some(true) => {
-                    self.pop_global();
-                    continue;
-                }
-                Some(false) => {}
-            }
             let tg = self.globals.peek_time();
-            let tl = self
-                .peeks
-                .iter()
-                .flatten()
-                .min()
-                .copied()
-                .expect("local events pending");
-            let end = tg
-                .unwrap_or(SimTime::MAX)
-                .min(tl.saturating_add(self.lookahead))
-                .min(horizon_ns.saturating_add(1));
-            self.run_round(end);
+            let tl = self.shards.iter().filter_map(|s| s.queue.peek_time()).min();
+            match (tg, tl) {
+                (Some(g), _) if tl.is_none_or(|l| g <= l) => {
+                    if g > horizon_ns {
+                        break;
+                    }
+                    let (t, ev) = self.globals.pop().expect("peeked");
+                    self.now = t;
+                    self.global_events += 1;
+                    self.handle_global(ev);
+                }
+                (_, Some(l)) => {
+                    if l > horizon_ns {
+                        break;
+                    }
+                    let end = tg
+                        .unwrap_or(SimTime::MAX)
+                        .min(l.saturating_add(self.lookahead))
+                        .min(horizon_ns.saturating_add(1));
+                    self.run_round(end);
+                }
+                // Both queues are empty.
+                _ => break,
+            }
         }
         self.finish()
     }
@@ -486,7 +447,7 @@ impl<S: TelemetrySink> Engine<S> {
                     ),
                     "only wire arrivals and closed-loop acks cross shards"
                 );
-                self.shards[dest].wheel.schedule(t, ev);
+                self.shards[dest].queue.schedule(t, ev);
             }
         }
         if let Some(t) = self.shards.iter().map(|s| s.last_time).max() {
@@ -591,13 +552,18 @@ impl<S: TelemetrySink> Engine<S> {
         }
     }
 
-    /// Rebuilds every router's forwarding state from the (mutated)
+    /// Rebuilds every live router's forwarding state from the (mutated)
     /// control plane. Statistics survive; stale flow-cache entries do
-    /// not.
+    /// not. Crashed nodes are skipped: their FIBs stay cold until
+    /// `NodeReprovision` fires.
     fn reprogram_routers(&mut self) {
         for sh in &mut self.shards {
             for node in &mut sh.nodes {
-                let cfg = self.cp.config_for(node.node_id());
+                let id = node.node_id();
+                if self.dead_nodes.contains(&id) {
+                    continue;
+                }
+                let cfg = self.cp.config_for(id);
                 node.reprogram(&cfg);
             }
         }
@@ -972,7 +938,7 @@ impl<S: TelemetrySink> Engine<S> {
     /// alive.
     fn on_telemetry_sample(&mut self) {
         self.sample_channels();
-        let pending = self.shards.iter().any(|s| !s.wheel.is_empty()) || !self.globals.is_empty();
+        let pending = self.shards.iter().any(|s| !s.queue.is_empty()) || !self.globals.is_empty();
         if pending {
             self.globals.schedule(
                 self.now + self.instr.sample_interval_ns,

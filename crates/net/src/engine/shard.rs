@@ -1,22 +1,25 @@
 //! One shard of the sharded engine: a subset of nodes, the channels
-//! they transmit on, and a private event wheel.
+//! they transmit on, and a private event queue.
 //!
 //! # Canonical event keys
 //!
 //! Within one timestamp, shard-local events execute in the order of
-//! [`LocalEvent::key`] — `(class, a, b)` tuples built only from stable
-//! identifiers (flow ids, node ids, global channel indices). The key
-//! never encodes *which shard* scheduled the event or *when* it was
-//! inserted, so a run partitioned into N shards pops exactly the same
-//! event sequence per node as a single-shard run: byte-identical
-//! reports at any shard count.
+//! their canonical key, [`LocalEvent`]'s [`EventRank::rank`] —
+//! `(class, a, b)` tuples built only from stable identifiers (flow ids,
+//! node ids, global channel indices). The key never encodes *which
+//! shard* scheduled the event or *when* it was inserted, so a run
+//! partitioned into N shards pops exactly the same event sequence per
+//! node as a single-shard run: byte-identical reports at any shard
+//! count.
 //!
 //! Every key is unique at its timestamp: a flow emits at most once per
 //! instant (inter-packet gaps are ≥ 1 ns), a channel completes at most
 //! one serialization per instant per incarnation (serialization times
 //! are ≥ 1 ns), and an `Arrive` is pinned to its (node, channel) lane —
 //! a channel delivers at most one packet per instant for the same
-//! reason.
+//! reason. So the insertion order that [`EventQueue`] falls back on
+//! never decides between two local events: each shard pops in
+//! `(time, key)` order.
 //!
 //! # What shards may touch
 //!
@@ -27,8 +30,7 @@
 //! tally, telemetry) are buffered in commutative per-shard deltas the
 //! coordinator folds in deterministically.
 
-use super::wheel::EventWheel;
-use crate::event::SimTime;
+use crate::event::{EventQueue, EventRank, SimTime};
 use crate::link::{Channel, OfferResult};
 use crate::policer::TokenBucket;
 use crate::sim::{FlowTemplate, SimPacket};
@@ -105,13 +107,15 @@ pub(crate) enum LocalEvent {
     },
 }
 
-impl LocalEvent {
+impl EventRank for LocalEvent {
+    type Rank = EventKey;
+
     /// The canonical same-timestamp ordering key. Emissions first, then
     /// arrivals, then transmit completions — matching the causal chains
     /// `SourceEmit -> Arrive` and `Arrive -> TransmitDone` that occur at
     /// one instant — then the closed-loop acks, transfer arrivals and
     /// timeout checks.
-    pub fn key(&self) -> EventKey {
+    fn rank(&self) -> EventKey {
         match *self {
             LocalEvent::SourceEmit { flow } => (0, flow as u64, 0),
             LocalEvent::Arrive {
@@ -228,9 +232,9 @@ pub(crate) struct ClosedLoopState {
     pub pending: VecDeque<(SimTime, u64)>,
     /// Whether a transfer is in service.
     pub active: bool,
-    /// Whether an emission-chain `SourceEmit` is pending in the wheel.
+    /// Whether an emission-chain `SourceEmit` is pending in the queue.
     pub chain_live: bool,
-    /// Whether an `RtoCheck` is pending in the wheel.
+    /// Whether an `RtoCheck` is pending in the queue.
     pub rto_live: bool,
     /// Time of the last ack (or transfer start / timeout action) —
     /// the RTO stall reference.
@@ -297,13 +301,13 @@ impl FlowDelta {
     }
 }
 
-/// One shard: its nodes, owned channels, event wheel and buffered
+/// One shard: its nodes, owned channels, event queue and buffered
 /// effects. The sink type parameter only carries
 /// [`TelemetrySink::ENABLED`] so delta recording compiles away on
 /// untelemetered runs; the sink itself stays with the coordinator.
 pub(crate) struct ShardState<S> {
     pub id: usize,
-    pub wheel: EventWheel,
+    pub queue: EventQueue<LocalEvent>,
     /// The routers at this shard's nodes, by local index.
     pub nodes: Vec<Box<dyn MplsForwarder + Send>>,
     pub node_local: HashMap<NodeId, usize>,
@@ -337,7 +341,7 @@ pub(crate) struct ShardState<S> {
 impl<S: TelemetrySink> ShardState<S> {
     /// Executes every local event strictly before `end`.
     pub fn run_until(&mut self, end: SimTime, ctx: &SharedCtx<'_>) {
-        while let Some((t, ev)) = self.wheel.pop_next(end) {
+        while let Some((t, ev)) = self.queue.pop_before(end) {
             self.events_processed += 1;
             self.last_time = t;
             match ev {
@@ -383,7 +387,7 @@ impl<S: TelemetrySink> ShardState<S> {
             }
         }
         if conforms {
-            self.wheel.schedule(
+            self.queue.schedule(
                 now,
                 LocalEvent::Arrive {
                     node: spec.ingress,
@@ -399,7 +403,7 @@ impl<S: TelemetrySink> ShardState<S> {
             .next_gap(now - spec.start_ns, &mut self.emit[li].rng);
         let next = now.saturating_add(gap);
         if next < spec.stop_ns {
-            self.wheel.schedule(next, LocalEvent::SourceEmit { flow });
+            self.queue.schedule(next, LocalEvent::SourceEmit { flow });
         }
     }
 
@@ -442,7 +446,7 @@ impl<S: TelemetrySink> ShardState<S> {
             }
         }
         if conforms {
-            self.wheel.schedule(
+            self.queue.schedule(
                 now,
                 LocalEvent::Arrive {
                     node: spec.ingress,
@@ -459,7 +463,7 @@ impl<S: TelemetrySink> ShardState<S> {
         // Lazily arm the stall timer whenever data is outstanding.
         if !st.rto_live {
             st.rto_live = true;
-            self.wheel.schedule(
+            self.queue.schedule(
                 now.saturating_add(cl.rto_ns.max(1)),
                 LocalEvent::RtoCheck { flow },
             );
@@ -469,7 +473,7 @@ impl<S: TelemetrySink> ShardState<S> {
             let at = now.saturating_add(cl.pacing_ns.max(1));
             if at < spec.stop_ns {
                 st.chain_live = true;
-                self.wheel.schedule(at, LocalEvent::SourceEmit { flow });
+                self.queue.schedule(at, LocalEvent::SourceEmit { flow });
             }
         }
     }
@@ -492,7 +496,7 @@ impl<S: TelemetrySink> ShardState<S> {
         let accepted = cl.accept(elapsed, &mut self.emit[li].rng);
         let next = now.saturating_add(gap);
         if next < spec.stop_ns {
-            self.wheel.schedule(next, LocalEvent::XferArrive { flow });
+            self.queue.schedule(next, LocalEvent::XferArrive { flow });
         }
         if !accepted {
             return;
@@ -508,7 +512,7 @@ impl<S: TelemetrySink> ShardState<S> {
         let at = now.saturating_add(cl.pacing_ns.max(1));
         if at < spec.stop_ns && !st.chain_live {
             st.chain_live = true;
-            self.wheel.schedule(at, LocalEvent::SourceEmit { flow });
+            self.queue.schedule(at, LocalEvent::SourceEmit { flow });
         }
     }
 
@@ -570,7 +574,7 @@ impl<S: TelemetrySink> ShardState<S> {
                     let at = now.saturating_add(cl.pacing_ns.max(1));
                     if at < spec.stop_ns && !st.chain_live {
                         st.chain_live = true;
-                        self.wheel.schedule(at, LocalEvent::SourceEmit { flow });
+                        self.queue.schedule(at, LocalEvent::SourceEmit { flow });
                     }
                 }
                 return;
@@ -581,7 +585,7 @@ impl<S: TelemetrySink> ShardState<S> {
             let at = now.saturating_add(cl.pacing_ns.max(1));
             if at < spec.stop_ns {
                 st.chain_live = true;
-                self.wheel.schedule(at, LocalEvent::SourceEmit { flow });
+                self.queue.schedule(at, LocalEvent::SourceEmit { flow });
             }
         }
     }
@@ -617,14 +621,14 @@ impl<S: TelemetrySink> ShardState<S> {
                 let at = now.saturating_add(cl.pacing_ns.max(1));
                 if at < spec.stop_ns {
                     st.chain_live = true;
-                    self.wheel.schedule(at, LocalEvent::SourceEmit { flow });
+                    self.queue.schedule(at, LocalEvent::SourceEmit { flow });
                 }
             }
         }
         let st = self.emit[li].cl.as_mut().expect("cl state");
         if st.active && (st.inflight > 0 || st.unsent > 0) {
             st.rto_live = true;
-            self.wheel.schedule(
+            self.queue.schedule(
                 now.saturating_add(cl.rto_ns.max(1)),
                 LocalEvent::RtoCheck { flow },
             );
@@ -743,7 +747,7 @@ impl<S: TelemetrySink> ShardState<S> {
                         let ev = LocalEvent::Ack { flow, seq, ecn };
                         let dest = ctx.flow_shard[flow];
                         if dest == self.id {
-                            self.wheel.schedule(at, ev);
+                            self.queue.schedule(at, ev);
                         } else {
                             self.outbox.push((at, dest, ev));
                         }
@@ -796,7 +800,7 @@ impl<S: TelemetrySink> ShardState<S> {
                 c.busy_ns += ser;
                 let gen = c.gen;
                 c.in_flight = Some(p);
-                self.wheel
+                self.queue
                     .schedule(at + ser, LocalEvent::TransmitDone { channel: chan, gen });
             }
         }
@@ -821,7 +825,7 @@ impl<S: TelemetrySink> ShardState<S> {
             let ser = c.serialization_ns(next.wire_len());
             c.busy_ns += ser;
             c.in_flight = Some(next);
-            self.wheel.schedule(
+            self.queue.schedule(
                 now + ser,
                 LocalEvent::TransmitDone {
                     channel: chan,
@@ -846,7 +850,7 @@ impl<S: TelemetrySink> ShardState<S> {
         };
         let at = now + delay;
         if ctx.chan_dest_shard[chan] == self.id {
-            self.wheel.schedule(at, ev);
+            self.queue.schedule(at, ev);
         } else {
             self.outbox.push((at, ctx.chan_dest_shard[chan], ev));
         }
@@ -865,6 +869,76 @@ impl<S: TelemetrySink> ShardState<S> {
         self.stats[flow].on_discarded(DiscardCause::LinkDown);
         if let Some(&rec) = ctx.fault_of_link.get(&link) {
             *self.record_loss.entry(rec).or_insert(0) += 1;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn arrive(node: NodeId, flow: FlowId, via: Option<(usize, u64)>) -> LocalEvent {
+        let packet = SimPacket {
+            flow,
+            stack: Default::default(),
+            seq: 0,
+            sent_ns: 0,
+            precedence: 0,
+            base_wire: 0,
+            ecn: false,
+        };
+        LocalEvent::Arrive { node, packet, via }
+    }
+
+    /// Equal-time events pop in canonical-key order whatever order they
+    /// were scheduled in: keys are unique at a timestamp, so the
+    /// queue's insertion-order tie-break never decides.
+    #[test]
+    fn equal_time_events_pop_in_key_order_whatever_the_insertion_order() {
+        let events = || {
+            vec![
+                LocalEvent::RtoCheck { flow: 0 },
+                LocalEvent::TransmitDone { channel: 2, gen: 0 },
+                arrive(1, 4, Some((3, 0))),
+                LocalEvent::SourceEmit { flow: 9 },
+                arrive(1, 4, None),
+                LocalEvent::Ack {
+                    flow: 0,
+                    seq: 7,
+                    ecn: false,
+                },
+                LocalEvent::SourceEmit { flow: 1 },
+                LocalEvent::XferArrive { flow: 0 },
+            ]
+        };
+        // Emissions by flow, arrivals by (node, lane) with wire lanes
+        // before source lanes, then completions, acks, transfer
+        // arrivals and timeout checks.
+        let expected: Vec<EventKey> = vec![
+            (0, 1, 0),
+            (0, 9, 0),
+            (1, 1, 3),
+            (1, 1, SOURCE_LANE + 4),
+            (2, 2, 0),
+            (3, 0, 7),
+            (4, 0, 0),
+            (5, 0, 0),
+        ];
+        for reversed in [false, true] {
+            for shift in 0..expected.len() {
+                let mut order = events();
+                if reversed {
+                    order.reverse();
+                }
+                order.rotate_left(shift);
+                let mut q = EventQueue::new();
+                for ev in order {
+                    q.schedule(500, ev);
+                }
+                let keys: Vec<EventKey> =
+                    std::iter::from_fn(|| q.pop_before(600).map(|(_, e)| e.rank())).collect();
+                assert_eq!(keys, expected, "reversed {reversed}, shift {shift}");
+            }
         }
     }
 }

@@ -1,14 +1,15 @@
 //! The simulator's time-ordered event queue and the coordinator's
 //! control events.
 //!
-//! The coordinator keeps its [`ControlEvent`]s in an [`EventQueue`].
-//! Shards do not use it: each keeps its packet-level events in its own
-//! event wheel (`engine::wheel`), ordered by the canonical key of
-//! `engine::shard`. Events at equal timestamps pop by [`EventRank`]
-//! first — deliveries before timers — then in insertion order (a
-//! monotone sequence number breaks the remaining ties). Only the
-//! coordinator schedules into the queue, so runs are deterministic for
-//! a fixed seed at any shard count.
+//! [`EventQueue`] is the engine's one event store: the coordinator keeps
+//! its [`ControlEvent`]s in one, and every shard keeps its packet-level
+//! events in another. Events at equal timestamps pop by [`EventRank`]
+//! first, then in insertion order (a monotone sequence number breaks
+//! the remaining ties). A shard's events rank by their canonical key
+//! (`engine::shard`), which is unique at its timestamp, so insertion
+//! order never decides between two of them; only the coordinator
+//! schedules control events. Runs are therefore deterministic for a
+//! fixed seed at any shard count.
 
 use mpls_control::{LinkId, NodeId};
 use std::cmp::Ordering;
@@ -110,9 +111,11 @@ pub enum ControlEvent {
 /// Tie-break class for events sharing a timestamp: lower ranks pop
 /// first, and only then does insertion order decide.
 ///
-/// The one rule that matters lives in the [`ControlEvent`] impl: an
-/// in-flight delivery ([`ControlEvent::LdpDeliver`]) outranks every
-/// timer at the same instant. A keepalive that lands exactly when the
+/// A shard's local events rank by their canonical key
+/// (`engine::shard`), unique at its timestamp. Among control events the
+/// rule lives in the [`ControlEvent`] impl: an in-flight delivery
+/// ([`ControlEvent::LdpDeliver`]) outranks every timer at the same
+/// instant. A keepalive that lands exactly when the
 /// receiver's hold timer would expire therefore refreshes the session
 /// before [`ControlEvent::LdpTick`] inspects it — "the wire beats the
 /// clock" — matching RFC 5036's intent that a session only expires
@@ -120,11 +123,16 @@ pub enum ControlEvent {
 /// which event happened to be scheduled first, which in turn depends
 /// on shard count.
 pub trait EventRank {
-    /// Rank within a timestamp; lower pops first.
-    fn rank(&self) -> u8;
+    /// The ordering class; lower pops first.
+    type Rank: Ord;
+
+    /// Rank within a timestamp.
+    fn rank(&self) -> Self::Rank;
 }
 
 impl EventRank for ControlEvent {
+    type Rank = u8;
+
     fn rank(&self) -> u8 {
         match self {
             // Deliveries carry state that timers at the same instant
@@ -135,25 +143,25 @@ impl EventRank for ControlEvent {
     }
 }
 
-struct Entry<K> {
+struct Entry<K: EventRank> {
     time: SimTime,
-    rank: u8,
+    rank: K::Rank,
     seq: u64,
     kind: K,
 }
 
-impl<K> PartialEq for Entry<K> {
+impl<K: EventRank> PartialEq for Entry<K> {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
-impl<K> Eq for Entry<K> {}
-impl<K> PartialOrd for Entry<K> {
+impl<K: EventRank> Eq for Entry<K> {}
+impl<K: EventRank> PartialOrd for Entry<K> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<K> Ord for Entry<K> {
+impl<K: EventRank> Ord for Entry<K> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert for earliest-first, then
         // lowest-rank-first, then insertion order.
@@ -165,13 +173,14 @@ impl<K> Ord for Entry<K> {
     }
 }
 
-/// Earliest-first event queue with deterministic tie-breaking.
-pub struct EventQueue<K> {
+/// Earliest-first event queue with deterministic tie-breaking: pops in
+/// `(time, rank, insertion order)` order.
+pub struct EventQueue<K: EventRank> {
     heap: BinaryHeap<Entry<K>>,
     next_seq: u64,
 }
 
-impl<K> Default for EventQueue<K> {
+impl<K: EventRank> Default for EventQueue<K> {
     fn default() -> Self {
         Self {
             heap: BinaryHeap::new(),
@@ -180,17 +189,14 @@ impl<K> Default for EventQueue<K> {
     }
 }
 
-impl<K> EventQueue<K> {
+impl<K: EventRank> EventQueue<K> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Schedules `kind` at absolute time `time`.
-    pub fn schedule(&mut self, time: SimTime, kind: K)
-    where
-        K: EventRank,
-    {
+    pub fn schedule(&mut self, time: SimTime, kind: K) {
         let rank = kind.rank();
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -205,6 +211,15 @@ impl<K> EventQueue<K> {
     /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, K)> {
         self.heap.pop().map(|e| (e.time, e.kind))
+    }
+
+    /// Pops the earliest event if it is strictly before `bound` — the
+    /// end of a shard's epoch.
+    pub fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, K)> {
+        if self.heap.peek()?.time >= bound {
+            return None;
+        }
+        self.pop()
     }
 
     /// Timestamp of the earliest pending event.
@@ -230,9 +245,9 @@ mod tests {
     // Test payloads are unranked: every u32 ties, so insertion order
     // alone decides.
     impl EventRank for u32 {
-        fn rank(&self) -> u8 {
-            1
-        }
+        type Rank = ();
+
+        fn rank(&self) {}
     }
 
     #[test]
@@ -242,8 +257,19 @@ mod tests {
         q.schedule(10, 1);
         q.schedule(20, 2);
         assert_eq!(q.peek_time(), Some(10));
+        // An epoch ending at 20 takes only what lies strictly before it.
+        assert_eq!(q.pop_before(20), Some((10, 1)));
+        assert_eq!(q.pop_before(20), None, "20 is at the boundary");
+        // Events scheduled mid-drain still pop, in time order, including
+        // one at the instant of an event already pending.
+        q.schedule(15, 4);
+        q.schedule(20, 5);
+        assert_eq!(q.pop_before(21), Some((15, 4)));
+        assert_eq!(q.pop_before(21), Some((20, 2)));
+        assert_eq!(q.pop_before(21), Some((20, 5)));
+        assert_eq!(q.pop_before(21), None);
         let order: Vec<(SimTime, u32)> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(order, vec![(10, 1), (20, 2), (30, 3)]);
+        assert_eq!(order, vec![(30, 3)]);
     }
 
     #[test]

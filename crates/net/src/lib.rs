@@ -8,7 +8,8 @@
 //! the workloads the paper's introduction names — VoIP and streaming
 //! video against background bulk transfer.
 //!
-//! * [`event`] — the coordinator's time-ordered queue of control events.
+//! * [`event`] — the time-ordered event queue, and the coordinator's
+//!   control events.
 //! * [`queue`] — FIFO and CoS-priority link queues with tail drop.
 //! * [`link`] — directed channels with serialization + propagation delay.
 //! * [`traffic`] — CBR, Poisson, on/off and closed-loop generators.
@@ -21,7 +22,7 @@
 //! * [`fault`] — scheduled link failures and the timed-restoration model.
 //! * [`scale`] — streaming synthesis of million-LSP workloads.
 //! * [`engine`] — the sharded discrete-event engine (per-shard event
-//!   wheels, conservative epoch barriers, deterministic merge). Each
+//!   queues, conservative epoch barriers, deterministic merge). Each
 //!   vertex holds the boxed `MplsForwarder` that
 //!   [`RouterKind::build`](mpls_router::RouterKind::build) returns, and
 //!   every packet arrival is one `handle_on_port` call on it.

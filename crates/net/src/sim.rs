@@ -43,7 +43,7 @@ use std::collections::{BTreeMap, HashMap};
 ///
 /// All of a flow's packets share one Ethernet header, one IPv4 header
 /// (modulo the per-emission `ident`), and one payload buffer. Cloning
-/// a full [`MplsPacket`] through queues, channels and the event wheel
+/// a full [`MplsPacket`] through queues, channels and the event queues
 /// would copy all of that per hop; instead each flow interns it *once*
 /// here and packets in flight carry only the delta ([`SimPacket`]).
 /// The wire packet is materialized exactly at the router boundary.
@@ -144,7 +144,7 @@ impl FlowTemplate {
 /// A packet in flight through the simulation: the per-packet *delta*
 /// against its flow's interned [`FlowTemplate`].
 ///
-/// Queues, channels and the event wheel hold this compact form; the
+/// Queues, channels and the event queues hold this compact form; the
 /// full [`MplsPacket`] exists only inside a router visit (see
 /// [`FlowTemplate::materialize`]). The template's CoS and size
 /// constants are denormalized in so hot-path classing and

@@ -214,22 +214,6 @@ impl SrFabric {
         self.compile()
     }
 
-    /// Marks every link of `node` failed (node crash) and recompiles.
-    pub fn fail_node(&mut self, node: NodeId) -> usize {
-        for &(_, link) in self.topo.neighbors(node) {
-            self.failed.insert(link);
-        }
-        self.compile()
-    }
-
-    /// Restores every link of `node` (node restart) and recompiles.
-    pub fn restore_node(&mut self, node: NodeId) -> usize {
-        for &(_, link) in self.topo.neighbors(node) {
-            self.failed.remove(&link);
-        }
-        self.compile()
-    }
-
     /// Aggregate state footprint of the current compilation.
     pub fn state(&self) -> SrState {
         let fib_entries = self

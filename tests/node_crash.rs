@@ -4,7 +4,7 @@
 //! the standby path through the cold-FIB window, and every packet stays
 //! accounted for at any shard count.
 
-use mpls_control::{ControlPlane, LspRequest, Topology};
+use mpls_control::{ControlPlane, LinkSpec, LspRequest, RouterRole, Topology};
 use mpls_core::ClockSpec;
 use mpls_dataplane::ftn::Prefix;
 use mpls_ldp::LdpConfig;
@@ -200,4 +200,81 @@ fn node_crash_report_is_shard_invariant() {
     };
     let sequential = run(1);
     assert_eq!(sequential, run(4), "4-shard crash run diverged");
+}
+
+/// Centralized restoration elsewhere in the network must not revive a
+/// crashed node's FIB. The plane is Fig. 1 plus LER 6, linked to LSRs 2
+/// and 4, with LSPs 0→1 and 6→1. Node 0 crashes; while it is down, the
+/// cut of link 2–3 re-signals LSP 6→1 and reprograms the routers. Node
+/// 0 must stay cold until its own reprovision, one detection delay
+/// after it restarts: every packet its source offers meanwhile is a
+/// `no_route` drop, not a `link_down` drop charged to the dead link
+/// 0–2.
+#[test]
+fn unrelated_reroute_keeps_a_crashed_node_cold() {
+    const INTERVAL_NS: u64 = 100_000;
+    const DOWN_NS: u64 = 10_000_000;
+    const UP_NS: u64 = 40_000_000;
+    let mut topo = Topology::figure1_example();
+    topo.add_node(6, RouterRole::Ler, "ler-south-west");
+    for (b, cost) in [(2, 1), (4, 3)] {
+        topo.add_link(LinkSpec {
+            a: 6,
+            b,
+            cost,
+            bandwidth_bps: 1_000_000_000,
+            delay_ns: 500_000,
+        });
+    }
+    let link_02 = topo.link_between(0, 2).unwrap();
+    let link_23 = topo.link_between(2, 3).unwrap();
+    let mut cp = ControlPlane::new(topo);
+    let fec = Prefix::new(parse_addr("192.168.1.0").unwrap(), 24);
+    for ingress in [0, 6] {
+        cp.establish_lsp(LspRequest::best_effort(ingress, 1, fec))
+            .unwrap();
+    }
+    let mut sim = Simulation::build(
+        &cp,
+        RouterKind::Embedded {
+            clock: ClockSpec::STRATIX_50MHZ,
+        },
+        QueueDiscipline::Fifo { capacity: 64 },
+        17,
+    );
+    let policy = RestorationPolicy::default();
+    let mut plan = FaultPlan::new(policy);
+    plan.node_outage(0, DOWN_NS, UP_NS);
+    plan.link_down(15_000_000, link_23);
+    sim.set_fault_plan(plan);
+    for (name, ingress) in [("west", 0), ("south-west", 6)] {
+        sim.add_flow(FlowSpec {
+            ingress,
+            pattern: TrafficPattern::Cbr {
+                interval_ns: INTERVAL_NS,
+            },
+            ..flow(name, 0, 60_000_000)
+        });
+    }
+    let report = sim.run(100_000_000);
+
+    conserves(&report, "west");
+    conserves(&report, "south-west");
+    let west = report.flow("west").unwrap();
+    let cold_ns = UP_NS + policy.detection_delay_ns - DOWN_NS;
+    assert_eq!(
+        west.drop_causes.no_route,
+        cold_ns / INTERVAL_NS,
+        "node 0's FIB must stay cold from the crash to its reprovision"
+    );
+    let lost_02: u64 = report
+        .faults
+        .iter()
+        .filter(|f| f.link == link_02)
+        .map(|f| f.packets_lost)
+        .sum();
+    assert!(
+        lost_02 < 10,
+        "a revived FIB steered node 0's traffic onto the dead link 0-2: {lost_02} lost"
+    );
 }

@@ -3,10 +3,10 @@
 //! Conservative parallel simulation deadlocks when every shard waits on
 //! a bound that never advances. The epoch barrier avoids this by
 //! construction — each round's bound is computed from the earliest
-//! pending event anywhere, so an empty wheel never holds anyone back —
-//! but that argument only holds if the implementation actually
-//! refreshes peeks every round. These scenarios are built so a naive
-//! bound computation WOULD stall: shards with permanently empty wheels,
+//! pending event anywhere, so an empty queue never holds anyone back —
+//! but that argument only holds if the implementation actually reads
+//! every queue's head every round. These scenarios are built so a naive
+//! bound computation WOULD stall: shards with permanently empty queues,
 //! channels that only ever carry traffic one way, and partition windows
 //! that silence the control plane mid-run. Every run executes under a
 //! wall-clock watchdog and must still produce the 1-shard run's
@@ -141,7 +141,7 @@ fn assert_identical(baseline: &SimReport, report: &SimReport, what: &str) {
 }
 
 /// Shards 2 and 3 hold only reactive routers that never see a packet:
-/// their wheels are empty for the entire run. A bound computation that
+/// their event queues are empty for the entire run. A bound computation that
 /// waits for idle shards to "catch up" stalls here forever, because a
 /// reactive router with no traffic never schedules anything.
 #[test]
@@ -149,7 +149,7 @@ fn zero_traffic_shards_do_not_starve_the_busy_ones() {
     let reports = with_watchdog("zero-traffic shards", 60, || {
         // A line of 8 where BOTH LERs sit at the head: all traffic
         // crosses only the 0-1 boundary while nodes 2..8 never see a
-        // packet — reactive routers, so their wheels stay empty.
+        // packet — reactive routers, so their queues stay empty.
         let mut topo = Topology::new();
         topo.add_node(0, RouterRole::Ler, "n0");
         topo.add_node(1, RouterRole::Ler, "n1");
