@@ -6,7 +6,7 @@
 //! and prints the per-flow report.
 
 use mpls_control::{ControlPlane, LinkId, LinkSpec, LspRequest, RouterRole, Topology};
-use mpls_core::ClockSpec;
+use mpls_core::{ClockSpec, LEVEL_CAPACITY};
 use mpls_dataplane::ftn::Prefix;
 use mpls_net::policer::PolicerSpec;
 use mpls_net::subscriber::{SlaClass, SubscriberModel};
@@ -114,6 +114,35 @@ fn check_payload(owner: &str, payload_bytes: usize) -> Result<(), ScenarioError>
     require(payload_bytes <= MAX_PAYLOAD_BYTES, || {
         format!("{owner}: payload_bytes {payload_bytes} exceeds {MAX_PAYLOAD_BYTES}")
     })
+}
+
+/// Rejects a control plane that needs more than [`LEVEL_CAPACITY`] label
+/// pairs at one information-base level of some node. An embedded router
+/// cannot store the pairs past that, so the LSPs behind them would
+/// discard every packet as `no_entry_found`.
+fn check_info_base_capacity(cp: &ControlPlane) -> Result<(), ScenarioError> {
+    for node in cp.topology().nodes() {
+        let mut pairs = [0usize; 3];
+        for b in &cp.config_for(node.id).bindings {
+            // The level an embedded router writes the binding to.
+            let level = match b.level {
+                1 => 0,
+                2 => 1,
+                _ => 2,
+            };
+            pairs[level] += 1;
+        }
+        for (level, n) in (1..).zip(pairs) {
+            require(n <= LEVEL_CAPACITY, || {
+                format!(
+                    "node {}: level {level} needs {n} label pairs, more than the \
+                     {LEVEL_CAPACITY} an embedded router's information base holds",
+                    node.id
+                )
+            })?;
+        }
+    }
+    Ok(())
 }
 
 /// Top-level scenario document.
@@ -1291,6 +1320,9 @@ impl Scenario {
         let telemetry = self.telemetry_config()?;
         let horizon_ns = self.horizon_ns()?;
         let cp = self.build_control_plane()?;
+        if let RouterDecl::Embedded { .. } = self.router {
+            check_info_base_capacity(&cp)?;
+        }
         let explicit = self.flows.iter().map(|f| ("flow", &f.name, f.ingress));
         let populations = self
             .subscribers
@@ -1777,6 +1809,51 @@ mod tests {
                 assert!(err.to_string().contains(named), "{err}");
             }
         }
+    }
+
+    /// The example's chain with `lsps` LSPs from node 0 to node 1, each
+    /// for its own /24, and one CBR flow to the last one's FEC.
+    fn many_lsps(lsps: usize) -> Scenario {
+        let mut sc = Scenario::from_json(EXAMPLE).unwrap();
+        let template = sc.lsps[1].clone();
+        sc.lsps = (0..lsps)
+            .map(|i| LspDecl {
+                fec: format!("10.{}.{}.0/24", i / 256, i % 256),
+                ..template.clone()
+            })
+            .collect();
+        let last = lsps - 1;
+        sc.flows.truncate(1);
+        sc.flows[0].dst = format!("10.{}.{}.1", last / 256, last % 256);
+        sc.flows[0].pattern = PatternDecl::Cbr { interval_us: 100 };
+        sc.flows[0].stop_ms = 2;
+        sc.horizon_ms = 5;
+        sc
+    }
+
+    /// An embedded router holds 1,024 label pairs per level. A plan that
+    /// needs more is an error naming the node, the level and the count,
+    /// instead of a run whose last LSPs discard every packet.
+    #[test]
+    fn embedded_info_base_overflow_is_rejected() {
+        let full = many_lsps(1024);
+        let report = full.run().expect("a full level still fits");
+        assert_eq!(report.flow("voip").unwrap().delivered, 20);
+
+        let sc = many_lsps(1100);
+        for err in [sc.run().map(drop), sc.validate().map(drop)] {
+            let err = err.expect_err("1,100 pairs do not fit one level");
+            assert!(matches!(err, ScenarioError::Invalid(_)), "{err}");
+            assert!(
+                err.to_string()
+                    .contains("node 1: level 2 needs 1100 label pairs"),
+                "{err}"
+            );
+        }
+        let mut software = sc;
+        software.router = RouterDecl::SoftwareLinear;
+        let report = software.run().expect("software routers have no such limit");
+        assert_eq!(report.flow("voip").unwrap().delivered, 20);
     }
 
     /// One-field mutations that topology building or the engine cannot

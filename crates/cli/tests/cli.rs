@@ -194,6 +194,56 @@ fn fields_a_run_cannot_honor_are_rejected() {
     }
 }
 
+/// The example's chain with 1,100 LSPs from node 0 to node 1: their
+/// label pairs overflow a level of an embedded router's information
+/// base, so both commands refuse the file instead of running with the
+/// pairs past 1,024 dropped. The same file with software routers runs.
+#[test]
+fn embedded_info_base_overflow_is_rejected() {
+    let text = std::fs::read_to_string(EXAMPLE).expect("example readable");
+    let (head, tail) = text.split_at(text.find(r#""lsps""#).expect("example has lsps"));
+    let router = &tail[tail.find(r#""router""#).expect("example has a router")..];
+    let lsps: Vec<String> = (0..1100)
+        .map(|i| {
+            format!(
+                r#"{{ "ingress": 0, "egress": 1, "fec": "10.{}.{}.0/24" }}"#,
+                i / 256,
+                i % 256
+            )
+        })
+        .collect();
+    let flow = r#"{ "name": "last", "ingress": 0, "src": "10.0.0.10", "dst": "10.4.75.1",
+        "payload_bytes": 64, "pattern": { "kind": "cbr", "interval_us": 100 }, "stop_ms": 2 }"#;
+    let scenario = format!(
+        r#"{head}"lsps": [{}], "flows": [{flow}], {router}"#,
+        lsps.join(",\n")
+    );
+    let path = std::env::temp_dir().join(format!("mpls-sim-overflow-{}.json", std::process::id()));
+    for (router, code) in [
+        (r#""kind": "embedded""#, 1),
+        (r#""kind": "software_linear""#, 0),
+    ] {
+        let file = scenario.replace(r#""kind": "embedded", "clock_mhz": 50"#, router);
+        std::fs::write(&path, file).expect("scenario written");
+        for cmd in ["validate", "run"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_mpls-sim"))
+                .args([cmd, path.to_str().expect("utf-8 path")])
+                .output()
+                .expect("mpls-sim runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(code), "{cmd} {router}: {stderr}");
+            if code == 1 {
+                assert!(
+                    stderr.contains("invalid scenario: node 1: level 2 needs 1100 label pairs"),
+                    "{cmd}: {stderr}"
+                );
+                assert!(out.stdout.is_empty(), "{cmd} printed a result");
+            }
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn retired_engine_flag_is_a_usage_error() {
     let flag = format!("--{KNOB}");

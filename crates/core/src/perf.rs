@@ -7,6 +7,10 @@
 //! optional — the modifier carries an `Option<Box<CorePerf>>` and pays a
 //! single branch per clock when disabled — and purely observational: it
 //! never changes cycle counts or outcomes.
+//!
+//! A model that does not clock the modifier (the embedded router's
+//! transaction-level modifier) fills the same block in closed form with
+//! the `count_*` methods, one call per retired operation.
 
 use crate::datapath::LEVEL_CAPACITY;
 use crate::fsm::{IbState, LblState, MainState, SearchState};
@@ -48,8 +52,40 @@ pub const SEARCH_STATE_NAMES: [&str; 8] = [
     "done_miss",
 ];
 
+/// How a stack update ends once its search retires: the label-stack
+/// states (Fig. 9) it walks, one cycle each, up to and including `DONE`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UpdateEnd {
+    /// The search missed.
+    Miss,
+    /// `VERIFY INFO` found an expired TTL or an inconsistent operation.
+    Discard,
+    /// A swap, or a push onto an empty stack.
+    Rewrite,
+    /// A pop.
+    Pop,
+    /// A push onto a non-empty stack.
+    Push,
+}
+
+impl UpdateEnd {
+    /// The label-stack states walked after the search.
+    fn states(self) -> &'static [LblState] {
+        use LblState::*;
+        match self {
+            Self::Miss => &[DiscardPacket, Done],
+            Self::Discard => &[RemoveTop, UpdateTtl, VerifyInfo, DiscardPacket, Done],
+            Self::Rewrite => &[RemoveTop, UpdateTtl, VerifyInfo, PushNew, SaveEntry, Done],
+            Self::Pop => &[RemoveTop, UpdateTtl, VerifyInfo, UpdateTop, SaveEntry, Done],
+            Self::Push => &[
+                RemoveTop, UpdateTtl, VerifyInfo, PushOld, PushNew, SaveEntry, Done,
+            ],
+        }
+    }
+}
+
 /// Per-FSM-state cycle counters and search statistics.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CorePerf {
     /// Cycles spent in each [`MainState`].
     pub main_cycles: [u64; MAIN_STATE_NAMES.len()],
@@ -93,10 +129,75 @@ impl CorePerf {
     /// Attributes one clock cycle to the current state of each FSM.
     #[inline]
     pub fn tick(&mut self, main: MainState, lbl: LblState, ib: IbState, search: SearchState) {
-        self.main_cycles[main as usize] += 1;
-        self.lbl_cycles[lbl as usize] += 1;
-        self.ib_cycles[ib as usize] += 1;
-        self.search_cycles[search as usize] += 1;
+        self.ticks(main, lbl, ib, search, 1);
+    }
+
+    /// Attributes `n` clock cycles to one combination of FSM states.
+    #[inline]
+    fn ticks(&mut self, main: MainState, lbl: LblState, ib: IbState, search: SearchState, n: u64) {
+        self.main_cycles[main as usize] += n;
+        self.lbl_cycles[lbl as usize] += n;
+        self.ib_cycles[ib as usize] += n;
+        self.search_cycles[search as usize] += n;
+    }
+
+    // ---- closed-form counts ----------------------------------------------
+    //
+    // What the clocked modifier's `tick`s add up to over one retired
+    // operation, without clocking it: each operation walks a fixed state
+    // sequence (Figs. 8–11), and a search adds one read/wait/compare loop
+    // per examined entry.
+
+    /// Counts `n` user pushes: dispatch, enable, `USER PUSH` (3 cycles
+    /// each).
+    pub fn count_user_pushes(&mut self, n: u64) {
+        self.count_user_ops(LblState::UserPush, n);
+    }
+
+    /// Counts `n` user pops: dispatch, enable, `USER POP` (3 cycles each).
+    pub fn count_user_pops(&mut self, n: u64) {
+        self.count_user_ops(LblState::UserPop, n);
+    }
+
+    fn count_user_ops(&mut self, op: LblState, n: u64) {
+        use {IbState as I, LblState as L, MainState as M, SearchState as S};
+        self.ticks(M::Idle, L::Idle, I::Idle, S::Idle, n);
+        self.ticks(M::LblInterfaceActive, L::Idle, I::Idle, S::Idle, n);
+        self.ticks(M::LblInterfaceActive, op, I::Idle, S::Idle, n);
+    }
+
+    /// Counts one `write label pair` (3 cycles), accepted or rejected.
+    pub fn count_write_pair(&mut self) {
+        use {IbState as I, LblState as L, MainState as M, SearchState as S};
+        self.ticks(M::Idle, L::Idle, I::Idle, S::Idle, 1);
+        self.ticks(M::IbInterfaceActive, L::Idle, I::Idle, S::Idle, 1);
+        self.ticks(M::IbInterfaceActive, L::Idle, I::WritePair, S::Idle, 1);
+    }
+
+    /// Counts one `update stack` whose search examined `probes` entries
+    /// and which ended as `end`: `3·probes + 5` cycles of search, then one
+    /// cycle per label-stack state of `end`. Records the search too.
+    pub fn count_update(&mut self, probes: u64, end: UpdateEnd) {
+        use {IbState as I, LblState as L, MainState as M, SearchState as S};
+        let hit = end != UpdateEnd::Miss;
+        let active = M::LblInterfaceActive;
+        self.ticks(M::Idle, L::Idle, I::Idle, S::Idle, 1);
+        self.ticks(active, L::Idle, I::Idle, S::Idle, 1);
+        self.ticks(active, L::SearchEnable, I::Idle, S::Idle, 1);
+        for s in [S::Read, S::WaitInfo, S::Compare] {
+            self.ticks(active, L::SearchEnable, I::Idle, s, probes);
+        }
+        let (wait, done) = if hit {
+            (S::FoundWait, S::DoneHit)
+        } else {
+            (S::MissWait, S::DoneMiss)
+        };
+        self.ticks(active, L::SearchEnable, I::Idle, wait, 1);
+        self.ticks(active, L::SearchEnable, I::Idle, done, 1);
+        for &lbl in end.states() {
+            self.ticks(active, lbl, I::Idle, S::Idle, 1);
+        }
+        self.record_search(probes, hit);
     }
 
     /// Records one retired search: `depth` entries examined, hit or miss.

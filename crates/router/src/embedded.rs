@@ -1,38 +1,38 @@
-//! The embedded MPLS router: the Fig. 6 pipeline around the cycle-accurate
-//! hardware label stack modifier.
+//! The embedded MPLS router: the Fig. 6 pipeline around the hardware
+//! label stack modifier.
 //!
 //! Per-packet cost in clock cycles, all charged at the configured clock:
 //!
 //! * load: one `user push` (3 cycles) per arriving label-stack entry —
 //!   "the ingress packet processing \[module\] is used to deliver the label
 //!   stack and a packet identifier to the label stack modifier";
-//! * update: the measured `update stack` cost (search + operation);
+//! * update: the `update stack` cost (search + operation);
 //! * unload: one `user pop` (3 cycles) per resulting entry, which also
 //!   leaves the modifier's stack empty for the next packet;
 //! * slow path: a `write label pair` (3 cycles) the first time a FEC-
 //!   classified flow is seen, installing its exact level-1 pair (the
 //!   hardware cannot longest-prefix match, so the ingress runs the
 //!   level-1 memory as a flow cache).
+//!
+//! The modifier runs at transaction level ([`TxnModifier`]): each cost is
+//! the Table 6 closed form, so no clock is stepped. Debug builds also
+//! program the clocked [`LabelStackModifier`] with every write and drive
+//! it through every packet, asserting that both give the same stage
+//! cycles, verdict, output stack and performance counters.
 
 use crate::forwarding::{Action, DiscardCause, Forwarding, MplsForwarder, RouterStats};
-use crate::pipeline::{RouterTables, SrPick};
-use mpls_control::{Hop, NodeConfig, NodeId, RouterRole, SrPolicyEntry};
-use mpls_core::modifier::Outcome;
-use mpls_core::{ClockSpec, DiscardReason, IbOperation, LabelStackModifier, Level, RouterType};
+use crate::pipeline::{sr_entries, RouterTables, SrPick};
+#[cfg(debug_assertions)]
+use crate::txn::oracle;
+use crate::txn::{Transaction, TxnModifier};
+use mpls_control::{Hop, NodeConfig, NodeId, RouterRole};
+#[cfg(debug_assertions)]
+use mpls_core::LabelStackModifier;
+use mpls_core::{ClockSpec, DiscardReason, Level, RouterType};
 use mpls_dataplane::LabelOp;
-use mpls_packet::sr::{self, MnaNas};
-use mpls_packet::{label::LabelStackEntry, CosBits, LabelStack, MplsPacket, EMBEDDED_STACK_DEPTH};
-use std::collections::HashSet;
-
-/// Maps control-plane operations onto the hardware encoding.
-fn to_ib_op(op: LabelOp) -> IbOperation {
-    match op {
-        LabelOp::Nop => IbOperation::Nop,
-        LabelOp::Push => IbOperation::Push,
-        LabelOp::Pop => IbOperation::Pop,
-        LabelOp::Swap => IbOperation::Swap,
-    }
-}
+use mpls_packet::sr;
+use mpls_packet::EMBEDDED_STACK_DEPTH;
+use mpls_packet::{label::LabelStackEntry, CosBits, Label, LabelStack, MplsPacket};
 
 /// Maps hardware discard reasons onto router-level causes.
 fn to_cause(r: DiscardReason) -> DiscardCause {
@@ -43,38 +43,28 @@ fn to_cause(r: DiscardReason) -> DiscardCause {
     }
 }
 
+/// The information-base level a control-plane binding targets.
+fn level_of(level: u8) -> Level {
+    match level {
+        1 => Level::L1,
+        2 => Level::L2,
+        _ => Level::L3,
+    }
+}
+
 /// An MPLS router whose label operations run on the embedded hardware
 /// model.
 #[derive(Debug, Clone)]
 pub struct EmbeddedRouter {
     node: NodeId,
-    rtype: RouterType,
-    modifier: LabelStackModifier,
+    modifier: TxnModifier,
+    /// The clocked modifier, written and driven beside `modifier` and
+    /// checked against it.
+    #[cfg(debug_assertions)]
+    oracle: LabelStackModifier,
     tables: RouterTables,
     clock: ClockSpec,
-    /// Exact packet identifiers already present in level 1.
-    installed_flows: HashSet<u32>,
     stats: RouterStats,
-}
-
-/// Programs a fresh modifier and flow cache from a node configuration.
-fn program(rtype: RouterType, config: &NodeConfig) -> (LabelStackModifier, HashSet<u32>) {
-    let mut modifier = LabelStackModifier::new(rtype);
-    modifier.reset();
-    let mut installed_flows = HashSet::new();
-    for b in &config.bindings {
-        let level = match b.level {
-            1 => Level::L1,
-            2 => Level::L2,
-            _ => Level::L3,
-        };
-        let r = modifier.write_pair(level, b.key, b.new_label, to_ib_op(b.op));
-        debug_assert_eq!(r.outcome, Outcome::Done, "info base overflow at setup");
-        if level == Level::L1 {
-            installed_flows.insert(b.key as u32);
-        }
-    }
-    (modifier, installed_flows)
 }
 
 impl EmbeddedRouter {
@@ -85,26 +75,79 @@ impl EmbeddedRouter {
             RouterRole::Ler => RouterType::Ler,
             RouterRole::Lsr => RouterType::Lsr,
         };
-        let (modifier, installed_flows) = program(rtype, config);
-        Self {
-            node,
-            rtype,
-            modifier,
-            tables: RouterTables::from_config(config),
-            clock,
-            installed_flows,
-            stats: RouterStats::default(),
-        }
+        Self::programmed(node, rtype, config, clock)
     }
 
-    /// The hardware modifier, for inspection.
-    pub fn modifier(&self) -> &LabelStackModifier {
-        &self.modifier
+    /// A router of `rtype` with fresh statistics, its information base
+    /// written from `config`.
+    fn programmed(node: NodeId, rtype: RouterType, config: &NodeConfig, clock: ClockSpec) -> Self {
+        let mut router = Self {
+            node,
+            modifier: TxnModifier::new(rtype),
+            #[cfg(debug_assertions)]
+            oracle: oracle::clocked(rtype),
+            tables: RouterTables::from_config(config),
+            clock,
+            stats: RouterStats::default(),
+        };
+        for b in &config.bindings {
+            let stored = router.write_pair(level_of(b.level), b.key, b.new_label, b.op);
+            debug_assert!(stored, "info base overflow at setup");
+        }
+        router
     }
 
     /// The configured clock.
     pub fn clock(&self) -> ClockSpec {
         self.clock
+    }
+
+    /// `write label pair`; false when the level is full.
+    fn write_pair(&mut self, level: Level, key: u64, label: Label, op: LabelOp) -> bool {
+        let stored = self.modifier.write_pair(level, key, label, op);
+        #[cfg(debug_assertions)]
+        {
+            let r = self
+                .oracle
+                .write_pair(level, key, label, oracle::to_ib_op(op));
+            let clocked_stored = r.outcome == mpls_core::Outcome::Done;
+            assert_eq!(
+                stored, clocked_stored,
+                "node {}: {level} write of key {key} diverged from the clocked modifier",
+                self.node
+            );
+        }
+        stored
+    }
+
+    /// Runs the packet's stack through the modifier.
+    fn transact(
+        &mut self,
+        stack: &mut LabelStack,
+        dst: u32,
+        push_cos: CosBits,
+        ttl: u8,
+    ) -> Transaction {
+        #[cfg(debug_assertions)]
+        let mut clocked_stack = stack.clone();
+        let t = self.modifier.transact(stack, dst, push_cos, ttl);
+        #[cfg(debug_assertions)]
+        {
+            let want = oracle::transact(&mut self.oracle, &mut clocked_stack, dst, push_cos, ttl);
+            assert_eq!(
+                (t, &*stack),
+                (want, &clocked_stack),
+                "node {}: transaction-level modifier diverged from the clocked one",
+                self.node
+            );
+            assert_eq!(
+                self.modifier.perf(),
+                self.oracle.perf(),
+                "node {}: closed-form perf counters diverged from the clocked ones",
+                self.node
+            );
+        }
+        t
     }
 
     fn finish(&mut self, cycles: u64, action: Action) -> Forwarding {
@@ -130,35 +173,19 @@ impl EmbeddedRouter {
         }
     }
 
-    /// Segment-routing ingress. The embedded pipeline can hold at most
-    /// [`EMBEDDED_STACK_DEPTH`] entries, so only source routes compressed
-    /// to fit the entry registers can be assembled here — a deeper stack
-    /// is an inconsistent operation for this hardware, exactly the cost
+    /// Segment-routing ingress of the source route `entries` (top first).
+    /// The embedded pipeline can hold at most [`EMBEDDED_STACK_DEPTH`]
+    /// entries, so only source routes compressed to fit the entry
+    /// registers can be assembled here — a deeper stack is an
+    /// inconsistent operation for this hardware, exactly the cost
     /// boundary the RLD model captures. The assembled stack is delivered
     /// through the ingress module at one `user push` (3 cycles) per entry.
-    fn sr_ingress(&mut self, mut packet: MplsPacket, policy: &SrPolicyEntry) -> Forwarding {
-        if packet.ip.ttl == 0 {
-            return self.finish(0, Action::Discard(DiscardCause::TtlExpired));
-        }
-        let (cos, ttl) = (policy.cos, packet.ip.ttl);
-        let mut entries: Vec<LabelStackEntry> = policy
-            .sids
-            .iter()
-            .map(|&sid| LabelStackEntry::new(sid, cos, false, ttl))
-            .collect();
-        if policy.mna {
-            let nas = MnaNas::new(1, policy.sids.len() as u32).expect("opcode 1 is in range");
-            entries.extend(nas.entries(cos, ttl));
-        }
-        if policy.entropy {
-            let el = sr::entropy_label(packet.ip.src, packet.ip.dst);
-            entries.extend(sr::entropy_entries(el, cos, ttl));
-        }
+    fn sr_ingress(&mut self, mut packet: MplsPacket, entries: &[LabelStackEntry]) -> Forwarding {
         if entries.len() > EMBEDDED_STACK_DEPTH {
             return self.finish(0, Action::Discard(DiscardCause::InconsistentOperation));
         }
         let depth = entries.len() as u64;
-        let stack = LabelStack::from_entries(&entries).expect("depth checked above");
+        let stack = LabelStack::from_entries(entries).expect("depth checked above");
         packet.splice_stack(stack);
         self.stats.peak_stack_depth = self.stats.peak_stack_depth.max(depth);
         let cycles = 3 * depth;
@@ -184,44 +211,18 @@ impl EmbeddedRouter {
         push_cos: CosBits,
         cycles_in: u64,
     ) -> Forwarding {
-        let mut cycles = cycles_in;
         let dst = packet.ip.dst;
-
-        // Ingress packet processing: deliver the label stack to the
-        // modifier, bottom entry first so the hardware stack ends up in
-        // packet order.
-        debug_assert_eq!(self.modifier.stack_depth(), 0, "modifier not drained");
-        for e in packet.stack.entries().iter().rev() {
-            let r = self.modifier.user_push(*e);
-            debug_assert_eq!(r.outcome, Outcome::Done);
-            cycles += r.cycles;
-            self.stats.stage_cycles.load += r.cycles;
-        }
-
-        // The stack update itself.
-        let r = self.modifier.update_stack(dst, push_cos, packet.ip.ttl);
-        cycles += r.cycles;
-        self.stats.stage_cycles.update += r.cycles;
-        let outcome = r.outcome;
-        if let Outcome::Discarded(reason) = outcome {
+        let mut stack = std::mem::take(&mut packet.stack);
+        let t = self.transact(&mut stack, dst, push_cos, packet.ip.ttl);
+        let stages = &mut self.stats.stage_cycles;
+        stages.load += t.load;
+        stages.update += t.update;
+        stages.unload += t.unload;
+        let cycles = cycles_in + t.load + t.update + t.unload;
+        if let Some(reason) = t.discard {
             return self.finish(cycles, Action::Discard(to_cause(reason)));
         }
-
-        // Egress packet processing: drain the modifier and splice the new
-        // stack into the packet.
-        let mut top_first = Vec::with_capacity(self.modifier.stack_depth());
-        while self.modifier.stack_depth() > 0 {
-            let r = self.modifier.user_pop();
-            cycles += r.cycles;
-            self.stats.stage_cycles.unload += r.cycles;
-            match r.outcome {
-                Outcome::Popped(e) => top_first.push(e),
-                other => unreachable!("pop of non-empty stack returned {other:?}"),
-            }
-        }
-        let new_stack =
-            LabelStack::from_entries(&top_first).expect("hardware stack within depth bounds");
-        packet.splice_stack(new_stack);
+        packet.splice_stack(stack);
 
         let top = packet.stack.top().map(|e| e.label);
         // A metadata indicator on top means the last transport segment
@@ -279,8 +280,11 @@ impl MplsForwarder for EmbeddedRouter {
             // hardware push.
             // Segment-routing ingress assembles the whole source route.
             if let Some(policy) = self.tables.sr_classify(dst) {
-                let policy = policy.clone();
-                return self.sr_ingress(packet, &policy);
+                if packet.ip.ttl == 0 {
+                    return self.finish(0, Action::Discard(DiscardCause::TtlExpired));
+                }
+                let entries = sr_entries(policy, &packet.ip);
+                return self.sr_ingress(packet, &entries);
             }
             let Some((push_label, cos)) = self.tables.classify(dst) else {
                 return self.finish(0, Action::Discard(DiscardCause::NoRoute));
@@ -296,16 +300,12 @@ impl MplsForwarder for EmbeddedRouter {
                 return self.finish(0, Action::Discard(DiscardCause::TtlExpired));
             }
             let mut cycles = 0;
-            if !self.installed_flows.contains(&dst) {
-                let r =
-                    self.modifier
-                        .write_pair(Level::L1, dst as u64, push_label, IbOperation::Push);
-                cycles += r.cycles;
-                self.stats.stage_cycles.slow_path += r.cycles;
-                if r.outcome == Outcome::WriteRejected {
+            if !self.modifier.has_flow(dst) {
+                cycles += mpls_core::table6::WRITE_PAIR;
+                self.stats.stage_cycles.slow_path += mpls_core::table6::WRITE_PAIR;
+                if !self.write_pair(Level::L1, dst as u64, push_label, LabelOp::Push) {
                     return self.finish(cycles, Action::Discard(DiscardCause::FlowTableFull));
                 }
-                self.installed_flows.insert(dst);
                 self.stats.flow_installs += 1;
             }
             return self.mpls_path(packet, cos, cycles);
@@ -319,21 +319,24 @@ impl MplsForwarder for EmbeddedRouter {
     }
 
     fn reprogram(&mut self, config: &NodeConfig) {
-        // Rebuild the information base and flow cache from scratch —
-        // stale level-1 flow entries must not survive a reroute, or they
-        // would keep pushing labels of a torn-down LSP. Statistics carry
-        // over: reconvergence does not reset counters, and the hardware
-        // performance counter block (if attached) survives the rebuild.
-        let perf = self.modifier.take_perf();
-        let (modifier, installed_flows) = program(self.rtype, config);
-        self.modifier = modifier;
-        self.modifier.set_perf(perf);
-        self.installed_flows = installed_flows;
-        self.tables = RouterTables::from_config(config);
+        // Rebuild the information base from scratch — stale level-1 flow
+        // entries must not survive a reroute, or they would keep pushing
+        // labels of a torn-down LSP. Statistics carry over: reconvergence
+        // does not reset counters, and the performance counter block (if
+        // attached) survives the rebuild.
+        let rtype = self.modifier.router_type();
+        let mut fresh = Self::programmed(self.node, rtype, config, self.clock);
+        fresh.modifier.set_perf(self.modifier.take_perf());
+        #[cfg(debug_assertions)]
+        fresh.oracle.set_perf(self.oracle.take_perf());
+        fresh.stats = self.stats;
+        *self = fresh;
     }
 
     fn enable_perf(&mut self) {
         self.modifier.enable_perf();
+        #[cfg(debug_assertions)]
+        self.oracle.enable_perf();
     }
 
     fn core_perf(&self) -> Option<&mpls_core::CorePerf> {
@@ -499,9 +502,8 @@ mod tests {
         p.splice_stack(s);
         let out = r.handle(p);
         assert_eq!(out.action, Action::Discard(DiscardCause::NoEntryFound));
-        // The modifier must be drained for the next packet even after a
-        // discard (the discard path resets the stack).
-        assert_eq!(r.modifier().stack_depth(), 0);
+        // Search miss over the one level-2 pair, after loading one entry.
+        assert_eq!(r.stats().total_cycles, 3 + 3 + 7);
     }
 
     #[test]
@@ -600,6 +602,47 @@ mod tests {
             }
             other => panic!("expected forward, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn full_flow_table_discards_new_flows_and_keeps_installed_ones() {
+        let mut cp = ControlPlane::new(Topology::figure1_example());
+        let fec = Prefix::new(parse_addr("10.8.0.0").unwrap(), 16);
+        cp.establish_lsp(LspRequest::best_effort(0, 1, fec))
+            .unwrap();
+        let mut r = EmbeddedRouter::new(
+            0,
+            RouterRole::Ler,
+            &cp.config_for(0),
+            ClockSpec::STRATIX_50MHZ,
+        );
+        let dst = |i: usize| format!("10.8.{}.{}", i / 256, i % 256);
+        for i in 0..mpls_core::LEVEL_CAPACITY {
+            let out = r.handle(packet_to(&dst(i)));
+            assert!(
+                matches!(out.action, Action::Forward { next: 2, .. }),
+                "flow {i}"
+            );
+        }
+        assert_eq!(r.stats().flow_installs, 1024);
+
+        // Level 1 is full: the write is rejected after its 3 cycles.
+        let before = r.stats();
+        let out = r.handle(packet_to(&dst(1024)));
+        assert_eq!(out.action, Action::Discard(DiscardCause::FlowTableFull));
+        assert_eq!(out.latency_ns, 60);
+        let after = r.stats();
+        assert_eq!(
+            after.stage_cycles.slow_path - before.stage_cycles.slow_path,
+            3
+        );
+        assert_eq!(after.total_cycles - before.total_cycles, 3);
+        assert_eq!(after.flow_installs, 1024);
+
+        // An installed flow still hits: search at rank 8, push, unload.
+        let out = r.handle(packet_to(&dst(7)));
+        assert!(matches!(out.action, Action::Forward { next: 2, .. }));
+        assert_eq!(out.latency_ns, 20 * (3 * 8 + 5 + 6 + 3));
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //!
 //! Two interchangeable routers implement [`MplsForwarder`]:
 //!
-//! * [`EmbeddedRouter`] — hosts the cycle-accurate label stack modifier;
-//!   per-packet latency is the exact cycle count at a configurable clock.
+//! * [`EmbeddedRouter`] — hosts the label stack modifier at transaction
+//!   level ([`txn::TxnModifier`]): per-packet latency is the exact cycle
+//!   count of the cycle-accurate model, computed from Table 6, at a
+//!   configurable clock.
 //!   Because the hardware can only match exact 32-bit packet identifiers,
 //!   its ingress runs a *flow cache*: the first packet of a flow takes a
 //!   software-assisted slow path that installs the exact level-1 pair
@@ -27,6 +29,7 @@ pub mod forwarding;
 pub mod kind;
 pub mod pipeline;
 pub mod software;
+pub mod txn;
 
 pub use embedded::EmbeddedRouter;
 pub use forwarding::{

@@ -10,9 +10,33 @@ use mpls_control::{Hop, NodeConfig, NodeId, SrPolicyEntry};
 use mpls_dataplane::ftn::{Prefix, PrefixFtn};
 use mpls_dataplane::LabelBinding;
 use mpls_packet::label::LabelStackEntry;
-use mpls_packet::sr::{self, EntropyScan};
-use mpls_packet::{CosBits, Label};
+use mpls_packet::sr::{self, EntropyScan, MnaNas};
+use mpls_packet::{CosBits, Ipv4Header, Label};
 use std::collections::HashMap;
+
+/// The source route a segment-routing `policy` imposes on a packet with
+/// IP header `ip`, top first: the policy's SIDs, then the MNA sub-stack
+/// and the entropy pair when the policy asks for them, every entry with
+/// the policy's CoS and the packet's TTL.
+pub fn sr_entries(policy: &SrPolicyEntry, ip: &Ipv4Header) -> Vec<LabelStackEntry> {
+    let (cos, ttl) = (policy.cos, ip.ttl);
+    let mut entries: Vec<LabelStackEntry> = policy
+        .sids
+        .iter()
+        .map(|&sid| LabelStackEntry::new(sid, cos, false, ttl))
+        .collect();
+    if policy.mna {
+        // The one in-stack action carried here attests the transport
+        // segment count; the ancillary LSE carries that count as data.
+        let nas = MnaNas::new(1, policy.sids.len() as u32).expect("opcode 1 is in range");
+        entries.extend(nas.entries(cos, ttl));
+    }
+    if policy.entropy {
+        let el = sr::entropy_label(ip.src, ip.dst);
+        entries.extend(sr::entropy_entries(el, cos, ttl));
+    }
+    entries
+}
 
 /// How an egress resolution picked its next hop — the router folds this
 /// into its per-node SR counters.

@@ -9,11 +9,11 @@
 //! benchmarks also measure real host time separately.
 
 use crate::forwarding::{Action, DiscardCause, Forwarding, MplsForwarder, RouterStats};
-use crate::pipeline::{RouterTables, SrPick};
-use mpls_control::{Hop, NodeConfig, NodeId, RouterRole, SrPolicyEntry};
+use crate::pipeline::{sr_entries, RouterTables, SrPick};
+use mpls_control::{Hop, NodeConfig, NodeId, RouterRole};
 use mpls_dataplane::fib::FibLevel;
 use mpls_dataplane::{Discard, LookupStrategy, ProcessResult, SoftwareForwarder, SwRouterType};
-use mpls_packet::sr::{self, MnaNas};
+use mpls_packet::sr;
 use mpls_packet::{label::LabelStackEntry, CosBits, LabelStack, MplsPacket};
 use serde::{Deserialize, Serialize};
 
@@ -142,32 +142,12 @@ impl<S: LookupStrategy> SoftwareRouter<S> {
         }
     }
 
-    /// Segment-routing ingress: assembles the full source-route stack in
-    /// one pass — transport SIDs on top, then the optional MNA sub-stack,
-    /// then the optional entropy pair at the bottom — and resolves the
-    /// first hop (possibly over an ECMP fan-out).
-    fn sr_ingress(&mut self, mut packet: MplsPacket, policy: &SrPolicyEntry) -> Forwarding {
-        if packet.ip.ttl == 0 {
-            return self.finish(1, Action::Discard(DiscardCause::TtlExpired));
-        }
-        let (cos, ttl) = (policy.cos, packet.ip.ttl);
-        let mut entries: Vec<LabelStackEntry> = policy
-            .sids
-            .iter()
-            .map(|&sid| LabelStackEntry::new(sid, cos, false, ttl))
-            .collect();
-        if policy.mna {
-            // The one in-stack action carried here attests the transport
-            // segment count; the ancillary LSE carries that count as data.
-            let nas = MnaNas::new(1, policy.sids.len() as u32).expect("opcode 1 is in range");
-            entries.extend(nas.entries(cos, ttl));
-        }
-        if policy.entropy {
-            let el = sr::entropy_label(packet.ip.src, packet.ip.dst);
-            entries.extend(sr::entropy_entries(el, cos, ttl));
-        }
+    /// Segment-routing ingress of the source route `entries` (top first,
+    /// see [`sr_entries`]): splices the stack in one pass and resolves
+    /// the first hop (possibly over an ECMP fan-out).
+    fn sr_ingress(&mut self, mut packet: MplsPacket, entries: &[LabelStackEntry]) -> Forwarding {
         let depth = entries.len() as u64;
-        let Ok(stack) = LabelStack::from_entries(&entries) else {
+        let Ok(stack) = LabelStack::from_entries(entries) else {
             return self.finish(1, Action::Discard(DiscardCause::InconsistentOperation));
         };
         packet.splice_stack(stack);
@@ -212,8 +192,11 @@ impl<S: LookupStrategy> MplsForwarder for SoftwareRouter<S> {
             // Segment-routing ingress builds the whole source route in one
             // go, bypassing the single-op label forwarder.
             if let Some(policy) = self.tables.sr_classify(dst) {
-                let policy = policy.clone();
-                return self.sr_ingress(packet, &policy);
+                if packet.ip.ttl == 0 {
+                    return self.finish(1, Action::Discard(DiscardCause::TtlExpired));
+                }
+                let entries = sr_entries(policy, &packet.ip);
+                return self.sr_ingress(packet, &entries);
             }
             // Software ingress classifies by longest-prefix match
             // directly — no exact-match flow cache needed.

@@ -55,7 +55,7 @@ impl Gauge {
 /// merged shard deltas and golden snapshots stable. Bounds are fixed at
 /// registration, so recording is a binary search plus an increment — no
 /// reallocation on the hot path.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Histogram {
     bounds: Vec<u64>,
     /// `bounds.len() + 1` entries; the last is the overflow bucket.
