@@ -12,8 +12,8 @@ use mpls_net::policer::PolicerSpec;
 use mpls_net::subscriber::{SlaClass, SubscriberModel};
 use mpls_net::traffic::{ClosedLoopSpec, FlowSpec, TrafficPattern};
 use mpls_net::{
-    FaultPlan, LdpConfig, QueueDiscipline, RecoveryMode, RestorationPolicy, RouterKind, Simulation,
-    TelemetryConfig,
+    FaultPlan, LdpConfig, QueueDiscipline, RecoveryMode, RestorationPolicy, RouterKind, ScaleError,
+    Simulation, TelemetryConfig,
 };
 use mpls_packet::ipv4::parse_addr;
 use mpls_packet::{CosBits, Ipv4Header};
@@ -386,7 +386,9 @@ fn default_scale_delay_us() -> u64 {
 
 impl TopologyDecl {
     /// Resolves to the streaming generator's spec; `seed` is the
-    /// scenario seed, so the whole workload derives from it.
+    /// scenario seed, so the whole workload derives from it. A field the
+    /// generator cannot honor ([`mpls_net::ScaleSpec::check`]) is an
+    /// invalid scenario naming that field.
     pub fn to_spec(&self, seed: u64) -> Result<mpls_net::ScaleSpec, ScenarioError> {
         let owner = "topology";
         require_gap(owner, "flow_interval_us", self.flow_interval_us)?;
@@ -406,7 +408,7 @@ impl TopologyDecl {
                 )))
             }
         };
-        Ok(mpls_net::ScaleSpec {
+        let spec = mpls_net::ScaleSpec {
             family,
             lsps_total: self.lsps_total,
             tunnel_strides: self.tunnel_strides,
@@ -418,7 +420,10 @@ impl TopologyDecl {
             bandwidth_bps: scaled(owner, "bandwidth_mbps", self.bandwidth_mbps, BPS_PER_MBPS)?,
             delay_ns: scaled(owner, "delay_us", self.delay_us, NS_PER_US)?,
             seed,
-        })
+        };
+        spec.check()
+            .map_err(|e| ScenarioError::Invalid(format!("{owner}: {e}")))?;
+        Ok(spec)
     }
 }
 
@@ -1179,10 +1184,10 @@ impl Scenario {
                         .into(),
                 ));
             }
-            let w = t
-                .to_spec(self.seed)?
-                .build()
-                .map_err(|e| ScenarioError::Signal(format!("scale workload: {e:?}")))?;
+            let w = t.to_spec(self.seed)?.build().map_err(|e| match e {
+                ScaleError::Field { .. } => ScenarioError::Invalid(format!("topology: {e}")),
+                ScaleError::Signal(e) => ScenarioError::Signal(format!("scale workload: {e:?}")),
+            })?;
             return Ok(w.cp);
         }
         if self.nodes.is_empty() {
@@ -1898,7 +1903,7 @@ mod tests {
     fn fields_a_run_cannot_honor_are_rejected() {
         type Mutation = fn(&mut Scenario);
         const HUGE: u64 = 1 << 62;
-        let cases: [(&str, Mutation, &str); 17] = [
+        let cases: [(&str, Mutation, &str); 26] = [
             (
                 EXAMPLE,
                 |sc| sc.flows[0].pattern = PatternDecl::Cbr { interval_us: 0 },
@@ -1989,6 +1994,59 @@ mod tests {
                 SCALE_SMOKE,
                 |sc| sc.topology.as_mut().unwrap().payload_bytes = 100_000,
                 "topology: payload_bytes 100000 exceeds 65515",
+            ),
+            (
+                SCALE_SMOKE,
+                |sc| sc.topology.as_mut().unwrap().tunnel_strides = 0,
+                "topology: tunnel_strides 0 must be from 1 to 30 for 32 anchors",
+            ),
+            (
+                SCALE_SMOKE,
+                |sc| sc.topology.as_mut().unwrap().lsps_total = 0,
+                "topology: lsps_total must be at least 1",
+            ),
+            (
+                SCALE_SMOKE,
+                |sc| sc.topology.as_mut().unwrap().k = 0,
+                "topology: k 0 must be an even number of at least 4",
+            ),
+            (
+                SCALE_SMOKE,
+                |sc| sc.topology.as_mut().unwrap().k = 1,
+                "topology: k 1 must be an even number of at least 4",
+            ),
+            (
+                SCALE_SMOKE,
+                |sc| sc.topology.as_mut().unwrap().k = 2,
+                "topology: k 2 must be an even number of at least 4",
+            ),
+            (
+                SCALE_SMOKE,
+                |sc| sc.topology.as_mut().unwrap().k = 3,
+                "topology: k 3 must be an even number of at least 4",
+            ),
+            (
+                SCALE_SMOKE,
+                |sc| sc.topology.as_mut().unwrap().lers_per_edge = 0,
+                "topology: lers_per_edge must be at least 1",
+            ),
+            (
+                SCALE_SMOKE,
+                |sc| {
+                    let t = sc.topology.as_mut().unwrap();
+                    t.family = "ring_of_rings".into();
+                    t.rings = 0;
+                },
+                "topology: rings 0 must be at least 4",
+            ),
+            (
+                SCALE_SMOKE,
+                |sc| {
+                    let t = sc.topology.as_mut().unwrap();
+                    t.family = "ring_of_rings".into();
+                    t.ring_size = 0;
+                },
+                "topology: ring_size 0 must be at least 2",
             ),
             (
                 EXAMPLE,

@@ -89,16 +89,18 @@ fn declarations_the_engine_cannot_build_are_rejected() {
 
 /// One-field mutations that `run` could honor only by never ending, by
 /// wrapping a unit conversion or by silently changing the value, and
-/// values (in the file or on the command line) that `run` cannot use:
-/// `validate` refuses each with exit 1 and an error naming the field,
-/// just as `run` does.
+/// values (in the file or on the command line) that `run` cannot use,
+/// such as a `topology:` section the generator cannot build: `validate`
+/// refuses each with exit 1 and an error naming the field, just as
+/// `run` does.
 #[test]
 fn fields_a_run_cannot_honor_are_rejected() {
     let scale = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/scale_smoke.json");
     let stop = r#""flow_stop_ms": 10"#;
     let seed = r#""seed": 7"#;
     let bogus = r#"unknown control mode "bogus""#;
-    let mutations: [(&str, &str, &str, &[&str], &str); 11] = [
+    let family = r#""family": "fat_tree""#;
+    let mutations: [(&str, &str, &str, &[&str], &str); 20] = [
         (
             EXAMPLE,
             r#""interval_us": 2000"#,
@@ -170,6 +172,45 @@ fn fields_a_run_cannot_honor_are_rejected() {
             "shards must be at least 1",
         ),
         (EXAMPLE, seed, seed, &["--control", "bogus"], bogus),
+        (
+            scale,
+            r#""tunnel_strides": 4"#,
+            r#""tunnel_strides": 0"#,
+            &[],
+            "topology: tunnel_strides 0",
+        ),
+        (
+            scale,
+            r#""lsps_total": 64000"#,
+            r#""lsps_total": 0"#,
+            &[],
+            "topology: lsps_total",
+        ),
+        (scale, r#""k": 8"#, r#""k": 0"#, &[], "topology: k 0"),
+        (scale, r#""k": 8"#, r#""k": 1"#, &[], "topology: k 1"),
+        (scale, r#""k": 8"#, r#""k": 2"#, &[], "topology: k 2"),
+        (scale, r#""k": 8"#, r#""k": 3"#, &[], "topology: k 3"),
+        (
+            scale,
+            r#""lers_per_edge": 5"#,
+            r#""lers_per_edge": 0"#,
+            &[],
+            "topology: lers_per_edge",
+        ),
+        (
+            scale,
+            family,
+            r#""family": "ring_of_rings", "rings": 0"#,
+            &[],
+            "topology: rings 0",
+        ),
+        (
+            scale,
+            family,
+            r#""family": "ring_of_rings", "ring_size": 0"#,
+            &[],
+            "topology: ring_size 0",
+        ),
     ];
     for (i, (file, from, to, flags, named)) in mutations.into_iter().enumerate() {
         let text = std::fs::read_to_string(file).expect("scenario readable");

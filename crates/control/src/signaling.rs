@@ -30,7 +30,8 @@ use crate::topology::{LinkId, NodeId, RouterRole, Topology};
 use mpls_dataplane::ftn::Prefix;
 use mpls_dataplane::LabelOp;
 use mpls_packet::{CosBits, Label};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// LSP identifier.
 pub type LspId = u32;
@@ -104,7 +105,7 @@ pub enum SignalError {
 }
 
 /// A fully signaled LSP: its logical path, per-hop labels, and the
-/// forwarding state it contributed.
+/// nodes it holds forwarding state at.
 #[derive(Debug, Clone)]
 pub struct SignaledLsp {
     /// Identifier.
@@ -117,14 +118,9 @@ pub struct SignaledLsp {
     pub hop_labels: Vec<Label>,
     /// Physical links reserved.
     pub reserved_links: Vec<LinkId>,
-    bindings: Vec<BindingEntry>,
-    next_hops: Vec<NextHopEntry>,
-    fecs: Vec<FecEntry>,
-    ip_routes: Vec<IpRoute>,
-    /// Pre-signaled but not steering traffic: transit state is installed,
-    /// ingress classification is withheld until activation (see
-    /// [`ControlPlane::protect_lsp`]).
-    standby: bool,
+    /// Nodes whose per-node store holds entries of this LSP, in the
+    /// order it first wrote to them; teardown removes its entries there.
+    nodes: Vec<NodeId>,
 }
 
 /// A signaled hierarchical tunnel (an LSP between two core nodes carrying
@@ -145,13 +141,11 @@ pub struct Tunnel {
     pub hop_labels: Vec<Label>,
     /// Physical links reserved.
     pub reserved_links: Vec<LinkId>,
-    bindings: Vec<BindingEntry>,
-    next_hops: Vec<NextHopEntry>,
 }
 
-/// The tunnel facts `build_lsp_state` needs at the head of an LSP that
-/// rides a tunnel — resolved once by the caller so state generation
-/// never scans the tunnel table.
+/// The tunnel facts LSP state generation needs at the head of an LSP
+/// that rides a tunnel — resolved once by the caller so generation never
+/// scans the tunnel table.
 #[derive(Debug, Clone, Copy)]
 struct TunnelHop {
     head: NodeId,
@@ -161,34 +155,103 @@ struct TunnelHop {
     entry_label: Label,
 }
 
+/// One forwarding entry of the per-node store: a label pair, a next
+/// hop, an ingress classification or an unlabeled route, as
+/// [`ControlPlane::config_for`] hands it to the data plane.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Entry {
+    Binding(BindingEntry),
+    NextHop(NextHopEntry),
+    Fec(FecEntry),
+    IpRoute(IpRoute),
+}
+
+impl Entry {
+    /// The node the entry programs.
+    fn node(&self) -> NodeId {
+        match self {
+            Entry::Binding(b) => b.node,
+            Entry::NextHop(n) => n.node,
+            Entry::Fec(f) => f.node,
+            Entry::IpRoute(r) => r.node,
+        }
+    }
+
+    /// Appends the entry to the list of its kind in `cfg`.
+    fn add_to(self, cfg: &mut NodeConfig) {
+        match self {
+            Entry::Binding(b) => cfg.bindings.push(b),
+            Entry::NextHop(n) => cfg.next_hops.push(n),
+            Entry::Fec(f) => cfg.fecs.push(f),
+            Entry::IpRoute(r) => cfg.ip_routes.push(r),
+        }
+    }
+}
+
+/// One node's forwarding state: what every LSP and tunnel installed
+/// there, stored contiguously so [`ControlPlane::config_for`] is one walk.
+///
+/// **Order is insert rank.** An LSP appends all of its entries at install
+/// time, in generation order, and LSP ids are monotonic and never reused,
+/// so `lsps` is sorted by id with each LSP's entries contiguous; teardown
+/// removes an LSP's entries without reordering the rest. Tunnels (never
+/// torn down) keep a list of their own, because `config_for` emits every
+/// LSP entry before any tunnel entry — tunnels are signaled first on the
+/// scale fabrics, so one install-order list would reorder the FIB.
+#[derive(Debug, Clone, Default)]
+struct NodeState {
+    /// `(LSP id, entry)`, ascending by id.
+    lsps: Vec<(LspId, Entry)>,
+    /// Tunnel entries, ascending by tunnel id.
+    tunnels: Vec<Entry>,
+}
+
 /// The control plane: owns the topology, the label space, the bandwidth
 /// ledger and all signaled state.
+///
+/// # Copy-on-write
+///
+/// The tables that grow with the LSP count — the LSPs, the tunnels, the
+/// per-node store and the shortest-path-tree cache — and the immutable
+/// topology sit behind [`Arc`]. Cloning a plane bumps their reference
+/// counts and copies only the small tables (label allocator, link
+/// reservations, attached prefixes, failed links, protection pairs and
+/// standby LSPs), so a simulation can own the plane it was built from
+/// for the price of a few pointers. Every write goes through
+/// [`Arc::make_mut`], which copies a table on the first write to it
+/// while it is shared: mutating one plane never changes another, and a
+/// plane that is never mutated copies nothing.
 #[derive(Debug, Clone)]
 pub struct ControlPlane {
-    topo: Topology,
+    topo: Arc<Topology>,
     alloc: LabelAllocator,
     reserved: HashMap<LinkId, u64>,
-    lsps: HashMap<LspId, SignaledLsp>,
-    tunnels: HashMap<TunnelId, Tunnel>,
+    lsps: Arc<HashMap<LspId, SignaledLsp>>,
+    tunnels: Arc<HashMap<TunnelId, Tunnel>>,
     attached: Vec<IpRoute>,
-    failed_links: std::collections::HashSet<LinkId>,
+    failed_links: HashSet<LinkId>,
     /// Primary LSP -> its pre-signaled standby backup.
     backups: HashMap<LspId, LspId>,
+    /// LSPs whose ingress steering is withheld: pre-signaled backups and
+    /// retired husks (see [`Self::protect_lsp`], [`Self::retire_lsp`]).
+    standby: HashSet<LspId>,
     next_lsp: LspId,
     next_tunnel: TunnelId,
     /// Delta-CSPF cache: one incrementally repaired shortest-path tree
     /// per head end that has signaled an unconstrained request. Repaired
     /// in place on `fail_link`/`restore_link`.
-    spt_cache: HashMap<NodeId, SptTree>,
+    spt_cache: Arc<HashMap<NodeId, SptTree>>,
     /// The canonical-parent equivalence behind the cache requires every
     /// link cost ≥ 1 (see [`crate::spt`]); computed once — the topology
     /// is immutable after construction.
     spt_cacheable: bool,
-    /// Node -> ids of LSPs with state at that node, ascending. Makes
+    /// Node -> its forwarding state (see [`NodeState`]). Makes
     /// `config_for` O(state at node) instead of O(all LSPs).
-    lsps_by_node: HashMap<NodeId, Vec<LspId>>,
-    /// Node -> ids of tunnels with state at that node, ascending.
-    tunnels_by_node: HashMap<NodeId, Vec<TunnelId>>,
+    node_state: Arc<HashMap<NodeId, NodeState>>,
+    /// The per-LSP aggregation the per-node store replaced, as its
+    /// debug-build oracle.
+    #[cfg(debug_assertions)]
+    oracle: oracle::PerLsp,
 }
 
 impl ControlPlane {
@@ -196,20 +259,22 @@ impl ControlPlane {
     pub fn new(topo: Topology) -> Self {
         let spt_cacheable = topo.links().iter().all(|l| l.cost >= 1);
         Self {
-            topo,
+            topo: Arc::new(topo),
             alloc: LabelAllocator::new(),
             reserved: HashMap::new(),
-            lsps: HashMap::new(),
-            tunnels: HashMap::new(),
+            lsps: Arc::default(),
+            tunnels: Arc::default(),
             attached: Vec::new(),
-            failed_links: std::collections::HashSet::new(),
+            failed_links: HashSet::new(),
             backups: HashMap::new(),
+            standby: HashSet::new(),
             next_lsp: 1,
             next_tunnel: 1,
-            spt_cache: HashMap::new(),
+            spt_cache: Arc::default(),
             spt_cacheable,
-            lsps_by_node: HashMap::new(),
-            tunnels_by_node: HashMap::new(),
+            node_state: Arc::default(),
+            #[cfg(debug_assertions)]
+            oracle: oracle::PerLsp::default(),
         }
     }
 
@@ -251,16 +316,17 @@ impl ControlPlane {
     /// until [`Self::reroute_lsp`] or [`Self::teardown_lsp`] is called —
     /// mirroring how a head end learns of a failure and re-signals.
     ///
-    /// **Scope:** this mutates only the control plane. A
-    /// `mpls_net::Simulation` clones the control plane when it is built,
-    /// so calling `fail_link` on the original afterwards does not affect
-    /// that simulation — schedule runtime failures through the
-    /// simulator's `FaultPlan` instead, which drives this method on its
-    /// own clone at fault-detection time.
+    /// **Scope:** this mutates only this control plane. A
+    /// `mpls_net::Simulation` shares the plane it was built from
+    /// copy-on-write, so calling `fail_link` on the original afterwards
+    /// copies the tables it writes and does not affect that simulation —
+    /// schedule runtime failures through the simulator's `FaultPlan`
+    /// instead, which drives this method on the simulation's own plane
+    /// at fault-detection time.
     pub fn fail_link(&mut self, link: LinkId) -> Vec<LspId> {
         if self.failed_links.insert(link) {
             let (topo, failed) = (&self.topo, &self.failed_links);
-            for tree in self.spt_cache.values_mut() {
+            for tree in Arc::make_mut(&mut self.spt_cache).values_mut() {
                 tree.link_down(topo, link, &|l| !failed.contains(&l));
             }
         }
@@ -278,7 +344,7 @@ impl ControlPlane {
     pub fn restore_link(&mut self, link: LinkId) {
         if self.failed_links.remove(&link) {
             let (topo, failed) = (&self.topo, &self.failed_links);
-            for tree in self.spt_cache.values_mut() {
+            for tree in Arc::make_mut(&mut self.spt_cache).values_mut() {
                 tree.link_up(topo, link, &|l| !failed.contains(&l));
             }
         }
@@ -319,7 +385,7 @@ impl ControlPlane {
             .get(&primary)
             .ok_or(SignalError::UnknownLsp(primary))?;
         let mut request = p.request.clone();
-        let avoid: std::collections::HashSet<LinkId> = p.reserved_links.iter().copied().collect();
+        let avoid: HashSet<LinkId> = p.reserved_links.iter().copied().collect();
         // A disjoint path must avoid every link of the primary as well as
         // anything already failed.
         let path = self.cspf_excluding(
@@ -330,7 +396,9 @@ impl ControlPlane {
         )?;
         request.explicit_route = Some(path);
         let id = self.establish_lsp(request)?;
-        self.lsps.get_mut(&id).expect("just established").standby = true;
+        self.standby.insert(id);
+        #[cfg(debug_assertions)]
+        self.oracle.set_standby(id, true);
         self.backups.insert(primary, id);
         Ok(id)
     }
@@ -342,7 +410,7 @@ impl ControlPlane {
 
     /// True while `id` is a standby (pre-signaled, not steering traffic).
     pub fn lsp_is_standby(&self, id: LspId) -> bool {
-        self.lsps.get(&id).map(|l| l.standby).unwrap_or(false)
+        self.standby.contains(&id)
     }
 
     /// True when none of the LSP's reserved links is failed.
@@ -364,10 +432,15 @@ impl ControlPlane {
     /// afterwards (the head end reprograms).
     pub fn activate_backup(&mut self, primary: LspId) -> Option<LspId> {
         let backup = self.backups.remove(&primary)?;
-        self.lsps.get_mut(&backup)?.standby = false;
-        if let Some(p) = self.lsps.get_mut(&primary) {
-            p.standby = true;
+        if !self.lsps.contains_key(&backup) {
+            return None;
         }
+        self.standby.remove(&backup);
+        if self.lsps.contains_key(&primary) {
+            self.standby.insert(primary);
+        }
+        #[cfg(debug_assertions)]
+        self.oracle.activate(primary, backup);
         Some(backup)
     }
 
@@ -384,10 +457,12 @@ impl ControlPlane {
     /// forwarding entries. Used for make-before-break switchover — the
     /// husk is torn down once the pipeline has drained.
     pub fn retire_lsp(&mut self, id: LspId) -> Result<(), SignalError> {
-        self.lsps
-            .get_mut(&id)
-            .ok_or(SignalError::UnknownLsp(id))?
-            .standby = true;
+        if !self.lsps.contains_key(&id) {
+            return Err(SignalError::UnknownLsp(id));
+        }
+        self.standby.insert(id);
+        #[cfg(debug_assertions)]
+        self.oracle.set_standby(id, true);
         Ok(())
     }
 
@@ -416,44 +491,40 @@ impl ControlPlane {
 
     /// Aggregates the forwarding configuration for one node across every
     /// signaled LSP, tunnel and attachment.
+    ///
+    /// The order of each list is the insert rank its FIB gives every key,
+    /// so it is fixed: LSP entries by ascending LSP id, each LSP's entries
+    /// of one kind in the order it generated them; then tunnel entries by
+    /// ascending tunnel id; then the attached routes in declaration order.
+    /// The per-node store holds the LSP and tunnel entries in exactly
+    /// that order (see [`NodeState`]), so this is one walk over the
+    /// node's own state.
     pub fn config_for(&self, node: NodeId) -> NodeConfig {
         let mut cfg = NodeConfig::default();
-        // The per-node index lists ids ascending (ids are monotonic and
-        // appended at install time), so the aggregation order — and the
-        // resulting first-binding-wins FIB — is identical to walking
-        // every LSP sorted by id, at O(state at this node).
-        static NO_LSPS: Vec<LspId> = Vec::new();
-        let lsp_ids = self.lsps_by_node.get(&node).unwrap_or(&NO_LSPS);
-        for id in lsp_ids {
-            let lsp = &self.lsps[id];
-            // A standby backup keeps its transit state (levels 2/3 and
-            // next hops) installed so failover is head-end-only, but its
-            // ingress steering — FEC classification and exact level-1
-            // pairs — stays out until activation.
-            cfg.bindings.extend(
-                lsp.bindings
-                    .iter()
-                    .filter(|b| b.node == node && !(lsp.standby && b.level == 1)),
-            );
-            cfg.next_hops
-                .extend(lsp.next_hops.iter().filter(|n| n.node == node));
-            if !lsp.standby {
-                cfg.fecs.extend(lsp.fecs.iter().filter(|f| f.node == node));
+        if let Some(state) = self.node_state.get(&node) {
+            for &(id, entry) in &state.lsps {
+                // A standby keeps its transit state (levels 2/3 and next
+                // hops) installed so failover is head-end-only, but its
+                // ingress steering — FEC classification and exact
+                // level-1 pairs — stays out until activation.
+                match entry {
+                    Entry::Binding(b) if b.level == 1 && self.lsp_is_standby(id) => {}
+                    Entry::Fec(_) if self.lsp_is_standby(id) => {}
+                    _ => entry.add_to(&mut cfg),
+                }
             }
-            cfg.ip_routes
-                .extend(lsp.ip_routes.iter().filter(|r| r.node == node));
-        }
-        static NO_TUNNELS: Vec<TunnelId> = Vec::new();
-        let tunnel_ids = self.tunnels_by_node.get(&node).unwrap_or(&NO_TUNNELS);
-        for id in tunnel_ids {
-            let t = &self.tunnels[id];
-            cfg.bindings
-                .extend(t.bindings.iter().filter(|b| b.node == node));
-            cfg.next_hops
-                .extend(t.next_hops.iter().filter(|n| n.node == node));
+            for &entry in &state.tunnels {
+                entry.add_to(&mut cfg);
+            }
         }
         cfg.ip_routes
             .extend(self.attached.iter().filter(|r| r.node == node));
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            cfg,
+            self.oracle.config_for(node, &self.attached),
+            "the per-node store diverged from the per-LSP oracle at node {node}"
+        );
         cfg
     }
 
@@ -465,8 +536,8 @@ impl ControlPlane {
         self.check_ler(request.egress)?;
         let path = self.resolve_route(&request)?;
         let links = self.reserve_path(&path, request.bandwidth_bps)?;
-        match self.build_lsp_state(&request, &path, None) {
-            Ok(lsp_state) => Ok(self.install_lsp(request, path, links, lsp_state)),
+        match self.allocate_hop_labels(&request, &path, None) {
+            Ok(labels) => Ok(self.install_lsp(request, path, links, labels, None)),
             Err(e) => {
                 self.release_links(&links, request.bandwidth_bps);
                 Err(e)
@@ -508,8 +579,8 @@ impl ControlPlane {
                 return Err(e);
             }
         }
-        match self.build_lsp_state(&request, &path, Some(hop)) {
-            Ok(state) => Ok(self.install_lsp(request, path, links, state)),
+        match self.allocate_hop_labels(&request, &path, Some(hop)) {
+            Ok(labels) => Ok(self.install_lsp(request, path, links, labels, Some(hop))),
             Err(e) => {
                 self.release_links(&links, request.bandwidth_bps);
                 Err(e)
@@ -556,15 +627,23 @@ impl ControlPlane {
             }
         }
 
-        let mut bindings = Vec::new();
-        let mut next_hops = Vec::new();
+        let id = self.next_tunnel;
+        self.next_tunnel += 1;
+        #[cfg(debug_assertions)]
+        let mut written = Vec::new();
+        let store = Arc::make_mut(&mut self.node_state);
+        let mut put = |entry: Entry| {
+            #[cfg(debug_assertions)]
+            written.push(entry);
+            store.entry(entry.node()).or_default().tunnels.push(entry);
+        };
         // Head: next hop for the entry label (the push binding itself is
         // installed per inner LSP).
-        next_hops.push(NextHopEntry {
+        put(Entry::NextHop(NextHopEntry {
             node: head,
             label: Some(hop_labels[0]),
             next: Hop::Node(path[1]),
-        });
+        }));
         // Interior nodes: depth-2 arrivals -> level 3. The last interior
         // node pops (PHP); the rest swap.
         for i in 1..path.len() - 1 {
@@ -572,46 +651,37 @@ impl ControlPlane {
             let in_label = hop_labels[i - 1];
             let penultimate = i == path.len() - 2;
             if penultimate {
-                bindings.push(BindingEntry {
+                put(Entry::Binding(BindingEntry {
                     node,
                     level: 3,
                     key: in_label.value() as u64,
                     new_label: Label::IPV4_EXPLICIT_NULL,
                     op: LabelOp::Pop,
-                });
+                }));
                 // After the pop the inner label leads; the inner LSPs
                 // install no next hop here, so route the *inner* label via
                 // the tail. We cannot know inner labels in advance, so the
                 // penultimate forwards by its per-inner-label next-hop
                 // entries installed at inner-LSP setup time (see
-                // build_lsp_state's tunnel handling).
+                // lsp_entries' tunnel handling).
             } else {
-                bindings.push(BindingEntry {
+                put(Entry::Binding(BindingEntry {
                     node,
                     level: 3,
                     key: in_label.value() as u64,
                     new_label: hop_labels[i],
                     op: LabelOp::Swap,
-                });
-                next_hops.push(NextHopEntry {
+                }));
+                put(Entry::NextHop(NextHopEntry {
                     node,
                     label: Some(hop_labels[i]),
                     next: Hop::Node(path[i + 1]),
-                });
+                }));
             }
         }
-
-        let id = self.next_tunnel;
-        self.next_tunnel += 1;
-        let nodes: BTreeSet<NodeId> = bindings
-            .iter()
-            .map(|b| b.node)
-            .chain(next_hops.iter().map(|n| n.node))
-            .collect();
-        for node in nodes {
-            self.tunnels_by_node.entry(node).or_default().push(id);
-        }
-        self.tunnels.insert(
+        #[cfg(debug_assertions)]
+        self.oracle.install_tunnel(id, &written);
+        Arc::make_mut(&mut self.tunnels).insert(
             id,
             Tunnel {
                 id,
@@ -621,8 +691,6 @@ impl ControlPlane {
                 entry_label: hop_labels[0],
                 hop_labels,
                 reserved_links: links,
-                bindings,
-                next_hops,
             },
         );
         Ok(id)
@@ -631,23 +699,24 @@ impl ControlPlane {
     /// Tears an LSP down, releasing its bandwidth and labels. Any
     /// protection relationship it participates in is dissolved.
     pub fn teardown_lsp(&mut self, id: LspId) -> Result<(), SignalError> {
-        let lsp = self.lsps.remove(&id).ok_or(SignalError::UnknownLsp(id))?;
+        if !self.lsps.contains_key(&id) {
+            return Err(SignalError::UnknownLsp(id));
+        }
+        let lsp = Arc::make_mut(&mut self.lsps)
+            .remove(&id)
+            .expect("checked above");
         self.backups.remove(&id);
         self.backups.retain(|_, &mut b| b != id);
+        self.standby.remove(&id);
         self.release_links(&lsp.reserved_links, lsp.request.bandwidth_bps);
-        let nodes: BTreeSet<NodeId> = lsp
-            .bindings
-            .iter()
-            .map(|b| b.node)
-            .chain(lsp.next_hops.iter().map(|n| n.node))
-            .chain(lsp.fecs.iter().map(|f| f.node))
-            .chain(lsp.ip_routes.iter().map(|r| r.node))
-            .collect();
-        for node in nodes {
-            if let Some(ids) = self.lsps_by_node.get_mut(&node) {
-                ids.retain(|&l| l != id);
+        let store = Arc::make_mut(&mut self.node_state);
+        for node in &lsp.nodes {
+            if let Some(state) = store.get_mut(node) {
+                state.lsps.retain(|&(l, _)| l != id);
             }
         }
+        #[cfg(debug_assertions)]
+        self.oracle.teardown_lsp(id);
         for l in lsp.hop_labels {
             self.alloc.release(GLOBAL_SPACE, l);
         }
@@ -665,7 +734,7 @@ impl ControlPlane {
     }
 
     fn cspf(&mut self, from: NodeId, to: NodeId, bw: u64) -> Result<Vec<NodeId>, SignalError> {
-        self.cspf_excluding(from, to, bw, &std::collections::HashSet::new())
+        self.cspf_excluding(from, to, bw, &HashSet::new())
     }
 
     fn cspf_excluding(
@@ -673,7 +742,7 @@ impl ControlPlane {
         from: NodeId,
         to: NodeId,
         bw: u64,
-        avoid: &std::collections::HashSet<LinkId>,
+        avoid: &HashSet<LinkId>,
     ) -> Result<Vec<NodeId>, SignalError> {
         // Delta-CSPF fast path: an unconstrained request (no bandwidth
         // floor, no extra exclusions) sees exactly "shortest path over
@@ -689,14 +758,19 @@ impl ControlPlane {
             if self.topo.node(to).is_none() {
                 return Err(SignalError::Path(PathError::UnknownNode(to)));
             }
-            let (topo, failed) = (&self.topo, &self.failed_links);
-            let tree = self
-                .spt_cache
-                .entry(from)
-                .or_insert_with(|| SptTree::build(topo, from, &|l| !failed.contains(&l)));
-            return tree
-                .path(topo, to)
-                .ok_or(SignalError::Path(PathError::NoPath));
+            // A hit only reads the cache; a miss builds the tree and
+            // writes it (copying the cache first if it is shared).
+            let path = match self.spt_cache.get(&from) {
+                Some(tree) => tree.path(&self.topo, to),
+                None => {
+                    let failed = &self.failed_links;
+                    let tree = SptTree::build(&self.topo, from, &|l| !failed.contains(&l));
+                    let path = tree.path(&self.topo, to);
+                    Arc::make_mut(&mut self.spt_cache).insert(from, tree);
+                    path
+                }
+            };
+            return path.ok_or(SignalError::Path(PathError::NoPath));
         }
         // Failed links are excluded outright — a zero-bandwidth
         // (best-effort) request must still avoid them.
@@ -758,27 +832,15 @@ impl ControlPlane {
         }
     }
 
-    /// Allocates labels and generates forwarding state for a (logical)
-    /// path. `tunnel` marks the node that is a tunnel head on this path,
-    /// with the tunnel's entry label and penultimate/tail nodes: at the
-    /// head the LSP *pushes* into the tunnel, and the label is preserved
-    /// across the head–tail hop.
-    #[allow(clippy::type_complexity)]
-    fn build_lsp_state(
+    /// Allocates the labels of a (logical) path. `tunnel` marks the node
+    /// that is a tunnel head on this path: the label is preserved across
+    /// the head–tail hop, so that hop takes no fresh label.
+    fn allocate_hop_labels(
         &mut self,
         request: &LspRequest,
         path: &[NodeId],
         tunnel: Option<TunnelHop>,
-    ) -> Result<
-        (
-            Vec<Label>,
-            Vec<BindingEntry>,
-            Vec<NextHopEntry>,
-            Vec<FecEntry>,
-            Vec<IpRoute>,
-        ),
-        SignalError,
-    > {
+    ) -> Result<Vec<Label>, SignalError> {
         let hops = path.len() - 1;
         // Under PHP the final hop's label is never used — the packet
         // leaves the penultimate node unlabeled — so it is not allocated.
@@ -806,148 +868,37 @@ impl ControlPlane {
                 .map_err(|_| SignalError::LabelSpaceExhausted)?;
             hop_labels.push(l);
         }
-
-        let mut bindings = Vec::new();
-        let mut next_hops = Vec::new();
-        let mut fecs = Vec::new();
-        let mut ip_routes = Vec::new();
-        let last = path.len() - 1;
-
-        // Ingress LER.
-        fecs.push(FecEntry {
-            node: path[0],
-            prefix: request.fec,
-            push_label: hop_labels[0],
-            cos: request.cos,
-        });
-        if request.fec.len == 32 {
-            // Host FEC: the exact level-1 pair can be preinstalled.
-            bindings.push(BindingEntry {
-                node: path[0],
-                level: 1,
-                key: request.fec.addr as u64,
-                new_label: hop_labels[0],
-                op: LabelOp::Push,
-            });
-        }
-        next_hops.push(NextHopEntry {
-            node: path[0],
-            label: Some(hop_labels[0]),
-            next: Hop::Node(path[1]),
-        });
-
-        // Transit nodes.
-        for i in 1..last {
-            let node = path[i];
-            let in_label = hop_labels[i - 1];
-            let is_tunnel_head = tunnel.as_ref().map(|t| t.head == node).unwrap_or(false);
-
-            if is_tunnel_head {
-                // Push into the tunnel; the inner label is preserved.
-                let t = tunnel.as_ref().expect("checked above");
-                bindings.push(BindingEntry {
-                    node,
-                    level: 2,
-                    key: in_label.value() as u64,
-                    new_label: t.entry_label,
-                    op: LabelOp::Push,
-                });
-                // Next hop for the tunnel entry label exists from tunnel
-                // establishment. Additionally, the tunnel's penultimate
-                // node needs to route this inner label to the tail after
-                // its PHP pop.
-                next_hops.push(NextHopEntry {
-                    node: t.penultimate,
-                    label: Some(in_label),
-                    next: Hop::Node(t.tail),
-                });
-                continue;
-            }
-
-            let php_pop = request.php && i == last - 1;
-            if php_pop {
-                bindings.push(BindingEntry {
-                    node,
-                    level: 2,
-                    key: in_label.value() as u64,
-                    new_label: Label::IPV4_EXPLICIT_NULL,
-                    op: LabelOp::Pop,
-                });
-                // After the pop the packet is unlabeled: IP-route it to the
-                // egress.
-                ip_routes.push(IpRoute {
-                    node,
-                    prefix: request.fec,
-                    next: Hop::Node(path[last]),
-                });
-            } else {
-                let out_label = hop_labels[i];
-                bindings.push(BindingEntry {
-                    node,
-                    level: 2,
-                    key: in_label.value() as u64,
-                    new_label: out_label,
-                    op: LabelOp::Swap,
-                });
-                next_hops.push(NextHopEntry {
-                    node,
-                    label: Some(out_label),
-                    next: Hop::Node(path[i + 1]),
-                });
-            }
-        }
-
-        // Egress LER.
-        if !request.php {
-            bindings.push(BindingEntry {
-                node: path[last],
-                level: 2,
-                key: hop_labels[last - 1].value() as u64,
-                new_label: Label::IPV4_EXPLICIT_NULL,
-                op: LabelOp::Pop,
-            });
-        }
-        // The FEC is attached behind the egress: deliver locally once
-        // unlabeled.
-        ip_routes.push(IpRoute {
-            node: path[last],
-            prefix: request.fec,
-            next: Hop::Local,
-        });
-
-        Ok((hop_labels, bindings, next_hops, fecs, ip_routes))
+        Ok(hop_labels)
     }
 
-    #[allow(clippy::type_complexity)]
+    /// Records a signaled LSP under a fresh id and appends its forwarding
+    /// state to the per-node store.
     fn install_lsp(
         &mut self,
         request: LspRequest,
         path: Vec<NodeId>,
         reserved_links: Vec<LinkId>,
-        state: (
-            Vec<Label>,
-            Vec<BindingEntry>,
-            Vec<NextHopEntry>,
-            Vec<FecEntry>,
-            Vec<IpRoute>,
-        ),
+        hop_labels: Vec<Label>,
+        tunnel: Option<TunnelHop>,
     ) -> LspId {
-        let (hop_labels, bindings, next_hops, fecs, ip_routes) = state;
         let id = self.next_lsp;
         self.next_lsp += 1;
-        // Ids are monotonic and never reused, so appending keeps every
-        // per-node list ascending — the order config_for aggregates in.
-        let nodes: BTreeSet<NodeId> = bindings
-            .iter()
-            .map(|b| b.node)
-            .chain(next_hops.iter().map(|n| n.node))
-            .chain(fecs.iter().map(|f| f.node))
-            .chain(ip_routes.iter().map(|r| r.node))
-            .collect();
-        for node in nodes {
-            self.lsps_by_node.entry(node).or_default().push(id);
-        }
-        self.lsps.insert(
+        let mut nodes: Vec<NodeId> = Vec::new();
+        #[cfg(debug_assertions)]
+        let mut written = Vec::new();
+        let store = Arc::make_mut(&mut self.node_state);
+        lsp_entries(&request, &path, &hop_labels, tunnel, |entry| {
+            let node = entry.node();
+            if !nodes.contains(&node) {
+                nodes.push(node);
+            }
+            #[cfg(debug_assertions)]
+            written.push(entry);
+            store.entry(node).or_default().lsps.push((id, entry));
+        });
+        #[cfg(debug_assertions)]
+        self.oracle.install_lsp(id, &written);
+        Arc::make_mut(&mut self.lsps).insert(
             id,
             SignaledLsp {
                 id,
@@ -955,14 +906,242 @@ impl ControlPlane {
                 path,
                 hop_labels,
                 reserved_links,
-                bindings,
-                next_hops,
-                fecs,
-                ip_routes,
-                standby: false,
+                nodes,
             },
         );
         id
+    }
+}
+
+/// Generates the forwarding state of an LSP over a (logical) path with
+/// its allocated labels, handing each entry to `put`. `tunnel` marks the
+/// node that is a tunnel head on this path:
+/// there the LSP *pushes* into the tunnel, and the tunnel's penultimate
+/// node routes the preserved inner label on to the tail.
+fn lsp_entries(
+    request: &LspRequest,
+    path: &[NodeId],
+    hop_labels: &[Label],
+    tunnel: Option<TunnelHop>,
+    mut put: impl FnMut(Entry),
+) {
+    let last = path.len() - 1;
+
+    // Ingress LER.
+    put(Entry::Fec(FecEntry {
+        node: path[0],
+        prefix: request.fec,
+        push_label: hop_labels[0],
+        cos: request.cos,
+    }));
+    if request.fec.len == 32 {
+        // Host FEC: the exact level-1 pair can be preinstalled.
+        put(Entry::Binding(BindingEntry {
+            node: path[0],
+            level: 1,
+            key: request.fec.addr as u64,
+            new_label: hop_labels[0],
+            op: LabelOp::Push,
+        }));
+    }
+    put(Entry::NextHop(NextHopEntry {
+        node: path[0],
+        label: Some(hop_labels[0]),
+        next: Hop::Node(path[1]),
+    }));
+
+    // Transit nodes.
+    for i in 1..last {
+        let node = path[i];
+        let in_label = hop_labels[i - 1];
+
+        if let Some(t) = tunnel.filter(|t| t.head == node) {
+            // Push into the tunnel; the inner label is preserved.
+            put(Entry::Binding(BindingEntry {
+                node,
+                level: 2,
+                key: in_label.value() as u64,
+                new_label: t.entry_label,
+                op: LabelOp::Push,
+            }));
+            // Next hop for the tunnel entry label exists from tunnel
+            // establishment. Additionally, the tunnel's penultimate
+            // node needs to route this inner label to the tail after
+            // its PHP pop.
+            put(Entry::NextHop(NextHopEntry {
+                node: t.penultimate,
+                label: Some(in_label),
+                next: Hop::Node(t.tail),
+            }));
+            continue;
+        }
+
+        let php_pop = request.php && i == last - 1;
+        if php_pop {
+            put(Entry::Binding(BindingEntry {
+                node,
+                level: 2,
+                key: in_label.value() as u64,
+                new_label: Label::IPV4_EXPLICIT_NULL,
+                op: LabelOp::Pop,
+            }));
+            // After the pop the packet is unlabeled: IP-route it to the
+            // egress.
+            put(Entry::IpRoute(IpRoute {
+                node,
+                prefix: request.fec,
+                next: Hop::Node(path[last]),
+            }));
+        } else {
+            let out_label = hop_labels[i];
+            put(Entry::Binding(BindingEntry {
+                node,
+                level: 2,
+                key: in_label.value() as u64,
+                new_label: out_label,
+                op: LabelOp::Swap,
+            }));
+            put(Entry::NextHop(NextHopEntry {
+                node,
+                label: Some(out_label),
+                next: Hop::Node(path[i + 1]),
+            }));
+        }
+    }
+
+    // Egress LER.
+    if !request.php {
+        put(Entry::Binding(BindingEntry {
+            node: path[last],
+            level: 2,
+            key: hop_labels[last - 1].value() as u64,
+            new_label: Label::IPV4_EXPLICIT_NULL,
+            op: LabelOp::Pop,
+        }));
+    }
+    // The FEC is attached behind the egress: deliver locally once
+    // unlabeled.
+    put(Entry::IpRoute(IpRoute {
+        node: path[last],
+        prefix: request.fec,
+        next: Hop::Local,
+    }));
+}
+
+/// The per-LSP aggregation the per-node store replaced, kept in debug
+/// builds as its oracle: every LSP and tunnel holds its own entries by
+/// kind, a per-node index lists the ids with state at each node, and
+/// `config_for` filters each listed LSP's entries down to the node —
+/// the control plane's layout before the per-node store. The plane
+/// feeds it the same entries, teardowns and standby changes it applies
+/// to itself, and `ControlPlane::config_for` asserts that both give the
+/// same configuration, in the same order. Release builds carry none of
+/// it.
+#[cfg(debug_assertions)]
+mod oracle {
+    use super::{Entry, LspId, TunnelId};
+    use crate::config::{IpRoute, NodeConfig};
+    use crate::topology::NodeId;
+    use std::collections::{BTreeSet, HashMap};
+
+    /// One LSP's or tunnel's entries split by kind, as each of them held
+    /// its own state before the per-node store.
+    fn split(entries: &[Entry]) -> NodeConfig {
+        let mut e = NodeConfig::default();
+        for &entry in entries {
+            entry.add_to(&mut e);
+        }
+        e
+    }
+
+    /// The nodes an LSP's or tunnel's entries program.
+    fn nodes(e: &NodeConfig) -> BTreeSet<NodeId> {
+        e.bindings
+            .iter()
+            .map(|b| b.node)
+            .chain(e.next_hops.iter().map(|n| n.node))
+            .chain(e.fecs.iter().map(|f| f.node))
+            .chain(e.ip_routes.iter().map(|r| r.node))
+            .collect()
+    }
+
+    #[derive(Debug, Clone, Default)]
+    pub(super) struct PerLsp {
+        /// LSP id -> its entries and its standby flag.
+        lsps: HashMap<LspId, (NodeConfig, bool)>,
+        /// Node -> ids of LSPs with state there, ascending.
+        lsps_by_node: HashMap<NodeId, Vec<LspId>>,
+        tunnels: HashMap<TunnelId, NodeConfig>,
+        /// Node -> ids of tunnels with state there, ascending.
+        tunnels_by_node: HashMap<NodeId, Vec<TunnelId>>,
+    }
+
+    impl PerLsp {
+        pub(super) fn install_lsp(&mut self, id: LspId, entries: &[Entry]) {
+            let e = split(entries);
+            for node in nodes(&e) {
+                self.lsps_by_node.entry(node).or_default().push(id);
+            }
+            self.lsps.insert(id, (e, false));
+        }
+
+        pub(super) fn install_tunnel(&mut self, id: TunnelId, entries: &[Entry]) {
+            let e = split(entries);
+            for node in nodes(&e) {
+                self.tunnels_by_node.entry(node).or_default().push(id);
+            }
+            self.tunnels.insert(id, e);
+        }
+
+        pub(super) fn teardown_lsp(&mut self, id: LspId) {
+            let (e, _) = self.lsps.remove(&id).expect("oracle knows every LSP");
+            for node in nodes(&e) {
+                if let Some(ids) = self.lsps_by_node.get_mut(&node) {
+                    ids.retain(|&l| l != id);
+                }
+            }
+        }
+
+        pub(super) fn set_standby(&mut self, id: LspId, standby: bool) {
+            self.lsps.get_mut(&id).expect("oracle knows every LSP").1 = standby;
+        }
+
+        /// Fails `primary` over onto `backup`, as the per-LSP flags did.
+        pub(super) fn activate(&mut self, primary: LspId, backup: LspId) {
+            self.set_standby(backup, false);
+            if let Some((_, standby)) = self.lsps.get_mut(&primary) {
+                *standby = true;
+            }
+        }
+
+        pub(super) fn config_for(&self, node: NodeId, attached: &[IpRoute]) -> NodeConfig {
+            let mut cfg = NodeConfig::default();
+            for id in self.lsps_by_node.get(&node).into_iter().flatten() {
+                let (lsp, standby) = &self.lsps[id];
+                cfg.bindings.extend(
+                    lsp.bindings
+                        .iter()
+                        .filter(|b| b.node == node && !(*standby && b.level == 1)),
+                );
+                cfg.next_hops
+                    .extend(lsp.next_hops.iter().filter(|n| n.node == node));
+                if !standby {
+                    cfg.fecs.extend(lsp.fecs.iter().filter(|f| f.node == node));
+                }
+                cfg.ip_routes
+                    .extend(lsp.ip_routes.iter().filter(|r| r.node == node));
+            }
+            for id in self.tunnels_by_node.get(&node).into_iter().flatten() {
+                let t = &self.tunnels[id];
+                cfg.bindings
+                    .extend(t.bindings.iter().filter(|b| b.node == node));
+                cfg.next_hops
+                    .extend(t.next_hops.iter().filter(|n| n.node == node));
+            }
+            cfg.ip_routes
+                .extend(attached.iter().filter(|r| r.node == node));
+            cfg
+        }
     }
 }
 
@@ -1317,6 +1496,213 @@ mod tests {
         for id in [a, b] {
             for l in &cp.lsp(id).unwrap().hop_labels {
                 assert!(seen.insert(l.value()), "label {l} reused");
+            }
+        }
+    }
+
+    #[test]
+    fn clone_shares_every_large_table_until_written() {
+        let mut cp = plane();
+        let tid = cp.establish_tunnel(2, 1, 0, Some(vec![2, 3, 1])).unwrap();
+        cp.establish_lsp_via_tunnel(
+            LspRequest::best_effort(0, 1, prefix("192.168.9.0", 24)),
+            tid,
+        )
+        .unwrap();
+        let id = cp
+            .establish_lsp(LspRequest::best_effort(0, 1, prefix("192.168.1.0", 24)))
+            .unwrap();
+        let shared = |a: &ControlPlane, b: &ControlPlane| {
+            [
+                Arc::ptr_eq(&a.topo, &b.topo),
+                Arc::ptr_eq(&a.lsps, &b.lsps),
+                Arc::ptr_eq(&a.tunnels, &b.tunnels),
+                Arc::ptr_eq(&a.spt_cache, &b.spt_cache),
+                Arc::ptr_eq(&a.node_state, &b.node_state),
+            ]
+        };
+        let mut twin = cp.clone();
+        assert_eq!(shared(&cp, &twin), [true; 5], "a clone copies no table");
+
+        // A link failure repairs the trees: only the cache is copied.
+        let north = cp.topology().link_between(2, 3).unwrap();
+        twin.fail_link(north);
+        assert_eq!(shared(&cp, &twin), [true, true, true, false, true]);
+        // Re-signaling writes the LSPs and the per-node store.
+        twin.reroute_lsp(id).unwrap();
+        assert_eq!(shared(&cp, &twin), [true, false, true, false, false]);
+        assert!(!cp.link_is_failed(north));
+        assert_eq!(cp.lsp(id).unwrap().path, vec![0, 2, 3, 1]);
+        assert!(twin.lsp(id).is_none());
+
+        // A cache hit only reads the tree cache: signaling from a head
+        // end it already holds leaves the cache shared.
+        let mut reader = cp.clone();
+        reader
+            .establish_lsp(LspRequest::best_effort(0, 1, prefix("10.9.0.0", 16)))
+            .unwrap();
+        assert_eq!(shared(&cp, &reader), [true, false, true, true, false]);
+    }
+
+    /// The per-node store against its per-LSP oracle over random
+    /// signaling histories on small grids and fat trees. After every
+    /// call every node's `config_for` equals the oracle's, in the same
+    /// order — the order is each key's insert rank in the FIB. Calls
+    /// flagged for a clone run on a copy of the plane, and the plane it
+    /// was cloned from must come out unchanged (copy-on-write).
+    #[cfg(debug_assertions)]
+    mod store_vs_oracle {
+        use super::*;
+        use crate::cspf::Constraint;
+        use crate::topology::LinkSpec;
+        use proptest::prelude::*;
+
+        /// One control-plane call: its kind, three numbers that pick its
+        /// targets among what exists, request flags, and whether it runs
+        /// on a clone.
+        type Call = (u8, u64, u64, u64, u8, bool);
+
+        fn pick<T: Copy>(v: &[T], x: u64) -> Option<T> {
+            (!v.is_empty()).then(|| v[(x % v.len() as u64) as usize])
+        }
+
+        fn apply(cp: &mut ControlPlane, (kind, a, b, c, flags, _): Call) {
+            let topo = cp.topology();
+            let role = |r| -> Vec<NodeId> {
+                topo.nodes()
+                    .iter()
+                    .filter(|n| n.role == r)
+                    .map(|n| n.id)
+                    .collect()
+            };
+            let (lers, lsrs) = (role(RouterRole::Ler), role(RouterRole::Lsr));
+            let i = a as usize % lers.len();
+            let j = (i + 1 + b as usize % (lers.len() - 1)) % lers.len();
+            let link = (c % topo.links().len() as u64) as LinkId;
+            let lsp = pick(&cp.lsp_ids(), c);
+            let request = LspRequest {
+                fec: Prefix::new(
+                    0x0a00_0000 | ((c as u32 & 0xffff) << 8) | 5,
+                    if flags & 1 == 0 { 24 } else { 32 },
+                ),
+                bandwidth_bps: if flags & 2 == 0 { 0 } else { 300_000_000 },
+                php: flags & 4 != 0,
+                ..LspRequest::best_effort(lers[i], lers[j], Prefix::new(0, 0))
+            };
+            match kind {
+                0 | 1 => {
+                    let mut request = request;
+                    if flags & 8 != 0 {
+                        // Pin a route off the shortest one: avoid `link`.
+                        let avoid = Constraint {
+                            exclude_links: [link].into_iter().collect(),
+                            ..Default::default()
+                        };
+                        request.explicit_route =
+                            shortest_path(topo, lers[i], lers[j], &avoid, &|_| u64::MAX).ok();
+                    }
+                    let _ = cp.establish_lsp(request);
+                }
+                2 => {
+                    let (head, tail) = (pick(&lsrs, a).unwrap(), pick(&lsrs, b).unwrap());
+                    let _ = cp.establish_tunnel(head, tail, 0, None);
+                }
+                3 | 4 => {
+                    let mut tunnels: Vec<TunnelId> = cp.tunnels.keys().copied().collect();
+                    tunnels.sort_unstable();
+                    if let Some(t) = pick(&tunnels, b) {
+                        let _ = cp.establish_lsp_via_tunnel(request, t);
+                    }
+                }
+                5 => {
+                    let _ = lsp.map(|l| cp.teardown_lsp(l));
+                }
+                6 => {
+                    let _ = lsp.map(|l| cp.reroute_lsp(l));
+                }
+                7 => {
+                    let _ = lsp.map(|l| cp.protect_lsp(l));
+                }
+                8 => {
+                    let mut primaries: Vec<LspId> = cp.backups.keys().copied().collect();
+                    primaries.sort_unstable();
+                    let _ = pick(&primaries, c).map(|p| cp.activate_backup(p));
+                }
+                9 => {
+                    let _ = lsp.map(|l| cp.retire_lsp(l));
+                }
+                10 => {
+                    if flags & 16 == 0 {
+                        cp.fail_link(link);
+                    } else {
+                        cp.restore_link(link);
+                    }
+                }
+                _ => cp.attach_prefix(lers[i], request.fec),
+            }
+        }
+
+        fn configs(cp: &ControlPlane) -> Vec<NodeConfig> {
+            let nodes = cp.topology().nodes();
+            nodes.iter().map(|n| cp.config_for(n.id)).collect()
+        }
+
+        fn check(cp: &ControlPlane) -> TestCaseResult {
+            for n in cp.topology().nodes() {
+                prop_assert_eq!(
+                    cp.config_for(n.id),
+                    cp.oracle.config_for(n.id, &cp.attached),
+                    "node {}",
+                    n.id
+                );
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn per_node_store_matches_the_per_lsp_oracle(
+                fat_tree: bool,
+                calls in proptest::collection::vec(
+                    (0u8..12, any::<u64>(), any::<u64>(), any::<u64>(), any::<u8>(), any::<bool>()),
+                    1..48,
+                ),
+            ) {
+                let topo = if fat_tree {
+                    Topology::fat_tree(4, 1, 1_000_000_000, 10_000)
+                } else {
+                    // Dual-home each corner LER so protection finds
+                    // link-disjoint backups.
+                    let mut grid = Topology::grid(3, 1_000_000_000, 10_000);
+                    for (ler, lsr) in [(9, 1), (10, 5), (11, 7), (12, 3)] {
+                        grid.add_link(LinkSpec {
+                            a: ler,
+                            b: lsr,
+                            cost: 1,
+                            bandwidth_bps: 1_000_000_000,
+                            delay_ns: 10_000,
+                        });
+                    }
+                    grid
+                };
+                let mut cp = ControlPlane::new(topo);
+                for call in calls {
+                    if call.5 {
+                        let before = (configs(&cp), cp.lsp_ids(), cp.labels_allocated());
+                        let mut twin = cp.clone();
+                        apply(&mut twin, call);
+                        check(&twin)?;
+                        let after = (configs(&cp), cp.lsp_ids(), cp.labels_allocated());
+                        prop_assert!(after == before, "call {:?} on a clone reached the original", call);
+                        check(&cp)?;
+                        cp = twin;
+                    } else {
+                        apply(&mut cp, call);
+                        check(&cp)?;
+                    }
+                }
             }
         }
     }

@@ -48,7 +48,7 @@ pub use histogram::LatencyHistogram;
 pub use link::Channel;
 pub use policer::{PolicerSpec, TokenBucket};
 pub use queue::{LinkQueue, QueueDiscipline};
-pub use scale::{ScaleFamily, ScaleSpec, ScaleWorkload};
+pub use scale::{ScaleError, ScaleFamily, ScaleSpec, ScaleWorkload};
 pub use sim::{ControlMode, ControlSummary, RouterKind, SimReport, Simulation};
 pub use stats::{FlowId, FlowStats};
 pub use subscriber::{SlaClass, SubscriberModel};

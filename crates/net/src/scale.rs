@@ -114,6 +114,55 @@ pub struct ScaleWorkload {
     pub lsps: usize,
 }
 
+/// Why a [`ScaleSpec`] could not be built.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ScaleError {
+    /// A spec field is outside what its family can honor; nothing was
+    /// built. `field` is the field's name in [`ScaleSpec`] or
+    /// [`ScaleFamily`], `message` says what it must be.
+    Field {
+        /// The offending field.
+        field: &'static str,
+        /// The field's value and the range it must lie in.
+        message: String,
+    },
+    /// Signaling the synthesized workload failed.
+    Signal(SignalError),
+}
+
+impl From<SignalError> for ScaleError {
+    fn from(e: SignalError) -> Self {
+        ScaleError::Signal(e)
+    }
+}
+
+impl std::fmt::Display for ScaleError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ScaleError::Field { field, message } => write!(f, "{field} {message}"),
+            ScaleError::Signal(e) => write!(f, "signaling failed: {e:?}"),
+        }
+    }
+}
+
+impl std::error::Error for ScaleError {}
+
+/// Fails with [`ScaleError::Field`] unless `ok`.
+fn require(
+    ok: bool,
+    field: &'static str,
+    message: impl FnOnce() -> String,
+) -> Result<(), ScaleError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(ScaleError::Field {
+            field,
+            message: message(),
+        })
+    }
+}
+
 /// The pure endpoint function: everything LSP `i` is, derived from the
 /// spec alone.
 #[derive(Debug, Clone, Copy)]
@@ -166,22 +215,55 @@ impl ScaleSpec {
         }
     }
 
-    /// Validates the stride budget against the family width.
-    fn check_strides(&self) -> Result<(), SignalError> {
-        let n = self.anchors();
+    /// Checks every precondition of [`Self::build`] and
+    /// [`Self::flow_specs`], naming the first field that breaks one.
+    ///
+    /// * A fat tree needs an even `k` of at least 4 and `lers_per_edge`
+    ///   ≥ 1. (`k = 2` is a valid fat tree, but its two edge switches
+    ///   leave no tunnel stride.)
+    /// * A ring of rings needs `rings` ≥ 4 (three gateways leave no
+    ///   stride whose tunnel has an interior) and `ring_size` ≥ 2.
+    /// * `tunnel_strides` must lie in `1..max`: a stride must stay below
+    ///   half the anchor count (ring of rings) or below the anchor count
+    ///   minus one (fat tree), so the canonical shortest path agrees with
+    ///   the intended anchor pair.
+    /// * `lsps_total` must be at least 1.
+    pub fn check(&self) -> Result<(), ScaleError> {
         let max = match self.family {
-            // Stride must stay below half the anchor count so the
-            // canonical shortest path agrees with the intended pair.
-            ScaleFamily::FatTree { .. } => n.saturating_sub(1),
-            ScaleFamily::RingOfRings { .. } => n / 2,
+            ScaleFamily::FatTree { k, lers_per_edge } => {
+                require(k >= 4 && k.is_multiple_of(2), "k", || {
+                    format!("{k} must be an even number of at least 4")
+                })?;
+                require(lers_per_edge >= 1, "lers_per_edge", || {
+                    "must be at least 1".into()
+                })?;
+                self.anchors() - 1
+            }
+            ScaleFamily::RingOfRings { rings, ring_size } => {
+                require(rings >= 4, "rings", || {
+                    format!("{rings} must be at least 4")
+                })?;
+                require(ring_size >= 2, "ring_size", || {
+                    format!("{ring_size} must be at least 2")
+                })?;
+                self.anchors() / 2
+            }
         };
-        assert!(
-            self.tunnel_strides >= 1 && u64::from(self.tunnel_strides) < max,
-            "tunnel_strides {} out of range for {} anchors",
-            self.tunnel_strides,
-            n
-        );
-        Ok(())
+        let strides = self.tunnel_strides;
+        require(
+            strides >= 1 && u64::from(strides) < max,
+            "tunnel_strides",
+            || {
+                format!(
+                    "{strides} must be from 1 to {} for {} anchors",
+                    max - 1,
+                    self.anchors()
+                )
+            },
+        )?;
+        require(self.lsps_total >= 1, "lsps_total", || {
+            "must be at least 1".into()
+        })
     }
 
     /// The LER endpoints, tunnel slot and FEC of LSP `i` — a pure
@@ -226,10 +308,10 @@ impl ScaleSpec {
 
     /// Synthesizes the full workload: topology, tunnel mesh, every LSP
     /// (streamed — no request list is ever materialized), and the
-    /// sampled traffic flows.
-    pub fn build(&self) -> Result<ScaleWorkload, SignalError> {
-        self.check_strides()?;
-        assert!(self.lsps_total > 0, "lsps_total must be > 0");
+    /// sampled traffic flows. Checks the spec first ([`Self::check`]),
+    /// so a bad field is an error before anything is built.
+    pub fn build(&self) -> Result<ScaleWorkload, ScaleError> {
+        self.check()?;
         let mut cp = ControlPlane::new(self.topology());
 
         // Tunnel mesh: slot (s0, a) -> tunnel id, dense.
@@ -263,6 +345,7 @@ impl ScaleSpec {
     /// The traffic flows of the workload, without building the control
     /// plane. Flows ride a deterministic sample of the LSPs; each plan
     /// is recomputed from the same pure endpoint function, never stored.
+    /// The spec must pass [`Self::check`].
     pub fn flow_specs(&self) -> Vec<FlowSpec> {
         let mut flows = Vec::with_capacity(self.flows);
         for f in 0..self.flows {
@@ -359,6 +442,77 @@ mod tests {
             50,
             "each additional LSP costs exactly one label"
         );
+    }
+
+    #[test]
+    fn fields_the_generator_cannot_honor_are_typed_errors() {
+        let fat = ScaleFamily::FatTree {
+            k: 4,
+            lers_per_edge: 2,
+        };
+        let rings = ScaleFamily::RingOfRings {
+            rings: 8,
+            ring_size: 4,
+        };
+        let cases = [
+            (fat, 0, 2, "lsps_total"),
+            (fat, 8, 0, "tunnel_strides"),
+            (fat, 8, 7, "tunnel_strides"),
+            (rings, 8, 4, "tunnel_strides"),
+            (
+                ScaleFamily::FatTree {
+                    k: 2,
+                    lers_per_edge: 2,
+                },
+                8,
+                1,
+                "k",
+            ),
+            (
+                ScaleFamily::FatTree {
+                    k: 5,
+                    lers_per_edge: 2,
+                },
+                8,
+                1,
+                "k",
+            ),
+            (
+                ScaleFamily::FatTree {
+                    k: 4,
+                    lers_per_edge: 0,
+                },
+                8,
+                1,
+                "lers_per_edge",
+            ),
+            (
+                ScaleFamily::RingOfRings {
+                    rings: 3,
+                    ring_size: 4,
+                },
+                8,
+                1,
+                "rings",
+            ),
+            (
+                ScaleFamily::RingOfRings {
+                    rings: 8,
+                    ring_size: 1,
+                },
+                8,
+                1,
+                "ring_size",
+            ),
+        ];
+        for (family, lsps, strides, named) in cases {
+            let mut spec = small_spec(family, lsps, 7);
+            spec.tunnel_strides = strides;
+            match spec.build() {
+                Err(ScaleError::Field { field, .. }) => assert_eq!(field, named, "{spec:?}"),
+                other => panic!("{spec:?}: expected a {named} error, got {:?}", other.err()),
+            }
+        }
     }
 
     proptest! {

@@ -4,13 +4,17 @@
 //!
 //! # Runtime faults
 //!
-//! The simulation owns a **clone** of the control plane it was built
-//! from. Static failures (`ControlPlane::fail_link` *before*
+//! The simulation owns its own control plane, shared **copy-on-write**
+//! with the plane it was built from: building shares the plane's large
+//! tables instead of copying them, and the first runtime write to a
+//! table copies that table into the simulation's plane (see
+//! [`ControlPlane`]). Neither side ever sees the other's mutations.
+//! Static failures (`ControlPlane::fail_link` *before*
 //! [`Simulation::build`]) start the run with those links dark; to fail a
 //! link *mid-run*, attach a [`FaultPlan`](crate::fault::FaultPlan) with
 //! [`Simulation::set_fault_plan`]. The plan's link-down/up events run as
 //! coordinator-level control events; the restoration policy then drives
-//! the cloned control plane (detection → failover or re-signaling →
+//! the simulation's plane (detection → failover or re-signaling →
 //! hold-down) and reprograms the routers in place.
 //!
 //! # Parallel execution
@@ -407,8 +411,9 @@ pub struct Simulation<S: TelemetrySink = NoopSink> {
     /// `chan_link[i]` is the topology link channel `i` belongs to.
     chan_link: Vec<LinkId>,
     nodes: Vec<Box<dyn MplsForwarder + Send>>,
-    /// The simulation's own control plane — a clone of the one it was
-    /// built from, mutated by runtime faults.
+    /// The simulation's own control plane: shares the tables of the
+    /// plane it was built from until a runtime fault first writes one,
+    /// which copies that table (copy-on-write).
     cp: ControlPlane,
     flows: Vec<FlowSpec>,
     policers: Vec<Option<crate::policer::TokenBucket>>,
@@ -434,9 +439,11 @@ impl Simulation {
     /// gets a router of `kind` programmed with its configuration, every
     /// link two channels with `discipline` queues. Links already marked
     /// failed on `cp` start dark — packets steered onto them count as
-    /// link drops. The control plane is cloned: later mutations of `cp`
-    /// do not reach this simulation (use
-    /// [`Self::set_fault_plan`] for runtime faults).
+    /// link drops. The simulation shares `cp` copy-on-write: building
+    /// copies none of its per-LSP or per-node tables, later mutations of
+    /// `cp` do not reach this simulation (use [`Self::set_fault_plan`]
+    /// for runtime faults), and the run's own re-signaling never
+    /// reaches `cp`.
     pub fn build(
         cp: &ControlPlane,
         kind: RouterKind,
@@ -837,6 +844,65 @@ mod tests {
         ))
         .unwrap();
         cp
+    }
+
+    /// A simulation owns its plane: a run whose faults re-signal leaves
+    /// the plane it was built from as it was, and a later simulation
+    /// built from that plane runs as one built before.
+    #[test]
+    fn a_run_never_changes_the_callers_plane() {
+        let cp = plane_with_lsp();
+        let topo = cp.topology();
+        let nodes: Vec<NodeId> = topo.nodes().iter().map(|n| n.id).collect();
+        let links = 0..topo.links().len() as LinkId;
+        let snapshot = |cp: &ControlPlane| {
+            (
+                cp.lsp_ids(),
+                cp.labels_allocated(),
+                links
+                    .clone()
+                    .map(|l| cp.link_is_failed(l))
+                    .collect::<Vec<_>>(),
+                nodes.iter().map(|&n| cp.config_for(n)).collect::<Vec<_>>(),
+            )
+        };
+        let fault_free = |cp: &ControlPlane| {
+            let mut sim = Simulation::build(
+                cp,
+                RouterKind::SoftwareHash {
+                    timing: SwTimingModel::default(),
+                },
+                QueueDiscipline::Fifo { capacity: 64 },
+                1,
+            );
+            sim.add_flow(cbr_flow("cbr", 100_000));
+            serde_json::to_string(&sim.run(1_000_000_000)).expect("report serializes")
+        };
+        let before = snapshot(&cp);
+        let report_before = fault_free(&cp);
+
+        let mut sim = Simulation::build(
+            &cp,
+            RouterKind::SoftwareHash {
+                timing: SwTimingModel::default(),
+            },
+            QueueDiscipline::Fifo { capacity: 64 },
+            1,
+        );
+        let north = topo.link_between(2, 3).unwrap();
+        let mut plan = FaultPlan::new(RestorationPolicy::default());
+        plan.outage(north, 3_000_000, 6_000_000);
+        sim.set_fault_plan(plan);
+        sim.add_flow(cbr_flow("cbr", 100_000));
+        let report = sim.run(1_000_000_000);
+        assert_eq!(
+            report.faults[0].restored_ns,
+            Some(5_000_000),
+            "the run re-signaled around the cut"
+        );
+
+        assert_eq!(snapshot(&cp), before, "the run reached the caller's plane");
+        assert_eq!(fault_free(&cp), report_before);
     }
 
     fn cbr_flow(name: &str, interval_ns: u64) -> FlowSpec {
