@@ -1897,8 +1897,9 @@ mod tests {
     }
 
     /// One-field mutations that `run` could only honor by never ending,
-    /// by wrapping a unit conversion, or by silently changing the value:
-    /// each is a typed error naming the field, from `validate` first.
+    /// by wrapping a unit conversion, or by silently changing the value,
+    /// and an LSP that ends where it starts: each is a typed error naming
+    /// the field, from `validate` first.
     #[test]
     fn fields_a_run_cannot_honor_are_rejected() {
         type Mutation = fn(&mut Scenario);
@@ -2087,6 +2088,21 @@ mod tests {
                 let err = err.expect_err(named);
                 assert!(matches!(err, ScenarioError::Invalid(_)), "{err}");
                 assert!(err.to_string().contains(named), "{err}");
+            }
+        }
+        // An LSP from a node to itself, routed by CSPF or pinned to
+        // `[0]`, has no hop to label: signaling refuses it by name.
+        for route in [None, Some(vec![0])] {
+            let mut sc = Scenario::from_json(EXAMPLE).unwrap();
+            sc.lsps[1].egress = 0;
+            sc.lsps[1].explicit_route = route;
+            for err in [sc.validate().map(drop), sc.run().map(drop)] {
+                let err = err.expect_err("an LSP from node 0 to itself");
+                assert!(matches!(err, ScenarioError::Signal(_)), "{err}");
+                assert!(
+                    err.to_string().contains("lsp #1: IngressIsEgress(0)"),
+                    "{err}"
+                );
             }
         }
     }

@@ -90,9 +90,9 @@ fn declarations_the_engine_cannot_build_are_rejected() {
 /// One-field mutations that `run` could honor only by never ending, by
 /// wrapping a unit conversion or by silently changing the value, and
 /// values (in the file or on the command line) that `run` cannot use,
-/// such as a `topology:` section the generator cannot build: `validate`
-/// refuses each with exit 1 and an error naming the field, just as
-/// `run` does.
+/// such as a `topology:` section the generator cannot build or an LSP
+/// that ends where it starts: `validate` refuses each with exit 1 and an
+/// error naming the field, just as `run` does.
 #[test]
 fn fields_a_run_cannot_honor_are_rejected() {
     let scale = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/scale_smoke.json");
@@ -230,6 +230,36 @@ fn fields_a_run_cannot_honor_are_rejected() {
             assert!(stderr.contains("invalid scenario"), "{cmd}: {stderr}");
             assert!(stderr.contains(named), "{cmd}: {stderr}");
             assert!(out.stdout.is_empty(), "{cmd} {named} printed a result");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+    // An LSP from a node to itself, routed by CSPF or pinned to `[0]`,
+    // has no hop to label: signaling refuses it and names the node.
+    let text = std::fs::read_to_string(EXAMPLE).expect("example readable");
+    let lsp = r#"{ "ingress": 0, "egress": 1, "fec": "192.168.2.0/24" }"#;
+    assert!(text.contains(lsp), "example layout changed: {lsp}");
+    for (i, to) in [
+        r#"{ "ingress": 0, "egress": 0, "fec": "192.168.2.0/24" }"#,
+        r#"{ "ingress": 0, "egress": 0, "fec": "192.168.2.0/24", "explicit_route": [0] }"#,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let path =
+            std::env::temp_dir().join(format!("mpls-sim-self-lsp-{}-{i}.json", std::process::id()));
+        std::fs::write(&path, text.replacen(lsp, to, 1)).expect("scenario written");
+        for cmd in ["validate", "run"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_mpls-sim"))
+                .args([cmd, path.to_str().expect("utf-8 path")])
+                .output()
+                .expect("mpls-sim runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {to}: {stderr}");
+            assert!(
+                stderr.contains("signaling failed: lsp #1: IngressIsEgress(0)"),
+                "{cmd} {to}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{cmd} {to} printed a result");
         }
         let _ = std::fs::remove_file(&path);
     }

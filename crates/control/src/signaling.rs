@@ -89,6 +89,9 @@ pub enum SignalError {
     },
     /// Ingress/egress of an LSP must be LERs.
     NotALer(NodeId),
+    /// An LSP's ingress and egress are this one node: its path has no
+    /// hop to carry a label.
+    IngressIsEgress(NodeId),
     /// The explicit route is not a connected path with the right
     /// endpoints.
     BadExplicitRoute,
@@ -532,8 +535,7 @@ impl ControlPlane {
 
     /// Establishes an LSP over physical links.
     pub fn establish_lsp(&mut self, request: LspRequest) -> Result<LspId, SignalError> {
-        self.check_ler(request.ingress)?;
-        self.check_ler(request.egress)?;
+        self.check_endpoints(&request)?;
         let path = self.resolve_route(&request)?;
         let links = self.reserve_path(&path, request.bandwidth_bps)?;
         match self.allocate_hop_labels(&request, &path, None) {
@@ -552,8 +554,7 @@ impl ControlPlane {
         request: LspRequest,
         tunnel: TunnelId,
     ) -> Result<LspId, SignalError> {
-        self.check_ler(request.ingress)?;
-        self.check_ler(request.egress)?;
+        self.check_endpoints(&request)?;
         let t = self
             .tunnels
             .get(&tunnel)
@@ -724,6 +725,16 @@ impl ControlPlane {
     }
 
     // ---- internals ---------------------------------------------------------
+
+    /// Both ends of an LSP are LERs, and distinct ones.
+    fn check_endpoints(&self, request: &LspRequest) -> Result<(), SignalError> {
+        self.check_ler(request.ingress)?;
+        self.check_ler(request.egress)?;
+        if request.ingress == request.egress {
+            return Err(SignalError::IngressIsEgress(request.ingress));
+        }
+        Ok(())
+    }
 
     fn check_ler(&self, node: NodeId) -> Result<(), SignalError> {
         match self.topo.node(node) {
@@ -1256,6 +1267,23 @@ mod tests {
             cp.establish_lsp(LspRequest::best_effort(2, 1, prefix("10.0.0.0", 8))),
             Err(SignalError::NotALer(2))
         );
+    }
+
+    /// An LSP from a node to itself, by CSPF, by explicit route or via a
+    /// tunnel, is refused by name before anything is allocated.
+    #[test]
+    fn lsp_from_a_node_to_itself_is_refused() {
+        let mut cp = plane();
+        let tid = cp.establish_tunnel(2, 1, 0, Some(vec![2, 3, 1])).unwrap();
+        let before = (cp.labels_allocated(), cp.config_for(0));
+        let mut req = LspRequest::best_effort(0, 0, prefix("10.0.0.0", 8));
+        let refused = Err(SignalError::IngressIsEgress(0));
+        assert_eq!(cp.establish_lsp(req.clone()), refused);
+        assert_eq!(cp.establish_lsp_via_tunnel(req.clone(), tid), refused);
+        req.explicit_route = Some(vec![0]);
+        assert_eq!(cp.establish_lsp(req), refused);
+        assert_eq!((cp.labels_allocated(), cp.config_for(0)), before);
+        assert!(cp.lsp_ids().is_empty());
     }
 
     #[test]

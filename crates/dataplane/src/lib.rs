@@ -4,8 +4,8 @@
 //! "Most existing MPLS solutions are entirely software based" (paper §1,
 //! abstract) — this crate is that baseline: a pure-software label
 //! forwarder with the same observable semantics as the hardware label
-//! stack modifier in `mpls-core`, plus prefix-based FEC-to-NHLFE
-//! classification ([`ftn::PrefixFtn`]) for ingress LERs.
+//! stack modifier in `mpls-core`, plus the longest-prefix-match table
+//! ([`ftn::PrefixTable`]) that ingress LERs classify FECs with.
 //!
 //! Two lookup strategies are provided so the benchmarks can separate the
 //! *architecture* comparison from the *algorithm* comparison:
@@ -38,7 +38,7 @@ pub mod types;
 pub use cache::FlowCache;
 pub use fib::{Fib, FibLevel};
 pub use forwarder::{ProcessResult, SoftwareForwarder};
-pub use ftn::PrefixFtn;
+pub use ftn::PrefixTable;
 pub use hash_fib::{diff_lookup_enabled, HashFib};
 pub use lookup::{HashTable, LinearTable, LookupStrategy};
 pub use types::{Discard, LabelBinding, LabelOp, SwRouterType};

@@ -7,8 +7,7 @@
 
 use crate::forwarding::DiscardCause;
 use mpls_control::{Hop, NodeConfig, NodeId, SrPolicyEntry};
-use mpls_dataplane::ftn::{Prefix, PrefixFtn};
-use mpls_dataplane::LabelBinding;
+use mpls_dataplane::ftn::PrefixTable;
 use mpls_packet::label::LabelStackEntry;
 use mpls_packet::sr::{self, EntropyScan, MnaNas};
 use mpls_packet::{CosBits, Ipv4Header, Label};
@@ -52,22 +51,36 @@ pub enum SrPick {
 }
 
 /// The packet-processing tables derived from a [`NodeConfig`].
+///
+/// The three prefix lookups are [`PrefixTable`]s, which cost one hash
+/// probe per prefix length present, whatever the number of prefixes.
+/// They answer exactly as a most-specific-first linear scan: debug builds
+/// keep such scans beside them and check every lookup against them.
+/// Simulated time never depends on the number of prefixes: the software
+/// router charges a fixed probe count for these lookups, the embedded
+/// router no cycles.
 #[derive(Debug, Clone, Default)]
 pub struct RouterTables {
-    /// FEC classification: prefix -> (push label, cos).
-    ftn: PrefixFtn,
-    /// CoS per FEC prefix (PrefixFtn stores the binding; CoS kept aside).
-    fec_cos: HashMap<(u32, u8), CosBits>,
+    /// FEC classification: prefix -> (the LSP's first-hop label, CoS).
+    /// The last `FecEntry` for an identical prefix wins.
+    ftn: PrefixTable<(Label, CosBits)>,
     /// Outgoing top label -> next hop.
     next_hops: HashMap<Option<u32>, Hop>,
-    /// Unlabeled routes, most specific first.
-    ip_routes: Vec<(Prefix, Hop)>,
-    /// Segment-routing ingress policies, most specific prefix first.
+    /// Unlabeled routes. The first route for an identical prefix, in
+    /// `NodeConfig` order, wins.
+    ip_routes: PrefixTable<Hop>,
+    /// Segment-routing ingress policies, in `NodeConfig` order.
     sr_policies: Vec<SrPolicyEntry>,
+    /// Prefix -> index into `sr_policies`. The first policy for an
+    /// identical prefix wins.
+    sr_index: PrefixTable<usize>,
     /// Equal-cost fan-out per outgoing top label (SR control plane).
     ecmp: HashMap<u32, Vec<NodeId>>,
     /// Readable label depth for the entropy scan.
     rld: usize,
+    /// The linear scans the prefix tables replaced.
+    #[cfg(debug_assertions)]
+    oracle: oracle::Scan,
 }
 
 impl RouterTables {
@@ -75,25 +88,24 @@ impl RouterTables {
     pub fn from_config(cfg: &NodeConfig) -> Self {
         let mut t = Self {
             rld: cfg.rld.map(usize::from).unwrap_or(usize::MAX),
+            sr_policies: cfg.sr_policies.clone(),
+            #[cfg(debug_assertions)]
+            oracle: oracle::Scan::from_config(cfg),
             ..Self::default()
         };
         for fec in &cfg.fecs {
-            t.ftn.insert(
-                fec.prefix,
-                LabelBinding::new(fec.push_label, mpls_dataplane::LabelOp::Push),
-            );
-            t.fec_cos.insert((fec.prefix.addr, fec.prefix.len), fec.cos);
+            t.ftn
+                .insert_last_wins(fec.prefix, (fec.push_label, fec.cos));
         }
         for nh in &cfg.next_hops {
             t.next_hops.insert(nh.label.map(Label::value), nh.next);
         }
         for r in &cfg.ip_routes {
-            t.ip_routes.push((r.prefix, r.next));
+            t.ip_routes.insert_first_wins(r.prefix, r.next);
         }
-        t.ip_routes.sort_by_key(|r| std::cmp::Reverse(r.0.len));
-        t.sr_policies = cfg.sr_policies.clone();
-        t.sr_policies
-            .sort_by_key(|p| std::cmp::Reverse(p.prefix.len));
+        for (i, p) in cfg.sr_policies.iter().enumerate() {
+            t.sr_index.insert_first_wins(p.prefix, i);
+        }
         for e in &cfg.ecmp {
             t.ecmp.insert(e.label.value(), e.nexts.clone());
         }
@@ -103,21 +115,18 @@ impl RouterTables {
     /// Classifies an unlabeled packet's destination: the FEC's first-hop
     /// label and CoS, if any LSP covers it.
     pub fn classify(&self, dst: u32) -> Option<(Label, CosBits)> {
-        let (prefix, binding) = self.ftn.lookup(dst)?;
-        let cos = self
-            .fec_cos
-            .get(&(prefix.addr, prefix.len))
-            .copied()
-            .unwrap_or(CosBits::BEST_EFFORT);
-        Some((binding.new_label, cos))
+        let hit = self.ftn.lookup(dst);
+        #[cfg(debug_assertions)]
+        assert_eq!(hit, self.oracle.classify(dst), "classify {dst:#010x}");
+        hit.map(|(_, fec)| fec)
     }
 
     /// Longest-prefix IP route for an unlabeled packet.
     pub fn ip_route(&self, dst: u32) -> Option<Hop> {
-        self.ip_routes
-            .iter()
-            .find(|(p, _)| p.contains(dst))
-            .map(|&(_, h)| h)
+        let hit = self.ip_routes.lookup(dst);
+        #[cfg(debug_assertions)]
+        assert_eq!(hit, self.oracle.ip_route(dst), "ip_route {dst:#010x}");
+        hit.map(|(_, hop)| hop)
     }
 
     /// Next hop after the stack update, keyed by the new top label
@@ -143,7 +152,10 @@ impl RouterTables {
 
     /// Longest-prefix segment-routing ingress policy for a destination.
     pub fn sr_classify(&self, dst: u32) -> Option<&SrPolicyEntry> {
-        self.sr_policies.iter().find(|p| p.prefix.contains(dst))
+        let hit = self.sr_index.lookup(dst);
+        #[cfg(debug_assertions)]
+        assert_eq!(hit, self.oracle.sr_classify(dst), "sr_classify {dst:#010x}");
+        hit.map(|(_, i)| &self.sr_policies[i])
     }
 
     /// This node's readable label depth (entropy scan window).
@@ -181,10 +193,83 @@ impl RouterTables {
     }
 }
 
+/// The linear scans the prefix tables replaced, kept in debug builds as
+/// their oracle: the FEC list with identical prefixes folded into one
+/// entry (the last one's label and CoS), and the IP routes and SR
+/// policies stable-sorted by descending length, each searched
+/// most-specific first for the first prefix containing the address.
+/// [`RouterTables`] asserts every lookup against them. Release builds
+/// carry none of it.
+#[cfg(debug_assertions)]
+mod oracle {
+    use mpls_control::{Hop, NodeConfig};
+    use mpls_dataplane::ftn::Prefix;
+    use mpls_packet::{CosBits, Label};
+    use std::cmp::Reverse;
+
+    #[derive(Debug, Clone, Default)]
+    pub(super) struct Scan {
+        /// One entry per distinct FEC prefix, by descending length.
+        fecs: Vec<(Prefix, (Label, CosBits))>,
+        /// Every IP route, by descending length, ties in config order.
+        ip_routes: Vec<(Prefix, Hop)>,
+        /// Every SR policy's prefix and index, by descending length,
+        /// ties in config order.
+        sr_policies: Vec<(Prefix, usize)>,
+    }
+
+    /// The first entry whose prefix contains `addr`.
+    fn scan<V: Copy>(entries: &[(Prefix, V)], addr: u32) -> Option<(Prefix, V)> {
+        entries.iter().find(|(p, _)| p.contains(addr)).copied()
+    }
+
+    impl Scan {
+        pub(super) fn from_config(cfg: &NodeConfig) -> Self {
+            let mut fecs: Vec<(Prefix, (Label, CosBits))> = Vec::new();
+            for f in &cfg.fecs {
+                let value = (f.push_label, f.cos);
+                if let Some(e) = fecs.iter_mut().find(|(p, _)| *p == f.prefix) {
+                    e.1 = value;
+                } else {
+                    let pos = fecs.partition_point(|(p, _)| p.len >= f.prefix.len);
+                    fecs.insert(pos, (f.prefix, value));
+                }
+            }
+            let mut ip_routes: Vec<_> = cfg.ip_routes.iter().map(|r| (r.prefix, r.next)).collect();
+            ip_routes.sort_by_key(|(p, _)| Reverse(p.len));
+            let mut sr_policies: Vec<_> = cfg
+                .sr_policies
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (p.prefix, i))
+                .collect();
+            sr_policies.sort_by_key(|(p, _)| Reverse(p.len));
+            Self {
+                fecs,
+                ip_routes,
+                sr_policies,
+            }
+        }
+
+        pub(super) fn classify(&self, addr: u32) -> Option<(Prefix, (Label, CosBits))> {
+            scan(&self.fecs, addr)
+        }
+
+        pub(super) fn ip_route(&self, addr: u32) -> Option<(Prefix, Hop)> {
+            scan(&self.ip_routes, addr)
+        }
+
+        pub(super) fn sr_classify(&self, addr: u32) -> Option<(Prefix, usize)> {
+            scan(&self.sr_policies, addr)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mpls_control::{BindingEntry, FecEntry, IpRoute, NextHopEntry};
+    use mpls_dataplane::ftn::Prefix;
     use mpls_dataplane::LabelOp;
 
     fn lbl(v: u32) -> Label {
@@ -244,5 +329,113 @@ mod tests {
             t.resolve_egress(None, 0x0b000001),
             Err(DiscardCause::NoNextHop)
         );
+    }
+
+    /// The prefix tables against the linear scans they replaced, for each
+    /// of the three lookups under its tie rule. Prefixes of every length
+    /// from 0 to 32 are cut from a few base addresses, and some are
+    /// repeated with a new value, so identical prefixes with different
+    /// values are common. Queries fall inside a prefix of the set or
+    /// anywhere. Every lookup gives the same prefix and value.
+    #[cfg(debug_assertions)]
+    mod table_vs_scan {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// The addresses prefixes are cut from.
+        const BASES: [u32; 4] = [0x0a00_0000, 0x0a01_0203, 0xc0a8_0101, 0xffff_fffe];
+
+        /// Prefixes with a value each: fresh cuts of the bases, then
+        /// repeats of earlier prefixes with new values.
+        fn prefixes() -> impl Strategy<Value = Vec<(Prefix, u32)>> {
+            (
+                vec((0..BASES.len(), 0u8..=32, 0u32..1000), 0..16),
+                vec((any::<usize>(), 0u32..1000), 0..6),
+            )
+                .prop_map(|(fresh, repeats)| {
+                    let mut v: Vec<(Prefix, u32)> = fresh
+                        .into_iter()
+                        .map(|(b, len, x)| (Prefix::new(BASES[b], len), x))
+                        .collect();
+                    for (i, x) in repeats {
+                        if !v.is_empty() {
+                            v.push((v[i % v.len()].0, x));
+                        }
+                    }
+                    v
+                })
+        }
+
+        fn config(
+            fecs: &[(Prefix, u32)],
+            routes: &[(Prefix, u32)],
+            policies: &[(Prefix, u32)],
+        ) -> NodeConfig {
+            NodeConfig {
+                fecs: fecs
+                    .iter()
+                    .map(|&(prefix, x)| FecEntry {
+                        node: 1,
+                        prefix,
+                        push_label: lbl(16 + x),
+                        cos: CosBits::new((x % 8) as u8).unwrap(),
+                    })
+                    .collect(),
+                ip_routes: routes
+                    .iter()
+                    .map(|&(prefix, x)| IpRoute {
+                        node: 1,
+                        prefix,
+                        next: if x % 5 == 0 { Hop::Local } else { Hop::Node(x) },
+                    })
+                    .collect(),
+                sr_policies: policies
+                    .iter()
+                    .map(|&(prefix, x)| SrPolicyEntry {
+                        node: 1,
+                        prefix,
+                        sids: vec![lbl(16 + x)],
+                        entropy: false,
+                        mna: false,
+                        cos: CosBits::BEST_EFFORT,
+                    })
+                    .collect(),
+                ..Default::default()
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn tables_answer_as_the_scans(
+                fecs in prefixes(),
+                routes in prefixes(),
+                policies in prefixes(),
+                queries in vec((any::<usize>(), any::<u32>()), 1..24),
+            ) {
+                let cfg = config(&fecs, &routes, &policies);
+                let t = RouterTables::from_config(&cfg);
+                let scan = oracle::Scan::from_config(&cfg);
+                let all: Vec<Prefix> = fecs
+                    .iter()
+                    .chain(&routes)
+                    .chain(&policies)
+                    .map(|&(p, _)| p)
+                    .collect();
+                for (i, noise) in queries {
+                    // One query in four, and every query of an empty
+                    // set, lands anywhere; the rest inside a prefix.
+                    let addr = match all.get(i % (all.len() + all.len() / 3 + 1)) {
+                        Some(p) => p.addr | (noise & !Prefix::mask(p.len)),
+                        None => noise,
+                    };
+                    prop_assert_eq!(t.ftn.lookup(addr), scan.classify(addr), "FEC {:#010x}", addr);
+                    prop_assert_eq!(t.ip_routes.lookup(addr), scan.ip_route(addr), "route {:#010x}", addr);
+                    prop_assert_eq!(t.sr_index.lookup(addr), scan.sr_classify(addr), "SR {:#010x}", addr);
+                }
+            }
+        }
     }
 }
