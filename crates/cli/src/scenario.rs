@@ -20,7 +20,7 @@ use mpls_packet::{CosBits, Ipv4Header};
 use mpls_router::SwTimingModel;
 use mpls_sr::SrConfig;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Errors while loading or running a scenario.
 #[derive(Debug)]
@@ -1249,8 +1249,15 @@ impl Scenario {
 
     /// Checks what building the topology and running the engine take
     /// for granted: node ids are unique, every link joins two distinct
-    /// declared nodes and carries some bandwidth, an embedded router's
-    /// clock ticks and every queue holds a packet.
+    /// declared nodes and carries some bandwidth, no two links join the
+    /// same two nodes, an embedded router's clock ticks and every queue
+    /// holds a packet.
+    ///
+    /// Parallel links are refused because the run could not keep them
+    /// apart: the control plane (CSPF reservations, a fault's `a`/`b`)
+    /// means the first link between two nodes while traffic crosses the
+    /// last, so a fault on the pair would cut a link that carries none
+    /// of it.
     fn check_declarations(&self) -> Result<(), ScenarioError> {
         let mut ids = BTreeSet::new();
         for n in &self.nodes {
@@ -1261,7 +1268,8 @@ impl Scenario {
                 )));
             }
         }
-        for l in &self.links {
+        let mut pairs = BTreeMap::new();
+        for (i, l) in self.links.iter().enumerate() {
             let link = format!("link {}-{}", l.a, l.b);
             if let Some(end) = [l.a, l.b].into_iter().find(|end| !ids.contains(end)) {
                 return Err(ScenarioError::Invalid(format!("{link}: no node {end}")));
@@ -1269,6 +1277,13 @@ impl Scenario {
             if l.a == l.b {
                 return Err(ScenarioError::Invalid(format!(
                     "{link}: a link joins two distinct nodes"
+                )));
+            }
+            let (lo, hi) = (l.a.min(l.b), l.a.max(l.b));
+            if let Some(first) = pairs.insert((lo, hi), i) {
+                return Err(ScenarioError::Invalid(format!(
+                    "{link}: links #{first} and #{i} both join nodes {lo} and {hi}; \
+                     parallel links are not supported"
                 )));
             }
             if l.bandwidth_mbps == 0 {
@@ -1904,7 +1919,7 @@ mod tests {
     fn fields_a_run_cannot_honor_are_rejected() {
         type Mutation = fn(&mut Scenario);
         const HUGE: u64 = 1 << 62;
-        let cases: [(&str, Mutation, &str); 26] = [
+        let cases: [(&str, Mutation, &str); 27] = [
             (
                 EXAMPLE,
                 |sc| sc.flows[0].pattern = PatternDecl::Cbr { interval_us: 0 },
@@ -2073,6 +2088,15 @@ mod tests {
                 EXAMPLE,
                 |sc| sc.shards = Some(0),
                 "scenario: shards must be at least 1",
+            ),
+            (
+                EXAMPLE,
+                |sc| {
+                    let mut twin = sc.links[1].clone();
+                    std::mem::swap(&mut twin.a, &mut twin.b);
+                    sc.links.push(twin);
+                },
+                "link 3-2: links #1 and #3 both join nodes 2 and 3",
             ),
         ];
         for (text, mutate, named) in cases {

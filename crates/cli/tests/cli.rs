@@ -100,7 +100,9 @@ fn fields_a_run_cannot_honor_are_rejected() {
     let seed = r#""seed": 7"#;
     let bogus = r#"unknown control mode "bogus""#;
     let family = r#""family": "fat_tree""#;
-    let mutations: [(&str, &str, &str, &[&str], &str); 20] = [
+    let link23 = r#"{ "a": 2, "b": 3, "bandwidth_mbps": 1000, "delay_us": 500 },"#;
+    let parallel = format!("{link23} {}", link23.replace("1000", "100"));
+    let mutations: [(&str, &str, &str, &[&str], &str); 21] = [
         (
             EXAMPLE,
             r#""interval_us": 2000"#,
@@ -210,6 +212,13 @@ fn fields_a_run_cannot_honor_are_rejected() {
             r#""family": "ring_of_rings", "ring_size": 0"#,
             &[],
             "topology: ring_size 0",
+        ),
+        (
+            EXAMPLE,
+            link23,
+            &parallel,
+            &[],
+            "links #1 and #2 both join nodes 2 and 3",
         ),
     ];
     for (i, (file, from, to, flags, named)) in mutations.into_iter().enumerate() {

@@ -145,10 +145,14 @@ impl NodeConfig {
             && self.ecmp.is_empty()
     }
 
-    /// Longest-prefix-match over the IP routes.
+    /// Longest-prefix-match over the IP routes. Among identical
+    /// prefixes the first route wins, as it does in both routers.
     pub fn ip_route_for(&self, addr: u32) -> Option<Hop> {
+        // `max_by_key` answers the last of equal keys; scanning in
+        // reverse makes that the first route in order.
         self.ip_routes
             .iter()
+            .rev()
             .filter(|r| r.prefix.contains(addr))
             .max_by_key(|r| r.prefix.len)
             .map(|r| r.next)
@@ -215,5 +219,30 @@ mod tests {
         assert_eq!(cfg.ip_route_for(0x0a01_0203), Some(Hop::Local));
         assert_eq!(cfg.ip_route_for(0x0a02_0203), Some(Hop::Node(9)));
         assert_eq!(cfg.ip_route_for(0x0b00_0001), None);
+    }
+
+    /// Two routes for the same prefix: the first in order wins, in
+    /// either order, under a shorter route that must not interfere.
+    #[test]
+    fn identical_prefixes_answer_the_first_route() {
+        let route = |prefix, next| IpRoute {
+            node: 1,
+            prefix,
+            next,
+        };
+        let slash16 = Prefix::new(0x0a01_0000, 16);
+        let slash8 = Prefix::new(0x0a00_0000, 8);
+        for (first, second) in [(Hop::Node(2), Hop::Local), (Hop::Local, Hop::Node(2))] {
+            let cfg = NodeConfig {
+                ip_routes: vec![
+                    route(slash8, Hop::Node(9)),
+                    route(slash16, first),
+                    route(slash16, second),
+                ],
+                ..Default::default()
+            };
+            assert_eq!(cfg.ip_route_for(0x0a01_0203), Some(first));
+            assert_eq!(cfg.ip_route_for(0x0a02_0203), Some(Hop::Node(9)));
+        }
     }
 }

@@ -27,8 +27,10 @@ use mpls_packet::LdpPdu;
 use mpls_telemetry::TelemetrySink;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// An LDP PDU on the wire.
-struct InFlightPdu {
+/// An LDP PDU on the wire: the payload of a
+/// [`ControlEvent::LdpDeliver`], which owns it until delivery.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InFlightPdu {
     from: NodeId,
     to: NodeId,
     /// Global channel index it is crossing.
@@ -44,6 +46,26 @@ struct InFlightPdu {
     /// decoder is exercised on the damaged image and the PDU is handed
     /// to the fabric's malformed path instead of its semantic one.
     corrupted: bool,
+}
+
+#[cfg(test)]
+impl InFlightPdu {
+    /// A keepalive from node 0 to node 1 on channel `chan`.
+    pub(crate) fn for_test(chan: usize) -> Self {
+        Self {
+            from: 0,
+            to: 1,
+            chan,
+            gen: 0,
+            pdu: LdpPdu {
+                lsr_id: 0,
+                msg_id: 0,
+                message: mpls_packet::LdpMessage::KeepAlive,
+            },
+            protocol: false,
+            corrupted: false,
+        }
+    }
 }
 
 /// An outage whose routing has not yet been covered again.
@@ -62,9 +84,6 @@ pub(crate) struct LdpRuntime {
     pub(crate) fabric: LdpFabric,
     /// Hello/keepalive timer period.
     tick_ns: u64,
-    /// In-flight PDU slots referenced by [`ControlEvent::LdpDeliver`].
-    msgs: Vec<Option<InFlightPdu>>,
-    free: Vec<usize>,
     /// In-flight session/label messages.
     live_protocol: usize,
     /// When each channel's control sub-channel frees up (FIFO per
@@ -93,8 +112,6 @@ impl LdpRuntime {
         Self {
             fabric,
             tick_ns,
-            msgs: Vec::new(),
-            free: Vec::new(),
             live_protocol: 0,
             chan_busy: vec![0; nchans],
             chaos: Vec::new(),
@@ -107,16 +124,6 @@ impl LdpRuntime {
             pdus_sent: 0,
             pdus_delivered: 0,
             pdus_lost: 0,
-        }
-    }
-
-    fn alloc_slot(&mut self, pdu: InFlightPdu) -> usize {
-        if let Some(i) = self.free.pop() {
-            self.msgs[i] = Some(pdu);
-            i
-        } else {
-            self.msgs.push(Some(pdu));
-            self.msgs.len() - 1
         }
     }
 
@@ -193,15 +200,10 @@ impl<S: TelemetrySink> Engine<S> {
     }
 
     /// An LDP PDU arrives (or dies with the channel it was crossing).
-    pub(super) fn on_ldp_deliver(&mut self, msg: usize) {
+    pub(super) fn on_ldp_deliver(&mut self, inflight: InFlightPdu) {
         let Some(mut rt) = self.ldp.take() else {
             return;
         };
-        let Some(inflight) = rt.msgs[msg].take() else {
-            self.ldp = Some(rt);
-            return;
-        };
-        rt.free.push(msg);
         if inflight.protocol {
             rt.live_protocol -= 1;
         }
@@ -308,7 +310,7 @@ impl<S: TelemetrySink> Engine<S> {
                 if protocol {
                     rt.live_protocol += 1;
                 }
-                let slot = rt.alloc_slot(InFlightPdu {
+                let msg = InFlightPdu {
                     from: s.from,
                     to: s.to,
                     chan,
@@ -316,9 +318,9 @@ impl<S: TelemetrySink> Engine<S> {
                     pdu: s.pdu.clone(),
                     protocol,
                     corrupted,
-                });
+                };
                 self.globals
-                    .schedule(deliver, ControlEvent::LdpDeliver { msg: slot });
+                    .schedule(deliver, ControlEvent::LdpDeliver { msg });
             }
         }
     }

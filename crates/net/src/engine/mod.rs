@@ -28,7 +28,7 @@ mod partition;
 mod shard;
 mod sr;
 
-pub(crate) use ldp::LdpRuntime;
+pub(crate) use ldp::{InFlightPdu, LdpRuntime};
 pub(crate) use sr::SrRuntime;
 
 use crate::event::{ControlEvent, EventQueue, SimTime};
@@ -164,11 +164,17 @@ pub(crate) struct Engine<S: TelemetrySink> {
     chan_owner: Vec<(usize, usize)>,
     /// Shard of each channel's receiving node.
     chan_dest_shard: Vec<usize>,
+    /// Local index of each channel's receiving router on that shard.
+    chan_dest_local: Vec<usize>,
     /// Liveness snapshot shards read; refreshed after channel mutations.
     chan_state: Vec<ChanState>,
     lookahead: SimTime,
     /// Shard owning each flow's ingress node (ack destination).
     flow_shard: Vec<usize>,
+    /// Local index of each flow's ingress router on that shard.
+    flow_ingress_local: Vec<usize>,
+    /// Each flow's index into its ingress shard's `emit` table.
+    flow_emit: Vec<usize>,
     /// Per closed-loop ingress: static shortest-path delay from every
     /// node that can reach it back to the ingress (see
     /// [`Engine::ack_distances`]). Empty when no flow is closed-loop.
@@ -213,9 +219,9 @@ impl<S: TelemetrySink> Engine<S> {
                 queue: EventQueue::new(),
                 nodes: Vec::new(),
                 node_local: HashMap::new(),
+                ports: Vec::new(),
                 channels: Vec::new(),
                 emit: Vec::new(),
-                emit_of_flow: HashMap::new(),
                 stats: vec![FlowStats::default(); nflows],
                 outbox: Vec::new(),
                 foreign_fault_drops: vec![0; nchans],
@@ -238,6 +244,21 @@ impl<S: TelemetrySink> Engine<S> {
             let sh = &mut shards[part.shard_of_node[&node.node_id()]];
             sh.node_local.insert(node.node_id(), sh.nodes.len());
             sh.nodes.push(node);
+            sh.ports.push(Vec::new());
+        }
+        // The run loop's next-hop lookup: each router's ports, sorted by
+        // neighbor. Built from `chan_index`, so a pair of nodes joined by
+        // parallel links resolves to the channel it names (the last
+        // link's).
+        for (&(from, to), &g) in &parts.chan_index {
+            let sh = &mut shards[part.shard_of_node[&from]];
+            let li = sh.node_local[&from];
+            sh.ports[li].push((to, g));
+        }
+        for sh in &mut shards {
+            for ports in &mut sh.ports {
+                ports.sort_unstable();
+            }
         }
         let ack_dist = Self::ack_distances(&parts.flows, &parts.channels);
         let flow_shard: Vec<usize> = parts
@@ -247,11 +268,13 @@ impl<S: TelemetrySink> Engine<S> {
             .collect();
         let mut chan_owner = Vec::with_capacity(nchans);
         let mut chan_dest_shard = Vec::with_capacity(nchans);
+        let mut chan_dest_local = Vec::with_capacity(nchans);
         let mut chan_state = Vec::with_capacity(nchans);
         for c in parts.channels {
             let owner = part.shard_of_node[&c.from];
             let dest = part.shard_of_node[&c.to];
             chan_dest_shard.push(dest);
+            chan_dest_local.push(shards[dest].node_local[&c.to]);
             chan_state.push(ChanState {
                 up: c.up,
                 gen: c.gen,
@@ -260,9 +283,12 @@ impl<S: TelemetrySink> Engine<S> {
             chan_owner.push((owner, sh.channels.len()));
             sh.channels.push(c);
         }
+        let mut flow_ingress_local = Vec::with_capacity(nflows);
+        let mut flow_emit = Vec::with_capacity(nflows);
         for (f, (spec, policer)) in parts.flows.iter().zip(parts.policers).enumerate() {
             let sh = &mut shards[part.shard_of_node[&spec.ingress]];
-            sh.emit_of_flow.insert(f, sh.emit.len());
+            flow_ingress_local.push(sh.node_local[&spec.ingress]);
+            flow_emit.push(sh.emit.len());
             let cl = match spec.pattern {
                 TrafficPattern::ClosedLoop(ref c) => Some(ClosedLoopState::new(c)),
                 _ => None,
@@ -296,9 +322,12 @@ impl<S: TelemetrySink> Engine<S> {
             chan_link: parts.chan_link,
             chan_owner,
             chan_dest_shard,
+            chan_dest_local,
             chan_state,
             lookahead: part.lookahead,
             flow_shard,
+            flow_ingress_local,
+            flow_emit,
             ack_dist,
             now: 0,
             cp: parts.cp,
@@ -420,13 +449,15 @@ impl<S: TelemetrySink> Engine<S> {
         let ctx = SharedCtx {
             flows: &self.flows,
             templates: &self.templates,
-            chan_index: &self.chan_index,
             chan_link: &self.chan_link,
             chan_state: &self.chan_state,
             chan_owner: &self.chan_owner,
             chan_dest_shard: &self.chan_dest_shard,
+            chan_dest_local: &self.chan_dest_local,
             fault_of_link: &self.fault_of_link,
             flow_shard: &self.flow_shard,
+            flow_ingress_local: &self.flow_ingress_local,
+            flow_emit: &self.flow_emit,
             ack_dist: &self.ack_dist,
         };
         if self.shards.len() == 1 {
@@ -1145,5 +1176,110 @@ impl<S: TelemetrySink> Engine<S> {
             control,
             fibs,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::queue::QueueDiscipline;
+    use crate::sim::{RouterKind, Simulation};
+    use mpls_control::{LinkSpec, RouterRole, Topology};
+    use mpls_router::SwTimingModel;
+
+    /// Three nodes, with nodes 1 and 2 joined by two parallel links.
+    fn parallel_links() -> Topology {
+        let mut t = Topology::new();
+        for id in 0..3 {
+            t.add_node(id, RouterRole::Ler, format!("n{id}"));
+        }
+        for (a, b) in [(0, 1), (1, 2), (1, 2)] {
+            t.add_link(LinkSpec {
+                a,
+                b,
+                cost: 1,
+                bandwidth_bps: 1_000_000_000,
+                delay_ns: 1_000,
+            });
+        }
+        t
+    }
+
+    fn engine(topo: &Topology, shards: usize) -> Engine<mpls_telemetry::NoopSink> {
+        let cp = ControlPlane::new(topo.clone());
+        let kind = RouterKind::SoftwareHash {
+            timing: SwTimingModel::default(),
+        };
+        let mut sim = Simulation::build(&cp, kind, QueueDiscipline::Fifo { capacity: 8 }, 1);
+        // One flow entering at every node, so every shard emits.
+        for node in topo.nodes() {
+            sim.add_flow(FlowSpec {
+                name: format!("f{}", node.id),
+                ingress: node.id,
+                src_addr: 1,
+                dst_addr: 2,
+                payload_bytes: 64,
+                precedence: 0,
+                pattern: TrafficPattern::Cbr { interval_ns: 1_000 },
+                start_ns: 0,
+                stop_ns: 10_000,
+                police: None,
+            });
+        }
+        sim.set_shards(shards);
+        sim.into_engine()
+    }
+
+    /// The run loop's dense tables name the routers and channels the
+    /// coordinator's maps name: every `(node, neighbor)` pair resolves
+    /// through the ports to `chan_index`'s channel, a non-neighbor to
+    /// none, every channel to its receiving router and every flow to its
+    /// ingress router and its own traffic source. Where two links join
+    /// the same nodes, `chan_index` keeps the last link's channel and the
+    /// ports do the same.
+    #[test]
+    fn dense_lookups_resolve_as_the_maps_do() {
+        let parallel = parallel_links();
+        let topologies = [Topology::figure1_example(), parallel.clone()];
+        for (topo, shards) in topologies.iter().flat_map(|t| [1, 2, 3].map(|n| (t, n))) {
+            let eng = engine(topo, shards);
+            let local = |node: NodeId| {
+                let s = eng
+                    .shards
+                    .iter()
+                    .position(|sh| sh.node_local.contains_key(&node))
+                    .expect("every node lives on a shard");
+                (s, eng.shards[s].node_local[&node])
+            };
+            for a in topo.nodes() {
+                let (s, li) = local(a.id);
+                for b in topo.nodes() {
+                    assert_eq!(
+                        eng.shards[s].port_to(li, b.id),
+                        eng.chan_index.get(&(a.id, b.id)).copied(),
+                        "{} -> {} at {shards} shards",
+                        a.id,
+                        b.id
+                    );
+                }
+            }
+            for g in 0..eng.chan_owner.len() {
+                let to = eng.shards[eng.chan_dest_shard[g]].nodes[eng.chan_dest_local[g]].node_id();
+                assert_eq!(to, eng.chan(g).to, "channel {g} at {shards} shards");
+            }
+            for (f, spec) in eng.flows.iter().enumerate() {
+                let sh = &eng.shards[eng.flow_shard[f]];
+                assert_eq!(sh.nodes[eng.flow_ingress_local[f]].node_id(), spec.ingress);
+                let same_shard = (0..f).filter(|&g| eng.flow_shard[g] == eng.flow_shard[f]);
+                assert_eq!(eng.flow_emit[f], same_shard.count(), "flow {f}'s source");
+            }
+        }
+        let eng = engine(&parallel, 1);
+        // Link 2 is the second 1–2 link; its channels are 4 (1 -> 2)
+        // and 5 (2 -> 1).
+        assert_eq!(eng.chan_index[&(1, 2)], 4);
+        let sh = &eng.shards[0];
+        assert_eq!(sh.port_to(sh.node_local[&1], 2), Some(4));
+        assert_eq!(sh.port_to(sh.node_local[&2], 1), Some(5));
     }
 }

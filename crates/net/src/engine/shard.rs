@@ -160,7 +160,6 @@ pub(crate) struct SharedCtx<'a> {
     /// in flight carry only deltas; the wire image is materialized from
     /// here at the router boundary.
     pub templates: &'a [FlowTemplate],
-    pub chan_index: &'a HashMap<(NodeId, NodeId), usize>,
     pub chan_link: &'a [LinkId],
     /// Per-global-channel liveness snapshot.
     pub chan_state: &'a [ChanState],
@@ -168,11 +167,17 @@ pub(crate) struct SharedCtx<'a> {
     pub chan_owner: &'a [(usize, usize)],
     /// Shard owning each channel's *receiving* node.
     pub chan_dest_shard: &'a [usize],
+    /// Local index of each channel's receiving router on that shard.
+    pub chan_dest_local: &'a [usize],
     /// Most recent fault record per link.
     pub fault_of_link: &'a HashMap<LinkId, usize>,
     /// Shard owning each flow's ingress node — the destination of its
     /// delivery acks.
     pub flow_shard: &'a [usize],
+    /// Local index of each flow's ingress router on that shard.
+    pub flow_ingress_local: &'a [usize],
+    /// Each flow's index into its ingress shard's `emit` table.
+    pub flow_emit: &'a [usize],
     /// Per closed-loop ingress: static shortest-path propagation delay
     /// from every reachable node back to that ingress, over the full
     /// (fault-free) channel graph. Whenever the reverse path crosses
@@ -310,13 +315,18 @@ pub(crate) struct ShardState<S> {
     pub queue: EventQueue<LocalEvent>,
     /// The routers at this shard's nodes, by local index.
     pub nodes: Vec<Box<dyn MplsForwarder + Send>>,
+    /// Node id -> local index, for the coordinator's per-node calls.
+    /// The run loop finds routers through the dense tables in
+    /// [`SharedCtx`] instead.
     pub node_local: HashMap<NodeId, usize>,
+    /// Per router (parallel to `nodes`): `(neighbor, global channel)`
+    /// sorted by neighbor id, one entry per neighbor.
+    pub ports: Vec<Vec<(NodeId, usize)>>,
     /// Channels this shard transmits on (its nodes are the `from` ends).
     pub channels: Vec<Channel>,
-    /// Traffic sources whose ingress lives here, by local index.
+    /// Traffic sources whose ingress lives here, by local index
+    /// ([`SharedCtx::flow_emit`]).
     pub emit: Vec<EmitState>,
-    /// Flow id -> local emit index.
-    pub emit_of_flow: HashMap<FlowId, usize>,
     /// Full-width per-flow stats; only the flows this shard touched are
     /// non-zero. Folded with [`FlowStats::absorb`] at the end.
     pub stats: Vec<FlowStats>,
@@ -373,7 +383,7 @@ impl<S: TelemetrySink> ShardState<S> {
             self.deltas[flow].sent += 1;
         }
         let packet = ctx.templates[flow].emit(flow, seq, now);
-        let li = self.emit_of_flow[&flow];
+        let li = ctx.flow_emit[flow];
         // Edge policing: non-conforming packets never enter the network.
         let conforms = match &mut self.emit[li].policer {
             Some(bucket) => bucket.conform(now, packet.wire_len()),
@@ -415,7 +425,7 @@ impl<S: TelemetrySink> ShardState<S> {
     /// `now` — so an instant's canonical order is never re-entered.
     fn on_cl_emit(&mut self, now: SimTime, flow: FlowId, cl: &ClosedLoopSpec, ctx: &SharedCtx<'_>) {
         let spec = &ctx.flows[flow];
-        let li = self.emit_of_flow[&flow];
+        let li = ctx.flow_emit[flow];
         let st = self.emit[li]
             .cl
             .as_mut()
@@ -490,7 +500,7 @@ impl<S: TelemetrySink> ShardState<S> {
         if now >= spec.stop_ns {
             return;
         }
-        let li = self.emit_of_flow[&flow];
+        let li = ctx.flow_emit[flow];
         let elapsed = now.saturating_sub(spec.start_ns);
         let gap = cl.next_arrival_gap(&mut self.emit[li].rng);
         let accepted = cl.accept(elapsed, &mut self.emit[li].rng);
@@ -523,7 +533,7 @@ impl<S: TelemetrySink> ShardState<S> {
         let TrafficPattern::ClosedLoop(cl) = spec.pattern else {
             return;
         };
-        let li = self.emit_of_flow[&flow];
+        let li = ctx.flow_emit[flow];
         let st = self.emit[li].cl.as_mut().expect("cl state");
         if !st.active {
             // Late ack of a transfer a spurious RTO already finished (the
@@ -599,7 +609,7 @@ impl<S: TelemetrySink> ShardState<S> {
         let TrafficPattern::ClosedLoop(cl) = spec.pattern else {
             return;
         };
-        let li = self.emit_of_flow[&flow];
+        let li = ctx.flow_emit[flow];
         let st = self.emit[li].cl.as_mut().expect("cl state");
         st.rto_live = false;
         if now >= spec.stop_ns {
@@ -646,7 +656,7 @@ impl<S: TelemetrySink> ShardState<S> {
         via: Option<(usize, u64)>,
         ctx: &SharedCtx<'_>,
     ) {
-        let port = match via {
+        let (port, li) = match via {
             Some((chan, gen)) => {
                 // The channel's incarnation moved on while the packet
                 // propagated: the link was cut under it.
@@ -660,26 +670,40 @@ impl<S: TelemetrySink> ShardState<S> {
                     self.count_fault_loss(ctx.chan_link[chan], packet.flow, ctx);
                     return;
                 }
-                chan as u64
+                (chan as u64, ctx.chan_dest_local[chan])
             }
             // Same value as the event key's lane: stable across shard
             // counts, disjoint from wire channel indices.
-            None => SOURCE_LANE + packet.flow as u64,
+            None => (
+                SOURCE_LANE + packet.flow as u64,
+                ctx.flow_ingress_local[packet.flow],
+            ),
         };
+        debug_assert_eq!(self.nodes[li].node_id(), node, "dense router index");
         // The router boundary: materialize the wire packet from the
         // flow's interned template plus the in-flight delta. The ECN mark
         // rides alongside — routers don't read it.
         let inner = ctx.templates[packet.flow].materialize(&packet.stack, packet.seq);
-        let out = self.nodes[self.node_local[&node]].handle_on_port(inner, port);
-        self.apply_forwarding(now, node, out, &packet, ctx);
+        let out = self.nodes[li].handle_on_port(inner, port);
+        self.apply_forwarding(now, node, li, out, &packet, ctx);
     }
 
-    /// Applies the forwarding decision `out` for the in-flight `packet`:
-    /// transmit, deliver or account the drop.
+    /// The channel the router at local index `li` transmits on toward
+    /// `next`, or `None` when `next` is not a neighbor.
+    pub fn port_to(&self, li: usize, next: NodeId) -> Option<usize> {
+        let ports = &self.ports[li];
+        let i = ports.binary_search_by_key(&next, |&(n, _)| n).ok()?;
+        Some(ports[i].1)
+    }
+
+    /// Applies the forwarding decision `out` that the router at `node`
+    /// (local index `li`) made for the in-flight `packet`: transmit,
+    /// deliver or account the drop.
     fn apply_forwarding(
         &mut self,
         now: SimTime,
         node: NodeId,
+        li: usize,
         out: Forwarding,
         packet: &SimPacket,
         ctx: &SharedCtx<'_>,
@@ -697,7 +721,7 @@ impl<S: TelemetrySink> ShardState<S> {
                 next,
                 packet: inner,
             } => {
-                let Some(&chan) = ctx.chan_index.get(&(node, next)) else {
+                let Some(chan) = self.port_to(li, next) else {
                     // Misconfigured next hop onto a non-adjacent node.
                     self.stats[flow].on_discarded(DiscardCause::NoNextHop);
                     return;
@@ -876,12 +900,14 @@ impl<S: TelemetrySink> ShardState<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::oracle::diff_against_oracle;
+    use proptest::prelude::*;
 
-    fn arrive(node: NodeId, flow: FlowId, via: Option<(usize, u64)>) -> LocalEvent {
+    fn arrive(node: NodeId, flow: FlowId, via: Option<(usize, u64)>, seq: u64) -> LocalEvent {
         let packet = SimPacket {
             flow,
             stack: Default::default(),
-            seq: 0,
+            seq,
             sent_ns: 0,
             precedence: 0,
             base_wire: 0,
@@ -899,9 +925,9 @@ mod tests {
             vec![
                 LocalEvent::RtoCheck { flow: 0 },
                 LocalEvent::TransmitDone { channel: 2, gen: 0 },
-                arrive(1, 4, Some((3, 0))),
+                arrive(1, 4, Some((3, 0)), 0),
                 LocalEvent::SourceEmit { flow: 9 },
-                arrive(1, 4, None),
+                arrive(1, 4, None, 0),
                 LocalEvent::Ack {
                     flow: 0,
                     seq: 7,
@@ -939,6 +965,44 @@ mod tests {
                     std::iter::from_fn(|| q.pop_before(600).map(|(_, e)| e.rank())).collect();
                 assert_eq!(keys, expected, "reversed {reversed}, shift {shift}");
             }
+        }
+    }
+
+    /// A local event from `pick`: one of six kinds with one of two ids,
+    /// so equal keys at equal times are common. Arrivals carry the op
+    /// index `i` as their packet's sequence number and acks its parity
+    /// as their mark, so the order of two equal keys shows.
+    fn local_event(i: usize, pick: u8) -> LocalEvent {
+        let id = usize::from(pick / 6);
+        match pick % 6 {
+            0 => LocalEvent::SourceEmit { flow: id },
+            1 => arrive(1, id, Some((id, 0)), i as u64),
+            2 => arrive(1, id, None, i as u64),
+            3 => LocalEvent::TransmitDone {
+                channel: id,
+                gen: 0,
+            },
+            4 => LocalEvent::Ack {
+                flow: id,
+                seq: 0,
+                ecn: i % 2 == 1,
+            },
+            _ => LocalEvent::RtoCheck { flow: id },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random schedule/pop/pop_before interleavings over four
+        /// timestamps and twelve keys: the slab queue pops what the
+        /// fat-entry heap pops, reusing the slots it vacates.
+        #[test]
+        fn local_events_pop_as_the_fat_heap_pops(
+            ops in proptest::collection::vec((0u8..5, 0u64..4, 0u8..12), 0..160)
+        ) {
+            let res = diff_against_oracle(&ops, local_event);
+            prop_assert!(res.is_ok(), "{}", res.unwrap_err());
         }
     }
 }

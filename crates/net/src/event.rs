@@ -10,7 +10,21 @@
 //! order never decides between two of them; only the coordinator
 //! schedules control events. Runs are therefore deterministic for a
 //! fixed seed at any shard count.
+//!
+//! # Keys in the heap, payloads in a slab
+//!
+//! A shard's event can carry a whole in-flight packet, so it is large
+//! (168 bytes for a `LocalEvent`), and a binary heap moves its entries
+//! on every push and pop: a pop sifts an entry down about `log2(len)`
+//! levels. The queue therefore keeps each payload in a slab — a `Vec`
+//! of slots plus a free list of vacated ones — and its heap orders only
+//! `(time, rank, seq, slot)` keys, 48 bytes for a shard's event. A
+//! payload is written once when scheduled and read once when popped;
+//! sifts move keys. Pop order is exactly the `(time, rank, insertion
+//! order)` order of a heap holding the events themselves (the unit tests
+//! diff the two), so reports do not depend on the layout.
 
+use crate::engine::InFlightPdu;
 use mpls_control::{LinkId, NodeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -23,7 +37,7 @@ pub type SimTime = u64;
 /// consistent snapshot. These run between shard epochs, never inside
 /// one, so shards observe control-plane state frozen for the duration
 /// of an epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ControlEvent {
     /// A scheduled fault: the link's channels go dark.
     LinkDown {
@@ -69,9 +83,8 @@ pub enum ControlEvent {
     LdpTick,
     /// An in-flight LDP PDU reaches the far end of its channel.
     LdpDeliver {
-        /// Slot in the engine's in-flight PDU table (the payload lives
-        /// there so this event stays `Copy`).
-        msg: usize,
+        /// The PDU and the channel incarnation it left on.
+        msg: InFlightPdu,
     },
     /// A node crashes: every incident link goes dark, its forwarding
     /// state is wiped (the FIB is cold) and — under `--control ldp` —
@@ -143,28 +156,31 @@ impl EventRank for ControlEvent {
     }
 }
 
-struct Entry<K: EventRank> {
+/// The heap's view of one pending event: its ordering key and the slab
+/// slot holding its payload.
+struct Key<R> {
     time: SimTime,
-    rank: K::Rank,
+    rank: R,
     seq: u64,
-    kind: K,
+    slot: usize,
 }
 
-impl<K: EventRank> PartialEq for Entry<K> {
+impl<R: Ord> PartialEq for Key<R> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.cmp(other) == Ordering::Equal
     }
 }
-impl<K: EventRank> Eq for Entry<K> {}
-impl<K: EventRank> PartialOrd for Entry<K> {
+impl<R: Ord> Eq for Key<R> {}
+impl<R: Ord> PartialOrd for Key<R> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<K: EventRank> Ord for Entry<K> {
+impl<R: Ord> Ord for Key<R> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert for earliest-first, then
-        // lowest-rank-first, then insertion order.
+        // lowest-rank-first, then insertion order. Sequence numbers are
+        // unique, so the slot never decides.
         other
             .time
             .cmp(&self.time)
@@ -175,8 +191,17 @@ impl<K: EventRank> Ord for Entry<K> {
 
 /// Earliest-first event queue with deterministic tie-breaking: pops in
 /// `(time, rank, insertion order)` order.
+///
+/// The heap holds `Key`s; each payload waits in `slots` until its key
+/// pops. A popped slot goes on the free list and the next `schedule`
+/// reuses it, so the slab is as long as the most events ever pending at
+/// once.
 pub struct EventQueue<K: EventRank> {
-    heap: BinaryHeap<Entry<K>>,
+    heap: BinaryHeap<Key<K::Rank>>,
+    /// Payloads by slot; `None` marks a vacated slot.
+    slots: Vec<Option<K>>,
+    /// Vacated slots, reused last-in first-out.
+    free: Vec<usize>,
     next_seq: u64,
 }
 
@@ -184,6 +209,8 @@ impl<K: EventRank> Default for EventQueue<K> {
     fn default() -> Self {
         Self {
             heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
         }
     }
@@ -200,17 +227,32 @@ impl<K: EventRank> EventQueue<K> {
         let rank = kind.rank();
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(kind);
+                slot
+            }
+            None => {
+                self.slots.push(Some(kind));
+                self.slots.len() - 1
+            }
+        };
+        self.heap.push(Key {
             time,
             rank,
             seq,
-            kind,
+            slot,
         });
     }
 
     /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, K)> {
-        self.heap.pop().map(|e| (e.time, e.kind))
+        let key = self.heap.pop()?;
+        let kind = self.slots[key.slot]
+            .take()
+            .expect("a queued key owns its slot");
+        self.free.push(key.slot);
+        Some((key.time, kind))
     }
 
     /// Pops the earliest event if it is strictly before `bound` — the
@@ -224,7 +266,7 @@ impl<K: EventRank> EventQueue<K> {
 
     /// Timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.heap.peek().map(|k| k.time)
     }
 
     /// Number of pending events.
@@ -238,9 +280,151 @@ impl<K: EventRank> EventQueue<K> {
     }
 }
 
+/// The fat-entry heap [`EventQueue`] replaced, kept as the oracle of a
+/// differential test: each heap entry holds the event itself.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{EventQueue, EventRank, SimTime};
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+    use std::fmt::Debug;
+
+    struct Entry<K: EventRank> {
+        time: SimTime,
+        rank: K::Rank,
+        seq: u64,
+        kind: K,
+    }
+
+    impl<K: EventRank> PartialEq for Entry<K> {
+        fn eq(&self, other: &Self) -> bool {
+            self.time == other.time && self.seq == other.seq
+        }
+    }
+    impl<K: EventRank> Eq for Entry<K> {}
+    impl<K: EventRank> PartialOrd for Entry<K> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<K: EventRank> Ord for Entry<K> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other
+                .time
+                .cmp(&self.time)
+                .then_with(|| other.rank.cmp(&self.rank))
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
+    /// Earliest-first queue popping in `(time, rank, insertion order)`.
+    pub(crate) struct FatQueue<K: EventRank> {
+        heap: BinaryHeap<Entry<K>>,
+        next_seq: u64,
+    }
+
+    impl<K: EventRank> FatQueue<K> {
+        pub(crate) fn new() -> Self {
+            Self {
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+            }
+        }
+
+        pub(crate) fn schedule(&mut self, time: SimTime, kind: K) {
+            let rank = kind.rank();
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(Entry {
+                time,
+                rank,
+                seq,
+                kind,
+            });
+        }
+
+        pub(crate) fn pop(&mut self) -> Option<(SimTime, K)> {
+            self.heap.pop().map(|e| (e.time, e.kind))
+        }
+
+        pub(crate) fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, K)> {
+            if self.heap.peek()?.time >= bound {
+                return None;
+            }
+            self.pop()
+        }
+
+        pub(crate) fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.time)
+        }
+
+        pub(crate) fn len(&self) -> usize {
+            self.heap.len()
+        }
+    }
+
+    /// Drives an [`EventQueue`] and a [`FatQueue`] through the same
+    /// operations and fails at the first difference in what they pop,
+    /// their lengths or their earliest times. Each op is `(kind, time,
+    /// pick)`: kinds 0–2 schedule `make(op index, pick)` at `time`, 3
+    /// pops, 4 pops strictly before `time + 1`. Events compare by their
+    /// `Debug` image. The slab must never hold more slots than the most
+    /// events pending at once: popped slots are reused.
+    pub(crate) fn diff_against_oracle<K: EventRank + Debug>(
+        ops: &[(u8, SimTime, u8)],
+        make: impl Fn(usize, u8) -> K,
+    ) -> Result<(), String> {
+        let mut slab = EventQueue::new();
+        let mut fat = FatQueue::new();
+        let mut peak = 0;
+        for (i, &(kind, time, pick)) in ops.iter().enumerate() {
+            let (got, want) = match kind {
+                0..=2 => {
+                    slab.schedule(time, make(i, pick));
+                    fat.schedule(time, make(i, pick));
+                    (None, None)
+                }
+                3 => (slab.pop(), fat.pop()),
+                _ => (slab.pop_before(time + 1), fat.pop_before(time + 1)),
+            };
+            let (got, want) = (format!("{got:?}"), format!("{want:?}"));
+            if got != want {
+                return Err(format!("op {i}: popped {got}, oracle {want}"));
+            }
+            if (slab.len(), slab.peek_time()) != (fat.len(), fat.peek_time()) {
+                return Err(format!(
+                    "op {i}: len/peek {:?}, oracle {:?}",
+                    (slab.len(), slab.peek_time()),
+                    (fat.len(), fat.peek_time())
+                ));
+            }
+            peak = peak.max(slab.len());
+            if slab.slots.len() != peak {
+                return Err(format!(
+                    "op {i}: {} slots for at most {peak} pending events",
+                    slab.slots.len()
+                ));
+            }
+        }
+        // Whatever is left drains in the same order.
+        loop {
+            let (got, want) = (slab.pop(), fat.pop());
+            let (g, w) = (format!("{got:?}"), format!("{want:?}"));
+            if g != w {
+                return Err(format!("drain: popped {g}, oracle {w}"));
+            }
+            if got.is_none() {
+                return Ok(());
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::diff_against_oracle;
     use super::*;
+    use proptest::prelude::*;
 
     // Test payloads are unranked: every u32 ties, so insertion order
     // alone decides.
@@ -248,6 +432,12 @@ mod tests {
         type Rank = ();
 
         fn rank(&self) {}
+    }
+
+    fn deliver(chan: usize) -> ControlEvent {
+        ControlEvent::LdpDeliver {
+            msg: InFlightPdu::for_test(chan),
+        }
     }
 
     #[test]
@@ -270,6 +460,8 @@ mod tests {
         assert_eq!(q.pop_before(21), None);
         let order: Vec<(SimTime, u32)> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(order, vec![(30, 3)]);
+        // Four events were pending at most; the slab never grew past.
+        assert_eq!(q.slots.len(), 4);
     }
 
     #[test]
@@ -292,15 +484,15 @@ mod tests {
         // the outcome.
         let mut q = EventQueue::new();
         q.schedule(100, ControlEvent::LdpTick);
-        q.schedule(100, ControlEvent::LdpDeliver { msg: 7 });
+        q.schedule(100, deliver(7));
         q.schedule(100, ControlEvent::TelemetrySample);
-        q.schedule(100, ControlEvent::LdpDeliver { msg: 3 });
+        q.schedule(100, deliver(3));
         let order: Vec<ControlEvent> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(
             order,
             vec![
-                ControlEvent::LdpDeliver { msg: 7 },
-                ControlEvent::LdpDeliver { msg: 3 },
+                deliver(7),
+                deliver(3),
                 ControlEvent::LdpTick,
                 ControlEvent::TelemetrySample,
             ]
@@ -316,5 +508,32 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
+    }
+
+    /// A control event from `pick`, tagged with the op index `i` where
+    /// the variant has room, so ties between equal ranks are visible.
+    fn control_event(i: usize, pick: u8) -> ControlEvent {
+        match pick % 4 {
+            0 => deliver(i),
+            1 => ControlEvent::Resignal { pending: i },
+            2 => ControlEvent::LdpTick,
+            _ => ControlEvent::LinkDown { link: i as LinkId },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random schedule/pop/pop_before interleavings over four
+        /// timestamps, where deliveries (rank 0) and timers (rank 1)
+        /// tie constantly: the slab queue pops what the fat-entry heap
+        /// pops.
+        #[test]
+        fn control_events_pop_as_the_fat_heap_pops(
+            ops in proptest::collection::vec((0u8..5, 0u64..4, 0u8..4), 0..160)
+        ) {
+            let res = diff_against_oracle(&ops, control_event);
+            prop_assert!(res.is_ok(), "{}", res.unwrap_err());
+        }
     }
 }

@@ -731,6 +731,11 @@ impl<S: TelemetrySink> Simulation<S> {
     /// reports. The shard count resolves as [`Self::set_shards`], else
     /// the `MPLS_SIM_SHARDS` environment variable, else 1.
     pub fn run(self, horizon_ns: SimTime) -> SimReport {
+        self.into_engine().run(horizon_ns)
+    }
+
+    /// Hands everything to the engine, partitioned into shards.
+    pub(crate) fn into_engine(self) -> Engine<S> {
         let shards = self
             .requested_shards
             .or_else(|| {
@@ -758,7 +763,6 @@ impl<S: TelemetrySink> Simulation<S> {
             sr: self.sr,
             pdu_chaos: self.pdu_chaos,
         })
-        .run(horizon_ns)
     }
 }
 

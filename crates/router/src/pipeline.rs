@@ -337,7 +337,6 @@ mod tests {
     /// repeated with a new value, so identical prefixes with different
     /// values are common. Queries fall inside a prefix of the set or
     /// anywhere. Every lookup gives the same prefix and value.
-    #[cfg(debug_assertions)]
     mod table_vs_scan {
         use super::*;
         use proptest::collection::vec;
@@ -405,9 +404,19 @@ mod tests {
             }
         }
 
+        /// An address inside one of `all`'s prefixes, or (one query in
+        /// four, and every query of an empty set) anywhere.
+        fn query(all: &[Prefix], i: usize, noise: u32) -> u32 {
+            match all.get(i % (all.len() + all.len() / 3 + 1)) {
+                Some(p) => p.addr | (noise & !Prefix::mask(p.len)),
+                None => noise,
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
 
+            #[cfg(debug_assertions)]
             #[test]
             fn tables_answer_as_the_scans(
                 fecs in prefixes(),
@@ -425,15 +434,28 @@ mod tests {
                     .map(|&(p, _)| p)
                     .collect();
                 for (i, noise) in queries {
-                    // One query in four, and every query of an empty
-                    // set, lands anywhere; the rest inside a prefix.
-                    let addr = match all.get(i % (all.len() + all.len() / 3 + 1)) {
-                        Some(p) => p.addr | (noise & !Prefix::mask(p.len)),
-                        None => noise,
-                    };
+                    let addr = query(&all, i, noise);
                     prop_assert_eq!(t.ftn.lookup(addr), scan.classify(addr), "FEC {:#010x}", addr);
                     prop_assert_eq!(t.ip_routes.lookup(addr), scan.ip_route(addr), "route {:#010x}", addr);
                     prop_assert_eq!(t.sr_index.lookup(addr), scan.sr_classify(addr), "SR {:#010x}", addr);
+                }
+            }
+
+            /// `NodeConfig::ip_route_for`, which the chaos fixed-point
+            /// oracle and the LDP convergence test trace packets with,
+            /// answers what a router built from the same config answers,
+            /// repeated prefixes included.
+            #[test]
+            fn ip_route_for_answers_as_the_router(
+                routes in prefixes(),
+                queries in vec((any::<usize>(), any::<u32>()), 1..24),
+            ) {
+                let cfg = config(&[], &routes, &[]);
+                let t = RouterTables::from_config(&cfg);
+                let all: Vec<Prefix> = routes.iter().map(|&(p, _)| p).collect();
+                for (i, noise) in queries {
+                    let addr = query(&all, i, noise);
+                    prop_assert_eq!(t.ip_route(addr), cfg.ip_route_for(addr), "route {:#010x}", addr);
                 }
             }
         }
