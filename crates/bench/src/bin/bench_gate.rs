@@ -2,10 +2,16 @@
 //!
 //! Finds the two most recent `BENCH_<n>.json` files in a directory
 //! (default `.`), matches their measurement rows, and fails when any
-//! matched row's `events_per_sec` dropped by more than the threshold
-//! (default 10%). Trajectory files are only comparable when taken on
-//! the same class of machine — CI measures and gates within one job,
-//! so both points come from the same runner generation.
+//! matched row's time for its fixed work grew past what the threshold
+//! allows (default 10%). A row's time is `events / events_per_sec`,
+//! which is its `wall_ms` where the row has one. A row fails when its
+//! time exceeds the base's by more than a factor of `1 / (1 - threshold)`:
+//! with equal event counts that is exactly an events/s drop beyond the
+//! threshold, and a change that does the same work in fewer events is
+//! judged by the time it takes, not by its event rate. Trajectory files
+//! are only comparable when taken on the same class of machine — CI
+//! measures and gates within one job, so both points come from the same
+//! runner generation.
 //!
 //! ```text
 //! cargo run --release -p mpls-bench --bin bench-gate -- [dir] \
@@ -19,16 +25,19 @@
 //! shape of early points such as `BENCH_6.json`) or a combined suite
 //! document (`{"bench": "all", "sections": [...]}`). Rows are keyed by their
 //! section's bench id + config plus every row field that is not a
-//! measurement (`events`, `wall_ms`, `events_per_sec`), so points taken
-//! under different configs never get compared; rows present in only
-//! one file are reported and skipped — schema growth is not a failure.
+//! measurement (`events`, `wall_ms`, `events_per_sec`, `rounds`), so
+//! points taken under different configs never get compared, while a row
+//! whose event count or round count moved stays paired. Rows present in
+//! only one file are reported and skipped — schema growth is not a
+//! failure.
 
 use serde::Value;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// Measurement fields: excluded from row keys, compared instead.
-const MEASUREMENTS: [&str; 3] = ["events", "wall_ms", "events_per_sec"];
+/// Measurement fields: excluded from row keys. A row's event and round
+/// counts follow the engine's work, not the configuration it measures.
+const MEASUREMENTS: [&str; 4] = ["events", "wall_ms", "events_per_sec", "rounds"];
 
 /// Renders a scalar for use in a row key; `None` for nested values.
 fn scalar(v: &Value) -> Option<String> {
@@ -53,9 +62,10 @@ fn number(v: &Value) -> Option<f64> {
     }
 }
 
-/// Flattens a trajectory document into `key -> events_per_sec`.
-/// Rows without an `events_per_sec` field (e.g. EXT-11's convergence
-/// spans, which are simulated-time, not host-time) carry no key.
+/// Flattens a trajectory document into `key -> ms`, each row's time for
+/// its fixed work (`events / events_per_sec`). Rows without both fields
+/// (e.g. EXT-11's convergence spans, which are simulated-time, not
+/// host-time) carry no key.
 fn flatten(doc: &Value) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();
     let sections: Vec<&Value> = match doc.get("sections") {
@@ -80,7 +90,8 @@ fn flatten(doc: &Value) -> BTreeMap<String, f64> {
         };
         for row in rows {
             let Some(row) = row.as_map() else { continue };
-            let Some(eps) = Value::get_entry(row, "events_per_sec").and_then(number) else {
+            let field = |name| Value::get_entry(row, name).and_then(number);
+            let (Some(events), Some(eps)) = (field("events"), field("events_per_sec")) else {
                 continue;
             };
             let mut key = prefix.clone();
@@ -92,10 +103,68 @@ fn flatten(doc: &Value) -> BTreeMap<String, f64> {
                     key.push(format!("{k}={s}"));
                 }
             }
-            out.insert(key.join(","), eps);
+            out.insert(key.join(","), events / eps * 1e3);
         }
     }
     out
+}
+
+/// One row measured in both points.
+struct Pair {
+    key: String,
+    base_ms: f64,
+    head_ms: f64,
+    /// Time change, in percent of the base.
+    delta_pct: f64,
+    /// Past the threshold.
+    regressed: bool,
+}
+
+/// The rows of two points: those measured in both, and the head rows
+/// with no base point.
+struct Comparison {
+    compared: Vec<Pair>,
+    fresh: Vec<(String, f64)>,
+}
+
+impl Comparison {
+    fn regressions(&self) -> impl Iterator<Item = &Pair> {
+        self.compared.iter().filter(|p| p.regressed)
+    }
+}
+
+/// Pairs the rows of two points and judges each pair: a head time past
+/// `base / (1 - max_regress_pct / 100)` regressed.
+fn compare(
+    prev: &BTreeMap<String, f64>,
+    curr: &BTreeMap<String, f64>,
+    max_regress_pct: f64,
+) -> Comparison {
+    let limit = 1.0 / (1.0 - max_regress_pct / 100.0);
+    let mut compared = Vec::new();
+    for (key, &base_ms) in prev {
+        let Some(&head_ms) = curr.get(key) else {
+            println!("  skipped (gone): {key}");
+            continue;
+        };
+        let delta_pct = (head_ms - base_ms) / base_ms * 100.0;
+        println!("  {key}: {base_ms:.3} -> {head_ms:.3} ms ({delta_pct:+.1}%)");
+        compared.push(Pair {
+            key: key.clone(),
+            base_ms,
+            head_ms,
+            delta_pct,
+            regressed: head_ms > base_ms * limit,
+        });
+    }
+    let mut fresh = Vec::new();
+    for (key, &ms) in curr {
+        if !prev.contains_key(key) {
+            println!("  new (unmatched): {key}");
+            fresh.push((key.clone(), ms));
+        }
+    }
+    Comparison { compared, fresh }
 }
 
 /// `BENCH_<n>.json` files in `dir`, sorted by `n`.
@@ -171,61 +240,31 @@ fn main() -> ExitCode {
         curr.len()
     );
 
-    let mut compared = Vec::new();
-    let mut fresh = Vec::new();
-    let mut regressions = Vec::new();
-    for (key, &old_eps) in &prev {
-        let Some(&new_eps) = curr.get(key) else {
-            println!("  skipped (gone): {key}");
-            continue;
-        };
-        let delta_pct = (new_eps - old_eps) / old_eps * 100.0;
-        println!(
-            "  {key}: {:.0} -> {:.0} events/s ({delta_pct:+.1}%)",
-            old_eps, new_eps
-        );
-        if delta_pct < -max_regress_pct {
-            regressions.push(format!("{key}: {delta_pct:.1}%"));
-        }
-        compared.push((key.clone(), old_eps, new_eps, delta_pct));
-    }
-    for (key, &eps) in &curr {
-        if !prev.contains_key(key) {
-            println!("  new (unmatched): {key}");
-            fresh.push((key.clone(), eps));
-        }
-    }
-
+    let cmp = compare(&prev, &curr, max_regress_pct);
     if let Some(path) = &md_path {
-        let md = render_md(
-            *prev_n,
-            *curr_n,
-            max_regress_pct,
-            &compared,
-            &fresh,
-            &regressions,
-        );
+        let md = render_md(*prev_n, *curr_n, max_regress_pct, &cmp);
         std::fs::write(path, md).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("wrote {path}");
     }
 
-    if compared.is_empty() {
+    if cmp.compared.is_empty() {
         println!("bench-gate: no comparable rows (schema change?) — passing with a warning");
         return ExitCode::SUCCESS;
     }
+    let regressions: Vec<&Pair> = cmp.regressions().collect();
     if regressions.is_empty() {
         println!(
             "bench-gate: {} row(s) compared, no regression beyond {max_regress_pct}% -- OK",
-            compared.len()
+            cmp.compared.len()
         );
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "bench-gate: events/s regressed beyond {max_regress_pct}% on {} row(s):",
+            "bench-gate: time for fixed work regressed beyond {max_regress_pct}% on {} row(s):",
             regressions.len()
         );
-        for r in &regressions {
-            eprintln!("  {r}");
+        for p in regressions {
+            eprintln!("  {}: {:+.1}%", p.key, p.delta_pct);
         }
         ExitCode::FAILURE
     }
@@ -234,56 +273,101 @@ fn main() -> ExitCode {
 /// The base-vs-head comparison as a GitHub-flavored markdown fragment —
 /// what CI posts as the PR comment. Keys are long `k=v` chains, so the
 /// per-row table splits the section prefix from the row fields.
-fn render_md(
-    prev_n: u64,
-    curr_n: u64,
-    max_regress_pct: f64,
-    compared: &[(String, f64, f64, f64)],
-    fresh: &[(String, f64)],
-    regressions: &[String],
-) -> String {
+fn render_md(prev_n: u64, curr_n: u64, max_regress_pct: f64, cmp: &Comparison) -> String {
     let mut md = String::new();
     md.push_str(&format!(
         "### Bench gate: `BENCH_{prev_n}` (base) vs `BENCH_{curr_n}` (head)\n\n"
     ));
-    let verdict = if compared.is_empty() {
+    let regressed = cmp.regressions().count();
+    let verdict = if cmp.compared.is_empty() {
         "⚠️ no comparable rows (schema change) — passing with a warning".to_string()
-    } else if regressions.is_empty() {
+    } else if regressed == 0 {
         format!(
             "✅ {} row(s) compared, none regressed beyond {max_regress_pct}%",
-            compared.len()
+            cmp.compared.len()
         )
     } else {
         format!(
-            "❌ {} of {} row(s) regressed beyond {max_regress_pct}%",
-            regressions.len(),
-            compared.len()
+            "❌ {regressed} of {} row(s) regressed beyond {max_regress_pct}%",
+            cmp.compared.len()
         )
     };
     md.push_str(&verdict);
     md.push_str("\n\n");
-    if !compared.is_empty() {
-        md.push_str("| row | base events/s | head events/s | Δ |\n");
+    if !cmp.compared.is_empty() {
+        md.push_str("| row | base ms | head ms | Δ time |\n");
         md.push_str("|---|---:|---:|---:|\n");
-        for (key, old, new, delta) in compared {
-            let mark = if *delta < -max_regress_pct {
-                " ❌"
-            } else {
-                ""
-            };
+        for p in &cmp.compared {
+            let mark = if p.regressed { " ❌" } else { "" };
             md.push_str(&format!(
-                "| `{key}` | {old:.0} | {new:.0} | {delta:+.1}%{mark} |\n"
+                "| `{}` | {:.3} | {:.3} | {:+.1}%{mark} |\n",
+                p.key, p.base_ms, p.head_ms, p.delta_pct
             ));
         }
         md.push('\n');
     }
-    if !fresh.is_empty() {
+    if !cmp.fresh.is_empty() {
         md.push_str("<details><summary>New rows (no base point)</summary>\n\n");
-        md.push_str("| row | head events/s |\n|---|---:|\n");
-        for (key, eps) in fresh {
-            md.push_str(&format!("| `{key}` | {eps:.0} |\n"));
+        md.push_str("| row | head ms |\n|---|---:|\n");
+        for (key, ms) in &cmp.fresh {
+            md.push_str(&format!("| `{key}` | {ms:.3} |\n"));
         }
         md.push_str("\n</details>\n");
     }
     md
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One EXT-10-shaped point: a single-shard row and a two-shard row.
+    fn point(events: u64, eps_1: f64, eps_2: f64, rounds_2: u64) -> BTreeMap<String, f64> {
+        let text = format!(
+            r#"{{"bench": "all", "sections": [{{"bench": "ext10-scaling", "quick": true,
+                "rows": [
+                  {{"shards": 1, "rounds": 1, "events": {events}, "events_per_sec": {eps_1}}},
+                  {{"shards": 2, "rounds": {rounds_2}, "events": {events}, "events_per_sec": {eps_2}}}
+                ]}}]}}"#
+        );
+        flatten(&serde_json::from_str(&text).expect("a trajectory point parses"))
+    }
+
+    #[test]
+    fn equal_events_at_a_tenth_fewer_events_per_second_fail() {
+        let base = point(100_000, 1e6, 5e5, 40);
+        // 11% fewer events/s for the same events: 12.4% more time.
+        let head = point(100_000, 0.89e6, 5e5, 40);
+        let cmp = compare(&base, &head, 10.0);
+        assert_eq!(cmp.compared.len(), 2);
+        let failed: Vec<&str> = cmp.regressions().map(|p| p.key.as_str()).collect();
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert!(failed[0].contains("shards=1"), "{failed:?}");
+        // 9% fewer still passes, as it did when the gate read events/s.
+        let head = point(100_000, 0.91e6, 5e5, 40);
+        assert_eq!(compare(&base, &head, 10.0).regressions().count(), 0);
+    }
+
+    #[test]
+    fn halved_events_in_less_time_pass() {
+        let base = point(100_000, 1e6, 5e5, 40);
+        // Half the events at a 30% lower rate: 0.71x the time.
+        let head = point(50_000, 0.7e6, 0.35e6, 40);
+        let cmp = compare(&base, &head, 10.0);
+        assert_eq!(cmp.compared.len(), 2);
+        assert_eq!(cmp.regressions().count(), 0);
+        assert!(cmp.compared.iter().all(|p| p.head_ms < p.base_ms));
+    }
+
+    #[test]
+    fn a_row_whose_rounds_changed_stays_paired() {
+        let cmp = compare(
+            &point(100_000, 1e6, 5e5, 40),
+            &point(60_000, 1e6, 5e5, 27),
+            10.0,
+        );
+        assert_eq!(cmp.compared.len(), 2, "both rows paired");
+        assert!(cmp.fresh.is_empty());
+        assert_eq!(cmp.regressions().count(), 0);
+    }
 }

@@ -30,8 +30,9 @@ pub struct Section {
     /// compares rows whose section config matches, so points taken at
     /// different depths or horizons never get compared.
     pub config: Vec<(String, Value)>,
-    /// One object per measured configuration. Rows with an
-    /// `events_per_sec` field participate in the regression gate.
+    /// One object per measured configuration. Rows with `events` and
+    /// `events_per_sec` fields participate in the regression gate, which
+    /// compares their time for fixed work (`events / events_per_sec`).
     pub rows: Vec<Value>,
     /// Rendered markdown table.
     pub table: String,

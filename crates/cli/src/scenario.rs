@@ -393,6 +393,9 @@ impl TopologyDecl {
         let owner = "topology";
         require_gap(owner, "flow_interval_us", self.flow_interval_us)?;
         check_payload(owner, self.payload_bytes)?;
+        require(self.bandwidth_mbps >= 1, || {
+            format!("{owner}: bandwidth_mbps must be at least 1")
+        })?;
         let family = match self.family.to_ascii_lowercase().as_str() {
             "fat_tree" => mpls_net::ScaleFamily::FatTree {
                 k: self.k,
@@ -1170,8 +1173,12 @@ impl Scenario {
         Self::from_json(&text)
     }
 
-    /// Builds the control plane: topology, attachments, LSPs.
+    /// Builds the control plane: topology, attachments, LSPs. The
+    /// declarations are checked first, so a graph the topology would
+    /// refuse (a parallel link, a link without bandwidth) is a typed
+    /// error here too.
     pub fn build_control_plane(&self) -> Result<ControlPlane, ScenarioError> {
+        self.check_declarations()?;
         if let Some(t) = &self.topology {
             if !self.nodes.is_empty() || !self.links.is_empty() {
                 return Err(ScenarioError::Invalid(
@@ -1802,6 +1809,30 @@ mod tests {
         );
     }
 
+    /// `build_control_plane` is public: it checks the declarations
+    /// before the topology would panic on them.
+    #[test]
+    fn graphs_a_topology_refuses_are_typed_errors() {
+        type Mutation = fn(&mut Scenario);
+        let cases: [(Mutation, &str); 2] = [
+            (
+                |sc| sc.links.push(sc.links[1].clone()),
+                "links #1 and #3 both join nodes 2 and 3",
+            ),
+            (
+                |sc| sc.links[0].bandwidth_mbps = 0,
+                "link 0-2: bandwidth_mbps must be at least 1",
+            ),
+        ];
+        for (mutate, named) in cases {
+            let mut sc = Scenario::from_json(EXAMPLE).unwrap();
+            mutate(&mut sc);
+            let err = sc.build_control_plane().expect_err(named);
+            assert!(matches!(err, ScenarioError::Invalid(_)), "{err}");
+            assert!(err.to_string().contains(named), "{err}");
+        }
+    }
+
     #[test]
     fn bad_role_is_rejected() {
         let mut sc = Scenario::from_json(EXAMPLE).unwrap();
@@ -1919,7 +1950,7 @@ mod tests {
     fn fields_a_run_cannot_honor_are_rejected() {
         type Mutation = fn(&mut Scenario);
         const HUGE: u64 = 1 << 62;
-        let cases: [(&str, Mutation, &str); 27] = [
+        let cases: [(&str, Mutation, &str); 28] = [
             (
                 EXAMPLE,
                 |sc| sc.flows[0].pattern = PatternDecl::Cbr { interval_us: 0 },
@@ -2020,6 +2051,11 @@ mod tests {
                 SCALE_SMOKE,
                 |sc| sc.topology.as_mut().unwrap().lsps_total = 0,
                 "topology: lsps_total must be at least 1",
+            ),
+            (
+                SCALE_SMOKE,
+                |sc| sc.topology.as_mut().unwrap().bandwidth_mbps = 0,
+                "topology: bandwidth_mbps must be at least 1",
             ),
             (
                 SCALE_SMOKE,

@@ -102,7 +102,7 @@ fn fields_a_run_cannot_honor_are_rejected() {
     let family = r#""family": "fat_tree""#;
     let link23 = r#"{ "a": 2, "b": 3, "bandwidth_mbps": 1000, "delay_us": 500 },"#;
     let parallel = format!("{link23} {}", link23.replace("1000", "100"));
-    let mutations: [(&str, &str, &str, &[&str], &str); 21] = [
+    let mutations: [(&str, &str, &str, &[&str], &str); 22] = [
         (
             EXAMPLE,
             r#""interval_us": 2000"#,
@@ -187,6 +187,13 @@ fn fields_a_run_cannot_honor_are_rejected() {
             r#""lsps_total": 0"#,
             &[],
             "topology: lsps_total",
+        ),
+        (
+            scale,
+            stop,
+            r#""flow_stop_ms": 10, "bandwidth_mbps": 0"#,
+            &[],
+            "topology: bandwidth_mbps must be at least 1",
         ),
         (scale, r#""k": 8"#, r#""k": 0"#, &[], "topology: k 0"),
         (scale, r#""k": 8"#, r#""k": 1"#, &[], "topology: k 1"),

@@ -115,7 +115,7 @@ impl SptTree {
                 continue;
             }
             // Does v still achieve its distance over some usable edge
-            // (e.g. a parallel link, or another tight parent)?
+            // (another tight parent)?
             if self.best_incoming(topo, usable, v) == self.dist[vi] {
                 self.prev[vi] = self.canonical_prev(topo, usable, v);
                 continue;
@@ -383,7 +383,8 @@ mod tests {
             t.add_node(i, RouterRole::Lsr, format!("n{i}"));
         }
         // A ring keeps the base graph connected; extra chords add tie-rich
-        // alternative paths.
+        // alternative paths (never a second link between two nodes,
+        // which a topology refuses).
         for i in 0..n {
             t.add_link(LinkSpec {
                 a: i,
@@ -395,7 +396,7 @@ mod tests {
         }
         for &(a, b, cost) in extra {
             let (a, b) = (a % n, b % n);
-            if a != b {
+            if a != b && t.link_between(a, b).is_none() {
                 t.add_link(LinkSpec {
                     a,
                     b,

@@ -78,6 +78,12 @@ impl Topology {
     }
 
     /// Adds a bidirectional link and returns its id.
+    ///
+    /// Panics on an unknown endpoint, a self-link, a link without
+    /// bandwidth (it could never finish serializing a packet), or a
+    /// second link between the same two nodes: the control plane names a
+    /// link by its endpoints ([`Self::link_between`]), so a parallel link
+    /// could be reserved or cut in place of the one carrying traffic.
     pub fn add_link(&mut self, spec: LinkSpec) -> LinkId {
         assert!(
             self.node_index.contains_key(&spec.a),
@@ -90,6 +96,18 @@ impl Topology {
             spec.b
         );
         assert_ne!(spec.a, spec.b, "self-links are not allowed");
+        assert!(
+            spec.bandwidth_bps > 0,
+            "link {}-{} has no bandwidth",
+            spec.a,
+            spec.b
+        );
+        assert!(
+            self.link_between(spec.a, spec.b).is_none(),
+            "nodes {} and {} are already linked; parallel links are not allowed",
+            spec.a,
+            spec.b
+        );
         let id = self.links.len() as LinkId;
         self.links.push(spec);
         self.adj.get_mut(&spec.a).unwrap().push((spec.b, id));
@@ -381,6 +399,31 @@ mod tests {
         assert_eq!(t.neighbors(0).len(), 2);
         assert!(t.link_between(0, 2).is_some());
         assert!(t.link_between(0, 3).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "nodes 3 and 2 are already linked; parallel links are not allowed")]
+    fn a_parallel_link_is_refused() {
+        let mut t = Topology::figure1_example();
+        let twin = t.links()[1];
+        t.add_link(LinkSpec {
+            a: twin.b,
+            b: twin.a,
+            ..twin
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "link 0-3 has no bandwidth")]
+    fn a_link_without_bandwidth_is_refused() {
+        let mut t = Topology::figure1_example();
+        t.add_link(LinkSpec {
+            a: 0,
+            b: 3,
+            cost: 1,
+            bandwidth_bps: 0,
+            delay_ns: 1_000,
+        });
     }
 
     #[test]

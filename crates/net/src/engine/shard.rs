@@ -12,14 +12,25 @@
 //! node as a single-shard run: byte-identical reports at any shard
 //! count.
 //!
-//! Every key is unique at its timestamp: a flow emits at most once per
-//! instant (inter-packet gaps are ≥ 1 ns), a channel completes at most
-//! one serialization per instant per incarnation (serialization times
-//! are ≥ 1 ns), and an `Arrive` is pinned to its (node, channel) lane —
-//! a channel delivers at most one packet per instant for the same
-//! reason. So the insertion order that [`EventQueue`] falls back on
-//! never decides between two local events: each shard pops in
-//! `(time, key)` order.
+//! Every key is unique at its timestamp. A flow emits at most once per
+//! instant (inter-packet gaps are ≥ 1 ns). Within one incarnation a
+//! channel's packets end serializing at strictly increasing times
+//! (serialization times are ≥ 1 ns, and each packet starts no earlier
+//! than the one before it ends), so a channel has at most one
+//! `TransmitDone` per instant per incarnation, and an `Arrive` is pinned
+//! to its (node, channel) lane: a channel delivers at most one packet
+//! per instant, at its end plus the link delay. A cut keeps only the old
+//! incarnation's arrivals due before `cut + delay`, and the new
+//! incarnation's packets end after the cut. So the insertion order that
+//! [`EventQueue`] falls back on never decides between two local events:
+//! each shard pops in `(time, key)` order.
+//!
+//! # Local event kinds
+//!
+//! A hop costs one event: a channel schedules each packet's `Arrive` at
+//! the far end when it commits the packet (see [`crate::link`]). The
+//! `TransmitDone`s left mark a wire-lost packet's end, a CoS channel's
+//! next start, or a completion a cut made stale.
 //!
 //! # What shards may touch
 //!
@@ -31,7 +42,7 @@
 //! coordinator folds in deterministically.
 
 use crate::event::{EventQueue, EventRank, SimTime};
-use crate::link::{Channel, OfferResult};
+use crate::link::{Channel, Departures};
 use crate::policer::TokenBucket;
 use crate::sim::{FlowTemplate, SimPacket};
 use crate::stats::{FlowId, FlowStats};
@@ -73,7 +84,9 @@ pub(crate) enum LocalEvent {
         /// link was cut while the packet was propagating and it is lost.
         via: Option<(usize, u64)>,
     },
-    /// A channel finished serializing its current packet.
+    /// A channel finished serializing a packet that is lost on the wire
+    /// or has packets waiting behind it under CoS priority (or, stale,
+    /// one a cut caught).
     TransmitDone {
         /// Global channel index.
         channel: usize,
@@ -111,10 +124,11 @@ impl EventRank for LocalEvent {
     type Rank = EventKey;
 
     /// The canonical same-timestamp ordering key. Emissions first, then
-    /// arrivals, then transmit completions — matching the causal chains
-    /// `SourceEmit -> Arrive` and `Arrive -> TransmitDone` that occur at
-    /// one instant — then the closed-loop acks, transfer arrivals and
-    /// timeout checks.
+    /// arrivals, then transmit completions — matching the causal chain
+    /// `SourceEmit -> Arrive` at one instant, and letting a packet
+    /// offered at the instant a channel's last packet ends queue behind
+    /// it — then the closed-loop acks, transfer arrivals and timeout
+    /// checks.
     fn rank(&self) -> EventKey {
         match *self {
             LocalEvent::SourceEmit { flow } => (0, flow as u64, 0),
@@ -737,7 +751,7 @@ impl<S: TelemetrySink> ShardState<S> {
                     self.count_fault_loss(ctx.chan_link[chan], flow, ctx);
                     return;
                 }
-                self.offer_to_channel(chan, local, sp, done, ctx);
+                self.offer_to_channel(chan, local, sp, now, done, ctx);
             }
             Action::Deliver(inner) => {
                 let wire = inner.wire_len();
@@ -788,12 +802,15 @@ impl<S: TelemetrySink> ShardState<S> {
         }
     }
 
+    /// Offers `packet` to the channel at `now`, ready to serialize at
+    /// `ready`, and schedules what the channel commits.
     fn offer_to_channel(
         &mut self,
         chan: usize,
         local: usize,
         mut packet: SimPacket,
-        at: SimTime,
+        now: SimTime,
+        ready: SimTime,
         ctx: &SharedCtx<'_>,
     ) {
         let flow = packet.flow;
@@ -804,80 +821,64 @@ impl<S: TelemetrySink> ShardState<S> {
         if !packet.ecn {
             if let TrafficPattern::ClosedLoop(cl) = ctx.flows[flow].pattern {
                 if cl.ecn_threshold > 0
-                    && self.channels[local].queue.len() as u32 >= cl.ecn_threshold
+                    && self.channels[local].waiting(now) as u32 >= cl.ecn_threshold
                 {
                     packet.ecn = true;
                     self.stats[flow].ecn_marks += 1;
                 }
             }
         }
-        let c = &mut self.channels[local];
-        match c.offer(packet) {
-            OfferResult::Dropped => {
-                self.stats[flow].queue_dropped += 1;
-            }
-            OfferResult::Queued => {}
-            OfferResult::StartTransmit => {
-                let p = c.queue.pop().expect("just offered");
-                let ser = c.serialization_ns(p.wire_len());
-                c.busy = true;
-                c.busy_ns += ser;
-                let gen = c.gen;
-                c.in_flight = Some(p);
-                self.queue
-                    .schedule(at + ser, LocalEvent::TransmitDone { channel: chan, gen });
+        match self.channels[local].offer(now, ready, packet) {
+            Some(departures) => self.depart(chan, local, departures, ctx),
+            None => self.stats[flow].queue_dropped += 1,
+        }
+    }
+
+    /// Schedules what channel `chan` (local index `local`) committed: a
+    /// packet's arrival at the far end, on whichever shard owns it, and
+    /// a completion on this one.
+    fn depart(&mut self, chan: usize, local: usize, departures: Departures, ctx: &SharedCtx<'_>) {
+        let Departures { arrive, done } = departures;
+        let (to, gen) = (self.channels[local].to, self.channels[local].gen);
+        if let Some(at) = done {
+            self.queue
+                .schedule(at, LocalEvent::TransmitDone { channel: chan, gen });
+        }
+        if let Some((at, packet)) = arrive {
+            let ev = LocalEvent::Arrive {
+                node: to,
+                packet,
+                via: Some((chan, gen)),
+            };
+            let dest = ctx.chan_dest_shard[chan];
+            if dest == self.id {
+                self.queue.schedule(at, ev);
+            } else {
+                self.outbox.push((at, dest, ev));
             }
         }
     }
 
+    /// A completion the channel still needs: a wire-lost packet's
+    /// accounting, or (under CoS priority) the start of the next waiting
+    /// packet. A stale one, left by a cut, does nothing.
     fn on_transmit_done(&mut self, now: SimTime, chan: usize, gen: u64, ctx: &SharedCtx<'_>) {
         let local = ctx.chan_owner[chan].1;
         let c = &mut self.channels[local];
         if c.gen != gen {
             // The link was cut mid-serialization; take_down already
-            // flushed and counted the packet.
+            // counted the packet.
             return;
         }
-        let p = c.in_flight.take().expect("transmit completed with cargo");
-        c.transmitted += 1;
-        let to = c.to;
-        let delay = c.delay_ns;
-        let cur_gen = c.gen;
-        let loss_prob = c.loss_prob;
-        // Start the next queued packet, if any.
-        if let Some(next) = c.queue.pop() {
-            let ser = c.serialization_ns(next.wire_len());
-            c.busy_ns += ser;
-            c.in_flight = Some(next);
-            self.queue.schedule(
-                now + ser,
-                LocalEvent::TransmitDone {
-                    channel: chan,
-                    gen: cur_gen,
-                },
-            );
-        } else {
-            c.busy = false;
+        let (lost, next) = c.complete(now);
+        if let Some(flow) = lost {
+            // Random wire loss claims the packet after serialization.
+            // The draw came from the channel's private RNG when it was
+            // committed, in transmission order, so the outcome is a
+            // function of this channel's transmission sequence alone.
+            self.stats[flow].on_discarded(DiscardCause::LinkLoss);
         }
-        // Random wire loss claims the packet after serialization. The
-        // draw comes from the channel's private RNG, so the outcome is
-        // a function of this channel's transmission sequence alone.
-        if loss_prob > 0.0 && self.channels[local].loss_roll() < loss_prob {
-            self.channels[local].loss_drops += 1;
-            self.stats[p.flow].on_discarded(DiscardCause::LinkLoss);
-            return;
-        }
-        let ev = LocalEvent::Arrive {
-            node: to,
-            packet: p,
-            via: Some((chan, cur_gen)),
-        };
-        let at = now + delay;
-        if ctx.chan_dest_shard[chan] == self.id {
-            self.queue.schedule(at, ev);
-        } else {
-            self.outbox.push((at, ctx.chan_dest_shard[chan], ev));
-        }
+        self.depart(chan, local, next, ctx);
     }
 
     /// Counts one packet lost to `link`'s outage against its flow and
@@ -994,12 +995,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Random schedule/pop/pop_before interleavings over four
-        /// timestamps and twelve keys: the slab queue pops what the
-        /// fat-entry heap pops, reusing the slots it vacates.
+        /// Random schedule/pop/pop_before/cancel interleavings over four
+        /// timestamps and twelve keys: the slab queue pops and cancels
+        /// what the fat-entry heap does, reusing the slots it vacates.
         #[test]
         fn local_events_pop_as_the_fat_heap_pops(
-            ops in proptest::collection::vec((0u8..5, 0u64..4, 0u8..12), 0..160)
+            ops in proptest::collection::vec((0u8..6, 0u64..4, 0u8..12), 0..160)
         ) {
             let res = diff_against_oracle(&ops, local_event);
             prop_assert!(res.is_ok(), "{}", res.unwrap_err());

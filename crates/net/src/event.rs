@@ -269,6 +269,27 @@ impl<K: EventRank> EventQueue<K> {
         self.heap.peek().map(|k| k.time)
     }
 
+    /// Removes every pending event for which `hit(time, event)` holds
+    /// and returns how many went. The rest keep their pop order: keys
+    /// are totally ordered, so the heap's new layout cannot reorder
+    /// them. O(pending), for rare cancellations such as a link cut.
+    pub fn cancel(&mut self, mut hit: impl FnMut(SimTime, &K) -> bool) -> usize {
+        let before = self.heap.len();
+        let (slots, free) = (&mut self.slots, &mut self.free);
+        self.heap.retain(|key| {
+            let kind = slots[key.slot]
+                .as_ref()
+                .expect("a queued key owns its slot");
+            if !hit(key.time, kind) {
+                return true;
+            }
+            slots[key.slot] = None;
+            free.push(key.slot);
+            false
+        });
+        before - self.heap.len()
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -358,18 +379,26 @@ pub(crate) mod oracle {
             self.heap.peek().map(|e| e.time)
         }
 
+        pub(crate) fn cancel(&mut self, mut hit: impl FnMut(SimTime, &K) -> bool) -> usize {
+            let before = self.heap.len();
+            self.heap.retain(|e| !hit(e.time, &e.kind));
+            before - self.heap.len()
+        }
+
         pub(crate) fn len(&self) -> usize {
             self.heap.len()
         }
     }
 
     /// Drives an [`EventQueue`] and a [`FatQueue`] through the same
-    /// operations and fails at the first difference in what they pop,
-    /// their lengths or their earliest times. Each op is `(kind, time,
-    /// pick)`: kinds 0–2 schedule `make(op index, pick)` at `time`, 3
-    /// pops, 4 pops strictly before `time + 1`. Events compare by their
-    /// `Debug` image. The slab must never hold more slots than the most
-    /// events pending at once: popped slots are reused.
+    /// operations and fails at the first difference in what they pop or
+    /// cancel, their lengths or their earliest times. Each op is `(kind,
+    /// time, pick)`: kinds 0–2 schedule `make(op index, pick)` at `time`,
+    /// 3 pops, 4 pops strictly before `time + 1`, and 5 cancels every
+    /// event at or after `time` that ranks as `make(op index, pick)`
+    /// does. Events compare by their `Debug` image. The slab must never
+    /// hold more slots than the most events pending at once: popped and
+    /// cancelled slots are reused.
     pub(crate) fn diff_against_oracle<K: EventRank + Debug>(
         ops: &[(u8, SimTime, u8)],
         make: impl Fn(usize, u8) -> K,
@@ -385,7 +414,16 @@ pub(crate) mod oracle {
                     (None, None)
                 }
                 3 => (slab.pop(), fat.pop()),
-                _ => (slab.pop_before(time + 1), fat.pop_before(time + 1)),
+                4 => (slab.pop_before(time + 1), fat.pop_before(time + 1)),
+                _ => {
+                    let rank = make(i, pick).rank();
+                    let hit = |t: SimTime, ev: &K| t >= time && ev.rank() == rank;
+                    let (got, want) = (slab.cancel(hit), fat.cancel(hit));
+                    if got != want {
+                        return Err(format!("op {i}: cancelled {got}, oracle {want}"));
+                    }
+                    (None, None)
+                }
             };
             let (got, want) = (format!("{got:?}"), format!("{want:?}"));
             if got != want {
@@ -524,13 +562,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Random schedule/pop/pop_before interleavings over four
-        /// timestamps, where deliveries (rank 0) and timers (rank 1)
-        /// tie constantly: the slab queue pops what the fat-entry heap
-        /// pops.
+        /// Random schedule/pop/pop_before/cancel interleavings over
+        /// four timestamps, where deliveries (rank 0) and timers (rank 1)
+        /// tie constantly: the slab queue pops and cancels what the
+        /// fat-entry heap does.
         #[test]
         fn control_events_pop_as_the_fat_heap_pops(
-            ops in proptest::collection::vec((0u8..5, 0u64..4, 0u8..4), 0..160)
+            ops in proptest::collection::vec((0u8..6, 0u64..4, 0u8..4), 0..160)
         ) {
             let res = diff_against_oracle(&ops, control_event);
             prop_assert!(res.is_ok(), "{}", res.unwrap_err());

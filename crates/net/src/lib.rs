@@ -41,7 +41,7 @@ pub mod stats;
 pub mod subscriber;
 pub mod traffic;
 
-pub use engine::{EngineKind, EngineStats};
+pub use engine::{ChannelEdges, EngineKind, EngineStats};
 pub use event::{ControlEvent, EventQueue, SimTime};
 pub use fault::{FaultPlan, FaultRecord, PduChaos, RecoveryMode, RestorationPolicy};
 pub use histogram::LatencyHistogram;

@@ -2,13 +2,21 @@
 //!
 //! "The CoS bits affect the scheduling and or discard algorithms applied
 //! to the packet as it is transmitted through the network" (paper §2) —
-//! this module is where that happens. Two disciplines:
+//! this module is where that happens. Three disciplines:
 //!
 //! * [`QueueDiscipline::Fifo`] — one tail-drop queue, CoS ignored (the
 //!   plain-IP baseline);
 //! * [`QueueDiscipline::CosPriority`] — strict priority by the packet's
 //!   CoS (top label's CoS bits, or the IP precedence for unlabeled
-//!   packets), each class with its own tail-drop capacity.
+//!   packets), each class with its own tail-drop capacity;
+//! * [`QueueDiscipline::Red`] — one queue with random early drops.
+//!
+//! A [`LinkQueue`] decides admission and, under CoS priority, holds the
+//! packets waiting to start. A FIFO or RED queue holds none: its order
+//! is arrival order, so the channel fixes each admitted packet's
+//! departure when it admits it (see [`crate::link`]) and tells the queue
+//! how many admitted packets have not started yet. That count is the
+//! queue length tail drop and RED judge.
 
 use crate::sim::SimPacket;
 use std::collections::VecDeque;
@@ -45,10 +53,13 @@ pub enum QueueDiscipline {
     },
 }
 
-/// A link's output queue.
+/// A link's admission policy, plus the packets waiting under CoS
+/// priority.
 #[derive(Debug)]
 pub struct LinkQueue {
     discipline: QueueDiscipline,
+    /// Waiting packets by CoS class; empty (no classes) unless the
+    /// discipline is CoS priority.
     classes: Vec<VecDeque<SimPacket>>,
     /// xorshift64 state for RED's probabilistic drops; seeded from the
     /// discipline so runs stay deterministic.
@@ -59,8 +70,8 @@ impl LinkQueue {
     /// Creates a queue with the given discipline.
     pub fn new(discipline: QueueDiscipline) -> Self {
         let classes = match discipline {
-            QueueDiscipline::Fifo { .. } | QueueDiscipline::Red { .. } => 1,
             QueueDiscipline::CosPriority { .. } => 8,
+            QueueDiscipline::Fifo { .. } | QueueDiscipline::Red { .. } => 0,
         };
         Self {
             discipline,
@@ -69,11 +80,11 @@ impl LinkQueue {
         }
     }
 
-    fn class_of(&self, p: &SimPacket) -> usize {
-        match self.discipline {
-            QueueDiscipline::Fifo { .. } | QueueDiscipline::Red { .. } => 0,
-            QueueDiscipline::CosPriority { .. } => p.cos_class() as usize,
-        }
+    /// Whether admitted packets wait here until they start (CoS
+    /// priority: a later packet of a higher class may still overtake
+    /// them) instead of being committed at admission.
+    pub(crate) fn holds_packets(&self) -> bool {
+        !self.classes.is_empty()
     }
 
     /// Next uniform value in [0, 1) from the internal xorshift64.
@@ -86,68 +97,63 @@ impl LinkQueue {
         (x >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Enqueues a packet; returns `false` when it is dropped (tail drop
-    /// at capacity, or RED early drop).
-    pub fn push(&mut self, p: SimPacket) -> bool {
-        if let QueueDiscipline::Red {
-            capacity,
-            min_th,
-            max_th,
-            max_p_percent,
-        } = self.discipline
-        {
-            let len = self.classes[0].len();
-            if len >= capacity || len >= max_th {
-                return false;
+    /// Whether `p` is admitted when `waiting` packets have been admitted
+    /// and not yet started: tail drop at capacity (per class under CoS
+    /// priority, which counts its own waiting packets), or a RED drop.
+    pub(crate) fn admits(&mut self, waiting: usize, p: &SimPacket) -> bool {
+        match self.discipline {
+            QueueDiscipline::Fifo { capacity } => waiting < capacity,
+            QueueDiscipline::CosPriority { per_class } => {
+                self.classes[p.cos_class() as usize].len() < per_class
             }
-            if len >= min_th {
-                let span = (max_th - min_th).max(1) as f64;
-                let p_drop = max_p_percent as f64 / 100.0 * (len - min_th) as f64 / span;
-                if self.uniform() < p_drop {
+            QueueDiscipline::Red {
+                capacity,
+                min_th,
+                max_th,
+                max_p_percent,
+            } => {
+                if waiting >= capacity || waiting >= max_th {
                     return false;
                 }
+                if waiting >= min_th {
+                    let span = (max_th - min_th).max(1) as f64;
+                    let p_drop = max_p_percent as f64 / 100.0 * (waiting - min_th) as f64 / span;
+                    if self.uniform() < p_drop {
+                        return false;
+                    }
+                }
+                true
             }
-            self.classes[0].push_back(p);
-            return true;
         }
-        let cap = match self.discipline {
-            QueueDiscipline::Fifo { capacity } => capacity,
-            QueueDiscipline::CosPriority { per_class } => per_class,
-            QueueDiscipline::Red { .. } => unreachable!("handled above"),
-        };
-        let class = self.class_of(&p);
-        if self.classes[class].len() >= cap {
-            return false;
-        }
+    }
+
+    /// Holds an admitted packet until it starts (CoS priority only).
+    pub(crate) fn push(&mut self, p: SimPacket) {
+        debug_assert!(self.holds_packets(), "only CoS priority holds packets");
+        let class = p.cos_class() as usize;
         self.classes[class].push_back(p);
-        true
     }
 
-    /// Dequeues the next packet to transmit: highest CoS class first, FIFO
-    /// within a class.
-    pub fn pop(&mut self) -> Option<SimPacket> {
-        for class in self.classes.iter_mut().rev() {
-            if let Some(p) = class.pop_front() {
-                return Some(p);
-            }
-        }
-        None
+    /// The next packet to start: highest CoS class first, FIFO within a
+    /// class.
+    pub(crate) fn pop(&mut self) -> Option<SimPacket> {
+        self.classes.iter_mut().rev().find_map(VecDeque::pop_front)
     }
 
-    /// Total queued packets.
+    /// Packets waiting here.
     pub fn len(&self) -> usize {
         self.classes.iter().map(VecDeque::len).sum()
     }
 
-    /// True when nothing is queued.
+    /// True when no packet waits here.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Empties every class, returning the flushed packets (highest CoS
     /// first, FIFO within a class). Used when a link goes down and its
-    /// queued packets are lost.
-    pub fn drain(&mut self) -> Vec<SimPacket> {
+    /// waiting packets are lost.
+    pub(crate) fn drain(&mut self) -> Vec<SimPacket> {
         let mut out = Vec::with_capacity(self.len());
         for class in self.classes.iter_mut().rev() {
             out.extend(class.drain(..));
@@ -162,19 +168,20 @@ mod tests {
     use crate::sim::tests_support::packet_with_cos;
 
     #[test]
-    fn fifo_preserves_order_and_drops_at_capacity() {
+    fn fifo_drops_at_capacity_and_holds_nothing() {
         let mut q = LinkQueue::new(QueueDiscipline::Fifo { capacity: 2 });
-        assert!(q.push(packet_with_cos(0, 1)));
-        assert!(q.push(packet_with_cos(5, 2)));
-        assert!(!q.push(packet_with_cos(7, 3)), "tail drop at capacity");
-        assert_eq!(q.pop().unwrap().seq, 1);
-        assert_eq!(q.pop().unwrap().seq, 2);
-        assert!(q.pop().is_none());
+        let p = packet_with_cos(7, 1);
+        assert!(q.admits(0, &p) && q.admits(1, &p));
+        assert!(!q.admits(2, &p), "tail drop at capacity, whatever the CoS");
+        assert!(!q.holds_packets() && q.is_empty());
+        let mut empty = LinkQueue::new(QueueDiscipline::Fifo { capacity: 0 });
+        assert!(!empty.admits(0, &p), "a zero-capacity queue admits nothing");
     }
 
     #[test]
     fn priority_pops_high_cos_first() {
         let mut q = LinkQueue::new(QueueDiscipline::CosPriority { per_class: 8 });
+        assert!(q.holds_packets());
         q.push(packet_with_cos(0, 1));
         q.push(packet_with_cos(5, 2));
         q.push(packet_with_cos(0, 3));
@@ -191,8 +198,11 @@ mod tests {
             max_th: 24,
             max_p_percent: 50,
         });
-        for i in 0..8 {
-            assert!(q.push(packet_with_cos(0, i)), "below min_th never drops");
+        for waiting in 0..8 {
+            assert!(
+                q.admits(waiting, &packet_with_cos(0, 0)),
+                "below min_th never drops"
+            );
         }
     }
 
@@ -204,15 +214,12 @@ mod tests {
             max_th: 6,
             max_p_percent: 100,
         });
-        // Fill to max_th (early drops possible between 2 and 6, so keep
-        // offering until the length reaches 6).
-        let mut seq = 0;
-        while q.len() < 6 {
-            q.push(packet_with_cos(0, seq));
-            seq += 1;
-            assert!(seq < 1000, "queue never filled");
+        for _ in 0..100 {
+            assert!(
+                !q.admits(6, &packet_with_cos(0, 0)),
+                "at max_th always drops"
+            );
         }
-        assert!(!q.push(packet_with_cos(0, 999)), "at max_th always drops");
     }
 
     #[test]
@@ -223,24 +230,29 @@ mod tests {
             max_th: 900,
             max_p_percent: 50,
         });
-        let mut accepted = 0u32;
-        let mut offered = 0u32;
+        // A queue that grows by every admitted packet, as a channel's
+        // would while its head stays on the wire.
+        let mut waiting = 0;
         for i in 0..800u64 {
-            offered += 1;
-            if q.push(packet_with_cos(0, i)) {
-                accepted += 1;
+            if q.admits(waiting, &packet_with_cos(0, i)) {
+                waiting += 1;
             }
         }
-        assert!(accepted < offered, "some early drops must occur");
-        assert!(accepted > offered / 2, "but not a total drop");
+        assert!(waiting < 800, "some early drops must occur");
+        assert!(waiting > 400, "but not a total drop");
     }
 
     #[test]
     fn priority_drops_per_class() {
         let mut q = LinkQueue::new(QueueDiscipline::CosPriority { per_class: 1 });
-        assert!(q.push(packet_with_cos(0, 1)));
-        assert!(!q.push(packet_with_cos(0, 2)), "class 0 full");
-        assert!(q.push(packet_with_cos(5, 3)), "class 5 still open");
+        let (low, high) = (packet_with_cos(0, 1), packet_with_cos(5, 3));
+        assert!(q.admits(0, &low));
+        q.push(low);
+        assert!(!q.admits(1, &packet_with_cos(0, 2)), "class 0 full");
+        assert!(q.admits(1, &high), "class 5 still open");
+        q.push(high);
         assert_eq!(q.len(), 2);
+        assert_eq!(q.drain().len(), 2);
+        assert!(q.is_empty());
     }
 }

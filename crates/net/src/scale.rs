@@ -228,6 +228,8 @@ impl ScaleSpec {
     ///   minus one (fat tree), so the canonical shortest path agrees with
     ///   the intended anchor pair.
     /// * `lsps_total` must be at least 1.
+    /// * `bandwidth_bps` must be at least 1: a link without bandwidth
+    ///   could never finish serializing a packet.
     pub fn check(&self) -> Result<(), ScaleError> {
         let max = match self.family {
             ScaleFamily::FatTree { k, lers_per_edge } => {
@@ -262,6 +264,9 @@ impl ScaleSpec {
             },
         )?;
         require(self.lsps_total >= 1, "lsps_total", || {
+            "must be at least 1".into()
+        })?;
+        require(self.bandwidth_bps >= 1, "bandwidth_bps", || {
             "must be at least 1".into()
         })
     }
@@ -505,9 +510,18 @@ mod tests {
                 "ring_size",
             ),
         ];
-        for (family, lsps, strides, named) in cases {
-            let mut spec = small_spec(family, lsps, 7);
-            spec.tunnel_strides = strides;
+        let mut specs: Vec<(ScaleSpec, &str)> = cases
+            .into_iter()
+            .map(|(family, lsps, strides, named)| {
+                let mut spec = small_spec(family, lsps, 7);
+                spec.tunnel_strides = strides;
+                (spec, named)
+            })
+            .collect();
+        let mut dark = small_spec(fat, 8, 7);
+        dark.bandwidth_bps = 0;
+        specs.push((dark, "bandwidth_bps"));
+        for (spec, named) in specs {
             match spec.build() {
                 Err(ScaleError::Field { field, .. }) => assert_eq!(field, named, "{spec:?}"),
                 other => panic!("{spec:?}: expected a {named} error, got {:?}", other.err()),

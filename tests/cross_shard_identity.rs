@@ -1,8 +1,8 @@
 //! Cross-shard identity under heterogeneous delays: for any random
-//! topology, delay assignment, traffic mix, fault schedule and control
-//! plane, the serialized report is byte-identical across shard counts
-//! {1, 2, 4, 8} — the epoch barrier reorders wall-clock work, never
-//! simulated history. Per-shard event counts must also sum to the
+//! topology, delay assignment, traffic mix, queue discipline, fault
+//! schedule and control plane, the serialized report is byte-identical
+//! across shard counts {1, 2, 4, 8} — the epoch barrier reorders
+//! wall-clock work, never simulated history. Per-shard event counts must also sum to the
 //! sequential total at every shard count: scheduling moves events
 //! between threads, it never creates or destroys them.
 
@@ -84,10 +84,27 @@ fn hetero_grid(
     cp
 }
 
+/// A queue small enough to overflow under the generated traffic, under
+/// each discipline: FIFO tail drop, CoS priority, or RED.
+fn small_queue(pick: u8) -> QueueDiscipline {
+    match pick {
+        0 => QueueDiscipline::Fifo { capacity: 4 },
+        1 => QueueDiscipline::CosPriority { per_class: 2 },
+        _ => QueueDiscipline::Red {
+            capacity: 8,
+            min_th: 2,
+            max_th: 6,
+            max_p_percent: 50,
+        },
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
 fn run_once(
     cp: &ControlPlane,
     flows: &[FlowSpec],
     plan: Option<&FaultPlan>,
+    queue: QueueDiscipline,
     seed: u64,
     shards: usize,
     ldp: bool,
@@ -98,7 +115,7 @@ fn run_once(
         RouterKind::Embedded {
             clock: ClockSpec::STRATIX_50MHZ,
         },
-        QueueDiscipline::Fifo { capacity: 32 },
+        queue,
         seed,
     );
     sim.set_shards(shards);
@@ -197,13 +214,14 @@ fn congested_idle_relay_grid_is_shard_invariant() {
         })
         .collect();
 
-    let (baseline, _) = run_once(&cp, &flows, None, 7, 1, false, 30_000_000);
+    let fifo = QueueDiscipline::Fifo { capacity: 32 };
+    let (baseline, _) = run_once(&cp, &flows, None, fifo, 7, 1, false, 30_000_000);
     assert!(
         !baseline.contains("\"queue_dropped\":0"),
         "scenario must saturate the queues for order sensitivity"
     );
     for shards in [4usize, 8] {
-        let (json, stats) = run_once(&cp, &flows, None, 7, shards, false, 30_000_000);
+        let (json, stats) = run_once(&cp, &flows, None, fifo, 7, shards, false, 30_000_000);
         assert_eq!(stats.shards, shards);
         assert_eq!(
             baseline, json,
@@ -229,7 +247,9 @@ proptest! {
         with_fault: bool,
         loss_pct in 0u32..10,
         ldp: bool,
+        queue in 0u8..3,
     ) {
+        let queue = small_queue(queue);
         let cp = hetero_grid(rows, cols, base_delay_us, delay_salt, stretch);
         let last = rows * cols - 1;
         // LDP runs need the control plane converged before traffic is
@@ -291,14 +311,15 @@ proptest! {
             plan
         });
 
-        let (baseline, seq) = run_once(&cp, &flows, plan.as_ref(), seed, 1, ldp, horizon_ns);
+        let (baseline, seq) =
+            run_once(&cp, &flows, plan.as_ref(), queue, seed, 1, ldp, horizon_ns);
         prop_assert_eq!(seq.shards, 1);
         let seq_total = seq.total_events();
         prop_assert!(seq_total > 0, "scenario generated no events");
 
         for shards in [2usize, 4, 8] {
             let (json, stats) =
-                run_once(&cp, &flows, plan.as_ref(), seed, shards, ldp, horizon_ns);
+                run_once(&cp, &flows, plan.as_ref(), queue, seed, shards, ldp, horizon_ns);
             prop_assert_eq!(
                 &baseline, &json,
                 "report diverged at {} shards (effective {})", shards, stats.shards

@@ -1,8 +1,9 @@
 //! Determinism of the sharded engine across random scenarios: for any
-//! topology, traffic mix and fault schedule, the serialized report is
-//! byte-identical at 1, 2 and 4 shards, and the per-shard event counts
-//! always sum to the sequential total — partitioning moves work between
-//! threads, it never creates or destroys events.
+//! topology, traffic mix, queue discipline and fault schedule, the
+//! serialized report is byte-identical at 1, 2 and 4 shards, and the
+//! per-shard event counts always sum to the sequential total —
+//! partitioning moves work between threads, it never creates or
+//! destroys events.
 
 use mpls_control::{ControlPlane, LinkSpec, LspRequest, RouterRole, Topology};
 use mpls_core::ClockSpec;
@@ -68,11 +69,27 @@ fn grid_plane(rows: u32, cols: u32, base_delay_us: u64, delay_salt: u64) -> Cont
     cp
 }
 
+/// A queue small enough to overflow under the generated traffic, under
+/// each discipline: FIFO tail drop, CoS priority, or RED.
+fn small_queue(pick: u8) -> QueueDiscipline {
+    match pick {
+        0 => QueueDiscipline::Fifo { capacity: 4 },
+        1 => QueueDiscipline::CosPriority { per_class: 2 },
+        _ => QueueDiscipline::Red {
+            capacity: 8,
+            min_th: 2,
+            max_th: 6,
+            max_p_percent: 50,
+        },
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run_once(
     cp: &ControlPlane,
     flows: &[FlowSpec],
     plan: Option<&FaultPlan>,
+    queue: QueueDiscipline,
     seed: u64,
     shards: usize,
     telemetry: bool,
@@ -83,7 +100,7 @@ fn run_once(
         RouterKind::Embedded {
             clock: ClockSpec::STRATIX_50MHZ,
         },
-        QueueDiscipline::Fifo { capacity: 32 },
+        queue,
         seed,
     );
     sim.set_shards(shards);
@@ -122,7 +139,9 @@ proptest! {
         with_fault: bool,
         loss_pct in 0u32..10,
         telemetry: bool,
+        queue in 0u8..3,
     ) {
+        let queue = small_queue(queue);
         let cp = grid_plane(rows, cols, base_delay_us, delay_salt);
         let last = rows * cols - 1;
         let stop_ns = 8_000_000;
@@ -182,7 +201,7 @@ proptest! {
         });
 
         let (baseline, seq) = run_once(
-            &cp, &flows, plan.as_ref(), seed, 1, telemetry, horizon_ns,
+            &cp, &flows, plan.as_ref(), queue, seed, 1, telemetry, horizon_ns,
         );
         prop_assert_eq!(seq.shards, 1);
         let seq_total = seq.total_events();
@@ -190,7 +209,7 @@ proptest! {
 
         for shards in [2usize, 4] {
             let (json, engine) = run_once(
-                &cp, &flows, plan.as_ref(), seed, shards, telemetry, horizon_ns,
+                &cp, &flows, plan.as_ref(), queue, seed, shards, telemetry, horizon_ns,
             );
             prop_assert_eq!(
                 &baseline, &json,
