@@ -2249,6 +2249,41 @@ mod tests {
         assert_eq!(rec.packets_lost, s.link_dropped);
     }
 
+    /// Every LSP of a `topology:` fabric rides a tunnel and reserves only
+    /// its access segments, yet a cut inside a tunnel breaks it:
+    /// restoration re-signals those LSPs onto physical paths, so service
+    /// returns one re-signal after detection and the loss does not grow
+    /// with the outage.
+    #[test]
+    fn restoration_reroutes_the_lsps_riding_a_cut_tunnel() {
+        let outage = |up_ms| {
+            let mut sc =
+                Scenario::from_json(include_str!("../scenarios/tunnel_restoration.json")).unwrap();
+            sc.faults.as_mut().unwrap().events = vec![
+                FaultEventDecl::LinkDown {
+                    at_ms: 5,
+                    a: 0,
+                    b: 4,
+                },
+                FaultEventDecl::LinkUp {
+                    at_ms: up_ms,
+                    a: 0,
+                    b: 4,
+                },
+            ];
+            let report = sc.run().expect("the fabric runs");
+            assert_eq!(report.faults.len(), 1);
+            report.faults[0].clone()
+        };
+        let (short, long) = (outage(8), outage(20));
+        for rec in [&short, &long] {
+            let detected = rec.detected_ns.expect("the cut is detected");
+            assert!(rec.restored_ns.expect("restored") > detected, "{rec:?}");
+            assert!(rec.packets_lost > 0, "{rec:?}");
+        }
+        assert_eq!(short.packets_lost, long.packets_lost);
+    }
+
     #[test]
     fn bad_fault_sections_are_rejected() {
         let mut sc = Scenario::from_json(FAULTY).unwrap();

@@ -4,15 +4,14 @@
 //! of the labeled packet) and advertised upstream. Each node draws from
 //! its own 20-bit space, skipping the IETF reserved range `0..=15`.
 
-use crate::topology::NodeId;
+use crate::topology::{NodeId, NodeMap};
 use mpls_packet::Label;
-use std::collections::HashMap;
 
 /// Allocates labels per node, sequentially from 16.
 #[derive(Debug, Clone, Default)]
 pub struct LabelAllocator {
-    next: HashMap<NodeId, u32>,
-    freed: HashMap<NodeId, Vec<u32>>,
+    next: NodeMap<u32>,
+    freed: NodeMap<Vec<u32>>,
 }
 
 /// The label space of one node is exhausted — with 2^20 − 16 usable

@@ -119,11 +119,15 @@ pub struct SignaledLsp {
     pub path: Vec<NodeId>,
     /// `hop_labels[i]` travels on the logical hop `path[i] -> path[i+1]`.
     pub hop_labels: Vec<Label>,
-    /// Physical links reserved.
+    /// Physical links reserved (a tunneled LSP's two access segments;
+    /// its tunnel holds the rest).
     pub reserved_links: Vec<LinkId>,
-    /// Nodes whose per-node store holds entries of this LSP, in the
-    /// order it first wrote to them; teardown removes its entries there.
-    nodes: Vec<NodeId>,
+    /// Topology indices of the nodes whose per-node store holds entries
+    /// of this LSP, in the order it first wrote to them; teardown removes
+    /// its entries there.
+    nodes: Vec<u32>,
+    /// The tunnel the LSP rides, if any.
+    tunnel: Option<TunnelId>,
 }
 
 /// A signaled hierarchical tunnel (an LSP between two core nodes carrying
@@ -151,6 +155,7 @@ pub struct Tunnel {
 /// scans the tunnel table.
 #[derive(Debug, Clone, Copy)]
 struct TunnelHop {
+    id: TunnelId,
     head: NodeId,
     tail: NodeId,
     /// The tunnel's penultimate node (performs the interior PHP pop).
@@ -209,8 +214,26 @@ struct NodeState {
     tunnels: Vec<Entry>,
 }
 
+/// The slot of an LSP or tunnel id in its table: ids count up from 1, so
+/// id `n` sits at index `n - 1` (and id 0 at none).
+fn slot(id: u32) -> usize {
+    (id as usize).wrapping_sub(1)
+}
+
 /// The control plane: owns the topology, the label space, the bandwidth
 /// ledger and all signaled state.
+///
+/// # Dense tables
+///
+/// Every table that signaling writes per LSP is a `Vec` indexed by an id
+/// the plane hands out itself or that is already an index: LSP and
+/// tunnel ids count up from 1 and are never reused (see [`slot`]), links
+/// are indices, and nodes are [`Topology::index_of`] — the topology
+/// never changes once the plane owns it. A torn-down LSP empties its
+/// slot; tunnels are never torn down. Only the protection pairs, the
+/// standby LSPs and the failed links stay sets: they are empty unless a
+/// run protects, restores or cuts a link, and a lookup in an empty set
+/// does not hash.
 ///
 /// # Copy-on-write
 ///
@@ -228,9 +251,12 @@ struct NodeState {
 pub struct ControlPlane {
     topo: Arc<Topology>,
     alloc: LabelAllocator,
-    reserved: HashMap<LinkId, u64>,
-    lsps: Arc<HashMap<LspId, SignaledLsp>>,
-    tunnels: Arc<HashMap<TunnelId, Tunnel>>,
+    /// Bandwidth reserved on each link, by link id.
+    reserved: Vec<u64>,
+    /// LSP `id` at [`slot`]`(id)`; `None` once it is torn down.
+    lsps: Arc<Vec<Option<SignaledLsp>>>,
+    /// Tunnel `id` at [`slot`]`(id)`.
+    tunnels: Arc<Vec<Tunnel>>,
     attached: Vec<IpRoute>,
     failed_links: HashSet<LinkId>,
     /// Primary LSP -> its pre-signaled standby backup.
@@ -238,19 +264,18 @@ pub struct ControlPlane {
     /// LSPs whose ingress steering is withheld: pre-signaled backups and
     /// retired husks (see [`Self::protect_lsp`], [`Self::retire_lsp`]).
     standby: HashSet<LspId>,
-    next_lsp: LspId,
-    next_tunnel: TunnelId,
-    /// Delta-CSPF cache: one incrementally repaired shortest-path tree
-    /// per head end that has signaled an unconstrained request. Repaired
-    /// in place on `fail_link`/`restore_link`.
-    spt_cache: Arc<HashMap<NodeId, SptTree>>,
+    /// Delta-CSPF cache: by head-end node index, the incrementally
+    /// repaired shortest-path tree of each head end that has signaled an
+    /// unconstrained request. Repaired in place on
+    /// `fail_link`/`restore_link`.
+    spt_cache: Arc<Vec<Option<SptTree>>>,
     /// The canonical-parent equivalence behind the cache requires every
     /// link cost ≥ 1 (see [`crate::spt`]); computed once — the topology
     /// is immutable after construction.
     spt_cacheable: bool,
-    /// Node -> its forwarding state (see [`NodeState`]). Makes
-    /// `config_for` O(state at node) instead of O(all LSPs).
-    node_state: Arc<HashMap<NodeId, NodeState>>,
+    /// Each node's forwarding state by node index (see [`NodeState`]).
+    /// Makes `config_for` O(state at node) instead of O(all LSPs).
+    node_state: Arc<Vec<NodeState>>,
     /// The per-LSP aggregation the per-node store replaced, as its
     /// debug-build oracle.
     #[cfg(debug_assertions)]
@@ -261,21 +286,20 @@ impl ControlPlane {
     /// Creates a control plane over `topo`.
     pub fn new(topo: Topology) -> Self {
         let spt_cacheable = topo.links().iter().all(|l| l.cost >= 1);
+        let nodes = topo.nodes().len();
         Self {
+            reserved: vec![0; topo.links().len()],
             topo: Arc::new(topo),
             alloc: LabelAllocator::new(),
-            reserved: HashMap::new(),
             lsps: Arc::default(),
             tunnels: Arc::default(),
             attached: Vec::new(),
             failed_links: HashSet::new(),
             backups: HashMap::new(),
             standby: HashSet::new(),
-            next_lsp: 1,
-            next_tunnel: 1,
-            spt_cache: Arc::default(),
+            spt_cache: Arc::new(vec![None; nodes]),
             spt_cacheable,
-            node_state: Arc::default(),
+            node_state: Arc::new(vec![NodeState::default(); nodes]),
             #[cfg(debug_assertions)]
             oracle: oracle::PerLsp::default(),
         }
@@ -309,13 +333,24 @@ impl ControlPlane {
             return 0;
         }
         let cap = self.topo.link(link).map(|l| l.bandwidth_bps).unwrap_or(0);
-        cap.saturating_sub(self.reserved.get(&link).copied().unwrap_or(0))
+        cap.saturating_sub(self.reserved.get(link as usize).copied().unwrap_or(0))
+    }
+
+    /// Every physical link `lsp`'s traffic crosses: its own reserved
+    /// links, then those of the tunnel it rides.
+    fn links_of<'a>(&'a self, lsp: &'a SignaledLsp) -> impl Iterator<Item = LinkId> + 'a {
+        let tunnel = lsp.tunnel.and_then(|t| self.tunnel(t));
+        lsp.reserved_links
+            .iter()
+            .chain(tunnel.into_iter().flat_map(|t| &t.reserved_links))
+            .copied()
     }
 
     // ---- restoration -----------------------------------------------------
 
     /// Marks `link` failed and returns the ids of LSPs whose paths
-    /// traverse it, in id order. The LSPs keep their (now broken) state
+    /// traverse it — on their own links or inside the tunnel they ride —
+    /// in id order. The LSPs keep their (now broken) state
     /// until [`Self::reroute_lsp`] or [`Self::teardown_lsp`] is called —
     /// mirroring how a head end learns of a failure and re-signals.
     ///
@@ -329,25 +364,23 @@ impl ControlPlane {
     pub fn fail_link(&mut self, link: LinkId) -> Vec<LspId> {
         if self.failed_links.insert(link) {
             let (topo, failed) = (&self.topo, &self.failed_links);
-            for tree in Arc::make_mut(&mut self.spt_cache).values_mut() {
+            for tree in Arc::make_mut(&mut self.spt_cache).iter_mut().flatten() {
                 tree.link_down(topo, link, &|l| !failed.contains(&l));
             }
         }
-        let mut affected: Vec<LspId> = self
-            .lsps
-            .values()
-            .filter(|l| l.reserved_links.contains(&link))
+        self.lsps
+            .iter()
+            .flatten()
+            .filter(|l| self.links_of(l).any(|k| k == link))
             .map(|l| l.id)
-            .collect();
-        affected.sort_unstable();
-        affected
+            .collect()
     }
 
     /// Clears a link failure.
     pub fn restore_link(&mut self, link: LinkId) {
         if self.failed_links.remove(&link) {
             let (topo, failed) = (&self.topo, &self.failed_links);
-            for tree in Arc::make_mut(&mut self.spt_cache).values_mut() {
+            for tree in Arc::make_mut(&mut self.spt_cache).iter_mut().flatten() {
                 tree.link_up(topo, link, &|l| !failed.contains(&l));
             }
         }
@@ -364,8 +397,7 @@ impl ControlPlane {
     /// replacement LSP's id.
     pub fn reroute_lsp(&mut self, id: LspId) -> Result<LspId, SignalError> {
         let mut request = self
-            .lsps
-            .get(&id)
+            .lsp(id)
             .ok_or(SignalError::UnknownLsp(id))?
             .request
             .clone();
@@ -383,12 +415,9 @@ impl ControlPlane {
     /// level-1 steering entries) is withheld until
     /// [`Self::activate_backup`]. Returns the backup's id.
     pub fn protect_lsp(&mut self, primary: LspId) -> Result<LspId, SignalError> {
-        let p = self
-            .lsps
-            .get(&primary)
-            .ok_or(SignalError::UnknownLsp(primary))?;
+        let p = self.lsp(primary).ok_or(SignalError::UnknownLsp(primary))?;
         let mut request = p.request.clone();
-        let avoid: HashSet<LinkId> = p.reserved_links.iter().copied().collect();
+        let avoid: HashSet<LinkId> = self.links_of(p).collect();
         // A disjoint path must avoid every link of the primary as well as
         // anything already failed.
         let path = self.cspf_excluding(
@@ -416,16 +445,11 @@ impl ControlPlane {
         self.standby.contains(&id)
     }
 
-    /// True when none of the LSP's reserved links is failed.
+    /// True when none of the links the LSP crosses, its own or its
+    /// tunnel's, is failed.
     pub fn lsp_is_intact(&self, id: LspId) -> bool {
-        self.lsps
-            .get(&id)
-            .map(|l| {
-                !l.reserved_links
-                    .iter()
-                    .any(|k| self.failed_links.contains(k))
-            })
-            .unwrap_or(false)
+        self.lsp(id)
+            .is_some_and(|l| !self.links_of(l).any(|k| self.failed_links.contains(&k)))
     }
 
     /// Fails over `primary` onto its backup: the backup starts steering
@@ -435,11 +459,9 @@ impl ControlPlane {
     /// afterwards (the head end reprograms).
     pub fn activate_backup(&mut self, primary: LspId) -> Option<LspId> {
         let backup = self.backups.remove(&primary)?;
-        if !self.lsps.contains_key(&backup) {
-            return None;
-        }
+        self.lsp(backup)?;
         self.standby.remove(&backup);
-        if self.lsps.contains_key(&primary) {
+        if self.lsp(primary).is_some() {
             self.standby.insert(primary);
         }
         #[cfg(debug_assertions)]
@@ -460,9 +482,7 @@ impl ControlPlane {
     /// forwarding entries. Used for make-before-break switchover — the
     /// husk is torn down once the pipeline has drained.
     pub fn retire_lsp(&mut self, id: LspId) -> Result<(), SignalError> {
-        if !self.lsps.contains_key(&id) {
-            return Err(SignalError::UnknownLsp(id));
-        }
+        self.lsp(id).ok_or(SignalError::UnknownLsp(id))?;
         self.standby.insert(id);
         #[cfg(debug_assertions)]
         self.oracle.set_standby(id, true);
@@ -471,19 +491,17 @@ impl ControlPlane {
 
     /// A signaled LSP.
     pub fn lsp(&self, id: LspId) -> Option<&SignaledLsp> {
-        self.lsps.get(&id)
+        self.lsps.get(slot(id))?.as_ref()
     }
 
     /// A signaled tunnel.
     pub fn tunnel(&self, id: TunnelId) -> Option<&Tunnel> {
-        self.tunnels.get(&id)
+        self.tunnels.get(slot(id))
     }
 
-    /// Ids of all live LSPs.
+    /// Ids of all live LSPs, ascending.
     pub fn lsp_ids(&self) -> Vec<LspId> {
-        let mut v: Vec<_> = self.lsps.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.lsps.iter().flatten().map(|l| l.id).collect()
     }
 
     /// Labels currently allocated from the shared global space (net of
@@ -504,7 +522,7 @@ impl ControlPlane {
     /// node's own state.
     pub fn config_for(&self, node: NodeId) -> NodeConfig {
         let mut cfg = NodeConfig::default();
-        if let Some(state) = self.node_state.get(&node) {
+        if let Some(state) = self.topo.index_of(node).map(|i| &self.node_state[i]) {
             for &(id, entry) in &state.lsps {
                 // A standby keeps its transit state (levels 2/3 and next
                 // hops) installed so failover is head-end-only, but its
@@ -556,10 +574,10 @@ impl ControlPlane {
     ) -> Result<LspId, SignalError> {
         self.check_endpoints(&request)?;
         let t = self
-            .tunnels
-            .get(&tunnel)
+            .tunnel(tunnel)
             .ok_or(SignalError::UnknownTunnel(tunnel))?;
         let hop = TunnelHop {
+            id: tunnel,
             head: t.head,
             tail: t.tail,
             penultimate: t.path[t.path.len() - 2],
@@ -628,15 +646,17 @@ impl ControlPlane {
             }
         }
 
-        let id = self.next_tunnel;
-        self.next_tunnel += 1;
+        let id = self.tunnels.len() as TunnelId + 1;
         #[cfg(debug_assertions)]
         let mut written = Vec::new();
+        let topo = &self.topo;
         let store = Arc::make_mut(&mut self.node_state);
         let mut put = |entry: Entry| {
             #[cfg(debug_assertions)]
             written.push(entry);
-            store.entry(entry.node()).or_default().tunnels.push(entry);
+            store[topo.index_of(entry.node()).expect("paths hold known nodes")]
+                .tunnels
+                .push(entry);
         };
         // Head: next hop for the entry label (the push binding itself is
         // installed per inner LSP).
@@ -682,42 +702,38 @@ impl ControlPlane {
         }
         #[cfg(debug_assertions)]
         self.oracle.install_tunnel(id, &written);
-        Arc::make_mut(&mut self.tunnels).insert(
+        Arc::make_mut(&mut self.tunnels).push(Tunnel {
             id,
-            Tunnel {
-                id,
-                head,
-                tail,
-                path,
-                entry_label: hop_labels[0],
-                hop_labels,
-                reserved_links: links,
-            },
-        );
+            head,
+            tail,
+            path,
+            entry_label: hop_labels[0],
+            hop_labels,
+            reserved_links: links,
+        });
         Ok(id)
     }
 
     /// Tears an LSP down, releasing its bandwidth and labels. Any
     /// protection relationship it participates in is dissolved.
     pub fn teardown_lsp(&mut self, id: LspId) -> Result<(), SignalError> {
-        if !self.lsps.contains_key(&id) {
-            return Err(SignalError::UnknownLsp(id));
-        }
-        let lsp = Arc::make_mut(&mut self.lsps)
-            .remove(&id)
+        self.lsp(id).ok_or(SignalError::UnknownLsp(id))?;
+        let mut lsp = Arc::make_mut(&mut self.lsps)[slot(id)]
+            .take()
             .expect("checked above");
         self.backups.remove(&id);
         self.backups.retain(|_, &mut b| b != id);
         self.standby.remove(&id);
         self.release_links(&lsp.reserved_links, lsp.request.bandwidth_bps);
         let store = Arc::make_mut(&mut self.node_state);
-        for node in &lsp.nodes {
-            if let Some(state) = store.get_mut(node) {
-                state.lsps.retain(|&(l, _)| l != id);
-            }
+        for &i in &lsp.nodes {
+            store[i as usize].lsps.retain(|&(l, _)| l != id);
         }
         #[cfg(debug_assertions)]
         self.oracle.teardown_lsp(id);
+        // Across a tunnel the inner label repeats on the next hop (see
+        // `allocate_hop_labels`); it was allocated once.
+        lsp.hop_labels.dedup();
         for l in lsp.hop_labels {
             self.alloc.release(GLOBAL_SPACE, l);
         }
@@ -763,21 +779,21 @@ impl ControlPlane {
         // this is a pure strength reduction: O(path) per signaled LSP
         // instead of O(graph).
         if self.spt_cacheable && bw == 0 && avoid.is_empty() {
-            if self.topo.node(from).is_none() {
+            let Some(head) = self.topo.index_of(from) else {
                 return Err(SignalError::Path(PathError::UnknownNode(from)));
-            }
+            };
             if self.topo.node(to).is_none() {
                 return Err(SignalError::Path(PathError::UnknownNode(to)));
             }
             // A hit only reads the cache; a miss builds the tree and
             // writes it (copying the cache first if it is shared).
-            let path = match self.spt_cache.get(&from) {
+            let path = match &self.spt_cache[head] {
                 Some(tree) => tree.path(&self.topo, to),
                 None => {
                     let failed = &self.failed_links;
                     let tree = SptTree::build(&self.topo, from, &|l| !failed.contains(&l));
                     let path = tree.path(&self.topo, to);
-                    Arc::make_mut(&mut self.spt_cache).insert(from, tree);
+                    Arc::make_mut(&mut self.spt_cache)[head] = Some(tree);
                     path
                 }
             };
@@ -826,20 +842,19 @@ impl ControlPlane {
             if self.available_bandwidth(link) < bw {
                 // Roll back what we already took.
                 for &l in &links[..i] {
-                    *self.reserved.get_mut(&l).expect("reserved above") -= bw;
+                    self.reserved[l as usize] -= bw;
                 }
                 return Err(SignalError::InsufficientBandwidth { link });
             }
-            *self.reserved.entry(link).or_insert(0) += bw;
+            self.reserved[link as usize] += bw;
         }
         Ok(links)
     }
 
     fn release_links(&mut self, links: &[LinkId], bw: u64) {
         for &l in links {
-            if let Some(r) = self.reserved.get_mut(&l) {
-                *r = r.saturating_sub(bw);
-            }
+            let r = &mut self.reserved[l as usize];
+            *r = r.saturating_sub(bw);
         }
     }
 
@@ -882,8 +897,8 @@ impl ControlPlane {
         Ok(hop_labels)
     }
 
-    /// Records a signaled LSP under a fresh id and appends its forwarding
-    /// state to the per-node store.
+    /// Records a signaled LSP under the next id and appends its
+    /// forwarding state to the per-node store.
     fn install_lsp(
         &mut self,
         request: LspRequest,
@@ -892,34 +907,32 @@ impl ControlPlane {
         hop_labels: Vec<Label>,
         tunnel: Option<TunnelHop>,
     ) -> LspId {
-        let id = self.next_lsp;
-        self.next_lsp += 1;
-        let mut nodes: Vec<NodeId> = Vec::new();
+        let id = self.lsps.len() as LspId + 1;
+        let mut nodes: Vec<u32> = Vec::new();
         #[cfg(debug_assertions)]
         let mut written = Vec::new();
+        let topo = &self.topo;
         let store = Arc::make_mut(&mut self.node_state);
         lsp_entries(&request, &path, &hop_labels, tunnel, |entry| {
-            let node = entry.node();
-            if !nodes.contains(&node) {
-                nodes.push(node);
+            let i = topo.index_of(entry.node()).expect("paths hold known nodes");
+            if !nodes.contains(&(i as u32)) {
+                nodes.push(i as u32);
             }
             #[cfg(debug_assertions)]
             written.push(entry);
-            store.entry(node).or_default().lsps.push((id, entry));
+            store[i].lsps.push((id, entry));
         });
         #[cfg(debug_assertions)]
         self.oracle.install_lsp(id, &written);
-        Arc::make_mut(&mut self.lsps).insert(
+        Arc::make_mut(&mut self.lsps).push(Some(SignaledLsp {
             id,
-            SignaledLsp {
-                id,
-                request,
-                path,
-                hop_labels,
-                reserved_links,
-                nodes,
-            },
-        );
+            request,
+            path,
+            hop_labels,
+            reserved_links,
+            nodes,
+            tunnel: tunnel.map(|t| t.id),
+        }));
         id
     }
 }
@@ -1111,6 +1124,15 @@ mod oracle {
                     ids.retain(|&l| l != id);
                 }
             }
+        }
+
+        /// The live LSPs, ascending by id, with their standby flags and
+        /// entries.
+        #[cfg(test)]
+        pub(super) fn live(&self) -> Vec<(LspId, bool, &NodeConfig)> {
+            let mut live: Vec<_> = self.lsps.iter().map(|(&id, (e, s))| (id, *s, e)).collect();
+            live.sort_unstable_by_key(|&(id, ..)| id);
+            live
         }
 
         pub(super) fn set_standby(&mut self, id: LspId, standby: bool) {
@@ -1368,6 +1390,57 @@ mod tests {
             .any(|b| b.op == LabelOp::Pop && b.key == lsp.hop_labels[1].value() as u64));
     }
 
+    /// Across a tunnel the inner label is preserved, so a tunneled LSP
+    /// holds one label on two hops; its teardown frees that label once,
+    /// and the next LSP gets distinct labels.
+    #[test]
+    fn tunneled_teardown_releases_each_label_once() {
+        let mut cp = plane();
+        let tid = cp.establish_tunnel(2, 1, 0, Some(vec![2, 3, 1])).unwrap();
+        let id = cp
+            .establish_lsp_via_tunnel(
+                LspRequest::best_effort(0, 1, prefix("192.168.9.0", 24)),
+                tid,
+            )
+            .unwrap();
+        assert_eq!(cp.labels_allocated(), 3);
+        cp.teardown_lsp(id).unwrap();
+        assert_eq!(cp.labels_allocated(), 2, "the tunnel still holds two");
+        let next = cp
+            .establish_lsp(LspRequest::best_effort(0, 1, prefix("192.168.1.0", 24)))
+            .unwrap();
+        assert_eq!(cp.lsp(next).unwrap().path, vec![0, 2, 3, 1]);
+        let mut held: Vec<Label> = cp.lsp(next).unwrap().hop_labels.clone();
+        held.extend(&cp.tunnel(tid).unwrap().hop_labels);
+        let distinct: HashSet<Label> = held.iter().copied().collect();
+        assert_eq!(distinct.len(), held.len(), "a label on two hops: {held:?}");
+        assert_eq!(cp.labels_allocated(), 5);
+    }
+
+    /// A cut inside a tunnel breaks the LSPs riding it, though they
+    /// reserve only their access segments: `fail_link` reports them, and
+    /// they are not intact until the link returns.
+    #[test]
+    fn a_cut_inside_a_tunnel_reports_the_lsps_riding_it() {
+        let mut cp = plane();
+        let tid = cp.establish_tunnel(2, 1, 0, Some(vec![2, 3, 1])).unwrap();
+        let req = |net| LspRequest::best_effort(0, 1, prefix(net, 24));
+        let direct = cp.establish_lsp(req("192.168.1.0")).unwrap();
+        let riding = cp
+            .establish_lsp_via_tunnel(req("192.168.9.0"), tid)
+            .unwrap();
+        let interior = cp.topology().link_between(2, 3).unwrap();
+        assert!(!cp.lsp(riding).unwrap().reserved_links.contains(&interior));
+        assert_eq!(cp.fail_link(interior), vec![direct, riding]);
+        assert!(!cp.lsp_is_intact(riding));
+        // Re-signaling moves it onto a physical path around the cut.
+        let moved = cp.reroute_lsp(riding).unwrap();
+        assert_eq!(cp.lsp(moved).unwrap().path, vec![0, 4, 5, 1]);
+        assert_eq!(cp.fail_link(interior), vec![direct]);
+        cp.restore_link(interior);
+        assert!(cp.lsp_is_intact(direct));
+    }
+
     #[test]
     fn link_failure_reports_affected_lsps_and_reroute_avoids_it() {
         let mut cp = plane();
@@ -1575,9 +1648,12 @@ mod tests {
     /// The per-node store against its per-LSP oracle over random
     /// signaling histories on small grids and fat trees. After every
     /// call every node's `config_for` equals the oracle's, in the same
-    /// order — the order is each key's insert rank in the FIB. Calls
-    /// flagged for a clone run on a copy of the plane, and the plane it
-    /// was cloned from must come out unchanged (copy-on-write).
+    /// order — the order is each key's insert rank in the FIB — and the
+    /// dense tables keep their contracts: live ids ascending, standby
+    /// flags, link reservations, each held label allocated once, and a
+    /// link cut reporting every LSP it breaks. Calls flagged for a clone
+    /// run on a copy of the plane, and the plane it was cloned from must
+    /// come out unchanged (copy-on-write).
     #[cfg(debug_assertions)]
     mod store_vs_oracle {
         use super::*;
@@ -1594,7 +1670,12 @@ mod tests {
             (!v.is_empty()).then(|| v[(x % v.len() as u64) as usize])
         }
 
-        fn apply(cp: &mut ControlPlane, (kind, a, b, c, flags, _): Call) {
+        /// Applies `call`; a link cut returns the link and what
+        /// `fail_link` reported.
+        fn apply(
+            cp: &mut ControlPlane,
+            (kind, a, b, c, flags, _): Call,
+        ) -> Option<(LinkId, Vec<LspId>)> {
             let topo = cp.topology();
             let role = |r| -> Vec<NodeId> {
                 topo.nodes()
@@ -1636,8 +1717,7 @@ mod tests {
                     let _ = cp.establish_tunnel(head, tail, 0, None);
                 }
                 3 | 4 => {
-                    let mut tunnels: Vec<TunnelId> = cp.tunnels.keys().copied().collect();
-                    tunnels.sort_unstable();
+                    let tunnels: Vec<TunnelId> = (1..=cp.tunnels.len() as TunnelId).collect();
                     if let Some(t) = pick(&tunnels, b) {
                         let _ = cp.establish_lsp_via_tunnel(request, t);
                     }
@@ -1659,15 +1739,11 @@ mod tests {
                 9 => {
                     let _ = lsp.map(|l| cp.retire_lsp(l));
                 }
-                10 => {
-                    if flags & 16 == 0 {
-                        cp.fail_link(link);
-                    } else {
-                        cp.restore_link(link);
-                    }
-                }
+                10 if flags & 16 == 0 => return Some((link, cp.fail_link(link))),
+                10 => cp.restore_link(link),
                 _ => cp.attach_prefix(lers[i], request.fec),
             }
+            None
         }
 
         fn configs(cp: &ControlPlane) -> Vec<NodeConfig> {
@@ -1675,7 +1751,7 @@ mod tests {
             nodes.iter().map(|n| cp.config_for(n.id)).collect()
         }
 
-        fn check(cp: &ControlPlane) -> TestCaseResult {
+        fn check(cp: &ControlPlane, cut: Option<(LinkId, Vec<LspId>)>) -> TestCaseResult {
             for n in cp.topology().nodes() {
                 prop_assert_eq!(
                     cp.config_for(n.id),
@@ -1683,6 +1759,53 @@ mod tests {
                     "node {}",
                     n.id
                 );
+            }
+            let live = cp.oracle.live();
+            let ids: Vec<LspId> = live.iter().map(|&(id, ..)| id).collect();
+            prop_assert_eq!(cp.lsp_ids(), ids);
+            let mut reserved = vec![0; cp.topology().links().len()];
+            let mut held: HashSet<Label> = HashSet::new();
+            for &(id, standby, _) in &live {
+                prop_assert_eq!(cp.lsp_is_standby(id), standby, "LSP {}", id);
+                let lsp = cp.lsp(id).expect("a live LSP");
+                for &k in &lsp.reserved_links {
+                    reserved[k as usize] += lsp.request.bandwidth_bps;
+                }
+                held.extend(&lsp.hop_labels);
+            }
+            // The test's tunnels reserve no bandwidth.
+            for (k, spec) in cp.topology().links().iter().enumerate() {
+                if !cp.link_is_failed(k as LinkId) {
+                    prop_assert_eq!(
+                        cp.available_bandwidth(k as LinkId) + reserved[k],
+                        spec.bandwidth_bps,
+                        "link {}",
+                        k
+                    );
+                }
+            }
+            for t in cp.tunnels.iter() {
+                held.extend(&t.hop_labels);
+            }
+            prop_assert_eq!(cp.labels_allocated(), held.len());
+            if let Some((link, reported)) = cut {
+                // The tunnel an LSP rides is the one whose entry label it
+                // pushes.
+                let rides = |e: &NodeConfig| {
+                    e.bindings
+                        .iter()
+                        .filter(|b| b.op == LabelOp::Push && b.level == 2)
+                        .filter_map(|b| cp.tunnels.iter().find(|t| t.entry_label == b.new_label))
+                        .any(|t| t.reserved_links.contains(&link))
+                };
+                let broken: Vec<LspId> = live
+                    .iter()
+                    .filter(|&&(id, _, e)| {
+                        cp.lsp(id).unwrap().reserved_links.contains(&link) || rides(e)
+                    })
+                    .map(|&(id, ..)| id)
+                    .collect();
+                prop_assert_eq!(reported, broken, "cut of link {}", link);
             }
             Ok(())
         }
@@ -1720,15 +1843,15 @@ mod tests {
                     if call.5 {
                         let before = (configs(&cp), cp.lsp_ids(), cp.labels_allocated());
                         let mut twin = cp.clone();
-                        apply(&mut twin, call);
-                        check(&twin)?;
+                        let cut = apply(&mut twin, call);
+                        check(&twin, cut)?;
                         let after = (configs(&cp), cp.lsp_ids(), cp.labels_allocated());
                         prop_assert!(after == before, "call {:?} on a clone reached the original", call);
-                        check(&cp)?;
+                        check(&cp, None)?;
                         cp = twin;
                     } else {
-                        apply(&mut cp, call);
-                        check(&cp)?;
+                        let cut = apply(&mut cp, call);
+                        check(&cp, cut)?;
                     }
                 }
             }

@@ -3,9 +3,43 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Node identifier.
 pub type NodeId = u32;
+
+/// A map keyed by [`NodeId`] that hashes with [`NodeIdHasher`].
+pub(crate) type NodeMap<V> = HashMap<NodeId, V, BuildHasherDefault<NodeIdHasher>>;
+
+/// Hashes a node id with the splitmix64 finalizer, the workspace's
+/// standard mixer, instead of SipHash, because signaling looks one up
+/// per hop. The trade: SipHash's per-process key stops keys crafted to
+/// collide, and a scenario file could now pick ids that share low hash
+/// bits and slow its own set-up; the simulator runs the scenarios its
+/// user writes, so no one else's input reaches this map. The hash is
+/// the same in every process, so iteration over a [`NodeMap`] is too;
+/// nothing may depend on that order.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct NodeIdHasher(u64);
+
+impl Hasher for NodeIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = u64::from(id);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut x = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+}
 
 /// Link identifier (index into the link table; each spec describes both
 /// directions).
@@ -52,9 +86,9 @@ pub struct LinkSpec {
 pub struct Topology {
     nodes: Vec<NodeSpec>,
     links: Vec<LinkSpec>,
-    node_index: HashMap<NodeId, usize>,
-    /// adjacency: node -> [(neighbor, link id)]
-    adj: HashMap<NodeId, Vec<(NodeId, LinkId)>>,
+    node_index: NodeMap<usize>,
+    /// Adjacency by node index: `[(neighbor, link id)]`.
+    adj: Vec<Vec<(NodeId, LinkId)>>,
 }
 
 impl Topology {
@@ -73,7 +107,7 @@ impl Topology {
             role,
             name: name.into(),
         });
-        self.adj.entry(id).or_default();
+        self.adj.push(Vec::new());
         id
     }
 
@@ -85,16 +119,12 @@ impl Topology {
     /// link by its endpoints ([`Self::link_between`]), so a parallel link
     /// could be reserved or cut in place of the one carrying traffic.
     pub fn add_link(&mut self, spec: LinkSpec) -> LinkId {
-        assert!(
-            self.node_index.contains_key(&spec.a),
-            "unknown node {}",
-            spec.a
-        );
-        assert!(
-            self.node_index.contains_key(&spec.b),
-            "unknown node {}",
-            spec.b
-        );
+        let a = self
+            .index_of(spec.a)
+            .unwrap_or_else(|| panic!("unknown node {}", spec.a));
+        let b = self
+            .index_of(spec.b)
+            .unwrap_or_else(|| panic!("unknown node {}", spec.b));
         assert_ne!(spec.a, spec.b, "self-links are not allowed");
         assert!(
             spec.bandwidth_bps > 0,
@@ -110,8 +140,8 @@ impl Topology {
         );
         let id = self.links.len() as LinkId;
         self.links.push(spec);
-        self.adj.get_mut(&spec.a).unwrap().push((spec.b, id));
-        self.adj.get_mut(&spec.b).unwrap().push((spec.a, id));
+        self.adj[a].push((spec.b, id));
+        self.adj[b].push((spec.a, id));
         id
     }
 
@@ -126,7 +156,8 @@ impl Topology {
     }
 
     /// Dense index of a node in [`Self::nodes`] — the array key the
-    /// shortest-path-tree cache stores distances under.
+    /// shortest-path trees and the control plane's per-node tables are
+    /// stored under.
     pub fn index_of(&self, id: NodeId) -> Option<usize> {
         self.node_index.get(&id).copied()
     }
@@ -143,7 +174,7 @@ impl Topology {
 
     /// Neighbors of `id` with the connecting link.
     pub fn neighbors(&self, id: NodeId) -> &[(NodeId, LinkId)] {
-        self.adj.get(&id).map(Vec::as_slice).unwrap_or(&[])
+        self.index_of(id).map_or(&[], |i| &self.adj[i])
     }
 
     /// The link connecting two adjacent nodes, if any.
