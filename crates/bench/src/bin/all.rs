@@ -17,9 +17,11 @@
 //! `ext15`, `ext16`, `ext17`); the others never run. `--all`, the
 //! default, runs every section. `--full` switches every section to its
 //! full (non-quick) config; the committed trajectory files always use
-//! the quick configs so points stay comparable PR over PR. The
-//! `bench-gate` binary consumes these files and fails CI on a >10%
-//! events/s regression between the two most recent points.
+//! the quick configs so points stay comparable PR over PR. Each gated
+//! row is the fastest of runs repeated for at least 2 s of wall time.
+//! The `bench-gate` binary consumes these files and fails CI when a
+//! row's time for its fixed work (`events / events_per_sec`) grew past
+//! what a 10% events/s drop allows between the two most recent points.
 
 use mpls_bench::suite::{self, Section, SectionFn, SECTIONS};
 use serde::Value;

@@ -34,10 +34,7 @@ impl Hasher for NodeIdHasher {
     }
 
     fn finish(&self) -> u64 {
-        let mut x = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
+        mpls_packet::splitmix64(self.0)
     }
 }
 

@@ -69,13 +69,10 @@ impl FlowCache {
 
     #[inline]
     fn index(&self, level: FibLevel, key: u64, port: u64) -> usize {
-        // splitmix64-style mix over the whole tuple; levels and ports must
-        // not alias (an L2 label equals many L1 packet ids numerically).
-        let mut x = key ^ (port << 48) ^ ((level as u64) << 61);
-        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((x ^ (x >> 31)) & self.mask) as usize
+        // splitmix64 over the whole tuple; levels and ports must not
+        // alias (an L2 label equals many L1 packet ids numerically).
+        let x = key ^ (port << 48) ^ ((level as u64) << 61);
+        (mpls_packet::splitmix64(x) & self.mask) as usize
     }
 
     /// Looks up a resolved flow; returns the binding and the canonical

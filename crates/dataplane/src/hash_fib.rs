@@ -28,6 +28,7 @@
 
 use crate::lookup::{LinearTable, LookupStrategy};
 use crate::types::LabelBinding;
+use mpls_packet::splitmix64;
 use std::sync::OnceLock;
 
 /// True when `MPLS_SIM_DIFF_LOOKUP=1`: every [`HashFib`] carries a shadow
@@ -38,16 +39,6 @@ pub fn diff_lookup_enabled() -> bool {
         std::env::var("MPLS_SIM_DIFF_LOOKUP")
             .is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
     })
-}
-
-/// splitmix64 finalizer — the same mixer the engine uses for RNG stream
-/// decomposition; good avalanche for sequential label keys.
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Filler for empty/never-read binding slots in the SoA layout.
@@ -115,7 +106,8 @@ impl HashFib {
         // Linear probe from the hashed home slot; the table is never full
         // (grown at 3/4 load), so the walk terminates. Only the key and
         // rank arrays are touched.
-        let mut i = (mix(key) & self.mask) as usize;
+        // splitmix64 avalanches sequential label keys.
+        let mut i = (splitmix64(key) & self.mask) as usize;
         loop {
             if self.ranks[i] == 0 || self.keys[i] == key {
                 return i;

@@ -47,7 +47,7 @@ use mpls_control::{
 use mpls_dataplane::ftn::Prefix;
 use mpls_dataplane::LabelOp;
 use mpls_packet::ldp::{LdpFec, LdpMessage, LdpPdu};
-use mpls_packet::{CosBits, Label};
+use mpls_packet::{splitmix64, CosBits, Label};
 use std::collections::{BTreeMap, BTreeSet};
 
 pub use mpls_control::LinkId;
@@ -100,15 +100,6 @@ impl Default for LdpConfig {
             stale_ttl_ns: 0, // purge on session loss, as RFC 5036 defaults
         }
     }
-}
-
-/// splitmix64 — the same finalizer the engine's decomposed RNG streams
-/// use; here it hashes `(seed, node, peer, attempt)` into backoff jitter.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// A PDU the fabric wants transmitted from `from` to its neighbor `to`.
@@ -819,6 +810,7 @@ impl LdpFabric {
                 // sessions (the peer sees Initialization while
                 // operational and tears down).
                 let base = (hello << peer.init_attempts.min(cap)).max(self.cfg.hold_ns);
+                // Hash `(seed, node, peer, attempt)` into backoff jitter.
                 let h = splitmix64(
                     seed ^ ((id as u64) << 40) ^ ((pid as u64) << 20) ^ peer.init_attempts as u64,
                 );

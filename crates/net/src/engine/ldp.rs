@@ -20,11 +20,10 @@
 use super::{stream_seed, Engine};
 use crate::event::{ControlEvent, SimTime};
 use crate::fault::PduChaos;
-use crate::sim::ControlSummary;
+use crate::sim::{octave_bounds, ControlSummary};
 use mpls_control::{NodeConfig, NodeId};
 use mpls_ldp::{FecKey, LdpEvent, LdpFabric, LdpSend};
 use mpls_packet::LdpPdu;
-use mpls_telemetry::TelemetrySink;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// An LDP PDU on the wire: the payload of a
@@ -181,7 +180,7 @@ impl LdpRuntime {
     }
 }
 
-impl<S: TelemetrySink> Engine<S> {
+impl Engine {
     /// The periodic protocol timer: hellos, keepalives, session
     /// initiation and hold-timer expiry. Re-arms unconditionally — the
     /// run ends at the horizon, not by queue drain, in ldp mode.
@@ -332,22 +331,10 @@ impl<S: TelemetrySink> Engine<S> {
         for ev in events {
             match ev {
                 LdpEvent::SessionUp { at, peer, link } => {
-                    if S::ENABLED {
-                        self.sink.event(
-                            self.now,
-                            "ldp_session_up",
-                            format!("{at}-{peer} link{link}"),
-                        );
-                    }
+                    self.trace("ldp_session_up", || format!("{at}-{peer} link{link}"));
                 }
                 LdpEvent::SessionDown { at, peer, link } => {
-                    if S::ENABLED {
-                        self.sink.event(
-                            self.now,
-                            "ldp_session_down",
-                            format!("{at}-{peer} link{link}"),
-                        );
-                    }
+                    self.trace("ldp_session_down", || format!("{at}-{peer} link{link}"));
                     let [a, _] = self.channels_of(link);
                     if self.chan(a).up {
                         continue; // lossy-wire expiry, not an outage
@@ -355,10 +342,7 @@ impl<S: TelemetrySink> Engine<S> {
                     if let Some(&rec) = self.fault_of_link.get(&link) {
                         if self.records[rec].detected_ns.is_none() {
                             self.records[rec].detected_ns = Some(self.now);
-                            if S::ENABLED {
-                                self.sink
-                                    .event(self.now, "fault_detected", format!("link{link}"));
-                            }
+                            self.trace("fault_detected", || format!("link{link}"));
                         }
                     }
                 }
@@ -418,16 +402,7 @@ impl<S: TelemetrySink> Engine<S> {
         });
         for (rec, t) in restored {
             self.records[rec].restored_ns = Some(t);
-            if S::ENABLED {
-                self.sink.event(
-                    t,
-                    "service_restored",
-                    format!("link{}", self.records[rec].link),
-                );
-                if let Some(span) = self.instr.fault_spans.remove(&rec) {
-                    self.sink.span_end(t, span);
-                }
-            }
+            self.trace_restored(rec, t);
         }
     }
 
@@ -465,23 +440,18 @@ impl<S: TelemetrySink> Engine<S> {
             .into_iter()
             .map(|id| (id, rt.fabric.config_for(id)))
             .collect();
-        if S::ENABLED {
+        if let Some(tel) = &mut self.telemetry {
             if let Some(t) = rt.convergence_ns {
-                let span = self.sink.span_begin(0, "ldp.convergence");
-                self.sink.span_end(t, span);
+                let span = tel.tracer().span_begin(0, "ldp.convergence");
+                tel.tracer().span_end(t, span);
             }
-            // 1 µs .. ~1 s in octaves, same scale as the latency
-            // histograms.
-            let bounds: Vec<u64> = (0..21).map(|i| 1000u64 << i).collect();
-            let hist = self.sink.histogram("ldp.reconverge_ns", bounds);
+            let hist = tel.histogram("ldp.reconverge_ns", octave_bounds());
             for r in &self.records {
                 if let Some(ttr) = r.time_to_restore_ns() {
-                    self.sink.hist_record(hist, ttr);
+                    tel.hist_record(hist, ttr);
                 }
             }
-            let per_node: Vec<(NodeId, mpls_ldp::LdpNodeStats)> =
-                rt.fabric.node_stats().map(|(id, s)| (id, *s)).collect();
-            for (id, s) in per_node {
+            for (id, s) in rt.fabric.node_stats() {
                 for (name, value) in [
                     ("pdus_rx", s.pdus_rx),
                     ("mappings_rx", s.mappings_rx),
@@ -494,8 +464,7 @@ impl<S: TelemetrySink> Engine<S> {
                     ("sequence_violations", s.sequence_violations),
                     ("malformed_pdus", s.malformed_pdus),
                 ] {
-                    let c = self.sink.counter(&format!("node{id}.ldp.{name}"));
-                    self.sink.counter_add(c, value);
+                    super::count(tel, format!("node{id}.ldp.{name}"), value);
                 }
             }
         }

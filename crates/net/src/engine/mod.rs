@@ -34,20 +34,18 @@ pub(crate) use sr::SrRuntime;
 use crate::event::{ControlEvent, EventQueue, EventRank, SimTime};
 use crate::fault::{FaultRecord, RecoveryMode, RestorationPolicy};
 use crate::link::Channel;
-use crate::policer::TokenBucket;
-use crate::sim::{FlowTemplate, LinkUsage, SimInstruments, SimReport};
+use crate::sim::{FlowTemplate, LinkUsage, SimInstruments, SimReport, Simulation};
 use crate::stats::{FlowId, FlowStats};
 use crate::traffic::{FlowSpec, TrafficPattern};
 use mpls_control::{ControlPlane, LinkId, LspRequest, NodeConfig, NodeId};
-use mpls_router::{DiscardCause, MplsForwarder};
-use mpls_telemetry::TelemetrySink;
+use mpls_router::DiscardCause;
+use mpls_telemetry::Registry;
 use partition::partition;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shard::{ChanState, ClosedLoopState, EmitState, FlowDelta, LocalEvent, ShardState, SharedCtx};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
-use std::marker::PhantomData;
 
 /// The shard coordination scheme. There is one: the global epoch
 /// barrier, where every shard advances to the same conservative bound
@@ -135,6 +133,12 @@ pub(crate) fn stream_seed(seed: u64, stream: u64, idx: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Registers counter `name` on `tel` and adds `value` to it.
+fn count(tel: &mut Registry, name: String, value: u64) {
+    let id = tel.counter(name);
+    tel.counter_add(id, value);
+}
+
 /// A head-end re-signaling attempt in progress (make-before-break: the
 /// broken LSP keeps steering — and losing — traffic until the
 /// replacement is up, then is torn down).
@@ -152,32 +156,10 @@ struct PendingResignal {
     done: bool,
 }
 
-/// Everything a [`Simulation`](crate::sim::Simulation) hands the engine
-/// to execute a run.
-pub(crate) struct EngineParts<S> {
-    pub channels: Vec<Channel>,
-    pub chan_index: HashMap<(NodeId, NodeId), usize>,
-    pub chan_link: Vec<LinkId>,
-    pub nodes: Vec<Box<dyn MplsForwarder + Send>>,
-    pub cp: ControlPlane,
-    pub flows: Vec<FlowSpec>,
-    pub policers: Vec<Option<TokenBucket>>,
-    pub globals: EventQueue<ControlEvent>,
-    pub seed: u64,
-    pub policy: RestorationPolicy,
-    pub sink: S,
-    pub instr: SimInstruments,
-    pub shards: usize,
-    pub hints: HashMap<NodeId, usize>,
-    pub ldp: Option<LdpRuntime>,
-    pub sr: Option<SrRuntime>,
-    pub pdu_chaos: Vec<crate::fault::PduChaos>,
-}
-
 /// The coordinator: owns the shards, the global event queue, the
 /// control plane and all fault/telemetry state.
-pub(crate) struct Engine<S: TelemetrySink> {
-    shards: Vec<ShardState<S>>,
+pub(crate) struct Engine {
+    shards: Vec<ShardState>,
     globals: EventQueue<ControlEvent>,
     flows: Vec<FlowSpec>,
     /// Interned per-flow packet constants, parallel to `flows`.
@@ -225,7 +207,8 @@ pub(crate) struct Engine<S: TelemetrySink> {
     /// Links with an active control-channel partition: control PDUs
     /// drop (counted lost) while data traffic keeps flowing.
     partitioned: HashSet<LinkId>,
-    sink: S,
+    /// Present on a telemetry run.
+    telemetry: Option<Registry>,
     instr: SimInstruments,
     epochs: u64,
     global_events: u64,
@@ -234,13 +217,42 @@ pub(crate) struct Engine<S: TelemetrySink> {
     edges: ChannelEdges,
 }
 
-impl<S: TelemetrySink> Engine<S> {
-    pub fn new(parts: EngineParts<S>) -> Self {
-        let nflows = parts.flows.len();
-        let nchans = parts.channels.len();
-        let node_ids: Vec<NodeId> = parts.nodes.iter().map(|n| n.node_id()).collect();
-        let part = partition(&node_ids, parts.shards, &parts.hints, &parts.channels);
-        let mut shards: Vec<ShardState<S>> = (0..part.shards)
+impl Engine {
+    /// Partitions `sim` into shards. The shard count resolves as
+    /// [`Simulation::set_shards`], else the `MPLS_SIM_SHARDS` environment
+    /// variable, else 1.
+    pub fn new(sim: Simulation) -> Self {
+        let Simulation {
+            channels,
+            chan_index,
+            chan_link,
+            nodes,
+            cp,
+            flows,
+            policers,
+            globals,
+            seed,
+            policy,
+            telemetry,
+            instr,
+            requested_shards,
+            shard_hints,
+            mut ldp,
+            sr,
+            pdu_chaos,
+        } = sim;
+        let requested = requested_shards
+            .or_else(|| {
+                std::env::var("MPLS_SIM_SHARDS")
+                    .ok()
+                    .and_then(|v| v.parse().ok())
+            })
+            .unwrap_or(1);
+        let nflows = flows.len();
+        let nchans = channels.len();
+        let node_ids: Vec<NodeId> = nodes.iter().map(|n| n.node_id()).collect();
+        let part = partition(&node_ids, requested, &shard_hints, &channels);
+        let mut shards: Vec<ShardState> = (0..part.shards)
             .map(|id| ShardState {
                 id,
                 queue: EventQueue::new(),
@@ -253,21 +265,17 @@ impl<S: TelemetrySink> Engine<S> {
                 outbox: Vec::new(),
                 foreign_fault_drops: vec![0; nchans],
                 record_loss: HashMap::new(),
-                deltas: Vec::new(),
+                // Shards buffer the per-flow histograms of a telemetry run.
+                deltas: if telemetry.is_some() {
+                    (0..nflows).map(|_| FlowDelta::new()).collect()
+                } else {
+                    Vec::new()
+                },
                 events_processed: 0,
                 last_time: 0,
-                _sink: PhantomData,
             })
             .collect();
-        if S::ENABLED {
-            // Same octave bounds the per-flow histograms were registered
-            // with, so shard-local deltas merge cleanly.
-            let bounds: Vec<u64> = (0..21).map(|i| 1000u64 << i).collect();
-            for sh in &mut shards {
-                sh.deltas = (0..nflows).map(|_| FlowDelta::new(&bounds)).collect();
-            }
-        }
-        for node in parts.nodes {
+        for node in nodes {
             let sh = &mut shards[part.shard_of_node[&node.node_id()]];
             sh.node_local.insert(node.node_id(), sh.nodes.len());
             sh.nodes.push(node);
@@ -275,7 +283,7 @@ impl<S: TelemetrySink> Engine<S> {
         }
         // The run loop's next-hop lookup: each router's ports, sorted by
         // neighbor, one per neighbor (a topology has no parallel links).
-        for (&(from, to), &g) in &parts.chan_index {
+        for (&(from, to), &g) in &chan_index {
             let sh = &mut shards[part.shard_of_node[&from]];
             let li = sh.node_local[&from];
             sh.ports[li].push((to, g));
@@ -285,9 +293,8 @@ impl<S: TelemetrySink> Engine<S> {
                 ports.sort_unstable();
             }
         }
-        let ack_dist = Self::ack_distances(&parts.flows, &parts.channels);
-        let flow_shard: Vec<usize> = parts
-            .flows
+        let ack_dist = Self::ack_distances(&flows, &channels);
+        let flow_shard: Vec<usize> = flows
             .iter()
             .map(|spec| part.shard_of_node[&spec.ingress])
             .collect();
@@ -295,7 +302,7 @@ impl<S: TelemetrySink> Engine<S> {
         let mut chan_dest_shard = Vec::with_capacity(nchans);
         let mut chan_dest_local = Vec::with_capacity(nchans);
         let mut chan_state = Vec::with_capacity(nchans);
-        for c in parts.channels {
+        for c in channels {
             let owner = part.shard_of_node[&c.from];
             let dest = part.shard_of_node[&c.to];
             chan_dest_shard.push(dest);
@@ -310,7 +317,7 @@ impl<S: TelemetrySink> Engine<S> {
         }
         let mut flow_ingress_local = Vec::with_capacity(nflows);
         let mut flow_emit = Vec::with_capacity(nflows);
-        for (f, (spec, policer)) in parts.flows.iter().zip(parts.policers).enumerate() {
+        for (f, (spec, policer)) in flows.iter().zip(policers).enumerate() {
             let sh = &mut shards[part.shard_of_node[&spec.ingress]];
             flow_ingress_local.push(sh.node_local[&spec.ingress]);
             flow_emit.push(sh.emit.len());
@@ -319,7 +326,7 @@ impl<S: TelemetrySink> Engine<S> {
                 _ => None,
             };
             sh.emit.push(EmitState {
-                rng: StdRng::seed_from_u64(stream_seed(parts.seed, 1, f as u64)),
+                rng: StdRng::seed_from_u64(stream_seed(seed, 1, f as u64)),
                 policer,
                 cl,
             });
@@ -333,18 +340,17 @@ impl<S: TelemetrySink> Engine<S> {
             };
             sh.queue.schedule(spec.start_ns, ev);
         }
-        let mut ldp = parts.ldp;
         if let Some(rt) = &mut ldp {
-            rt.chaos = parts.pdu_chaos;
+            rt.chaos = pdu_chaos;
         }
-        let templates = parts.flows.iter().map(FlowTemplate::of).collect();
+        let templates = flows.iter().map(FlowTemplate::of).collect();
         Self {
             shards,
-            globals: parts.globals,
-            flows: parts.flows,
+            globals,
+            flows,
             templates,
-            chan_index: parts.chan_index,
-            chan_link: parts.chan_link,
+            chan_index,
+            chan_link,
             chan_owner,
             chan_dest_shard,
             chan_dest_local,
@@ -355,18 +361,18 @@ impl<S: TelemetrySink> Engine<S> {
             flow_emit,
             ack_dist,
             now: 0,
-            cp: parts.cp,
-            policy: parts.policy,
+            cp,
+            policy,
             records: Vec::new(),
             outstanding: Vec::new(),
             fault_of_link: HashMap::new(),
             pending: Vec::new(),
             ldp,
-            sr: parts.sr,
+            sr,
             dead_nodes: HashSet::new(),
             partitioned: HashSet::new(),
-            sink: parts.sink,
-            instr: parts.instr,
+            telemetry,
+            instr,
             epochs: 0,
             global_events: 0,
             horizon: SimTime::MAX,
@@ -581,16 +587,7 @@ impl<S: TelemetrySink> Engine<S> {
             return;
         }
         self.records[rec].restored_ns = Some(self.now);
-        if S::ENABLED {
-            self.sink.event(
-                self.now,
-                "service_restored",
-                format!("link{}", self.records[rec].link),
-            );
-            if let Some(span) = self.instr.fault_spans.remove(&rec) {
-                self.sink.span_end(self.now, span);
-            }
-        }
+        self.trace_restored(rec, self.now);
     }
 
     /// Counts one packet lost to `link`'s outage against its flow and
@@ -674,12 +671,10 @@ impl<S: TelemetrySink> Engine<S> {
         });
         self.outstanding.push(0);
         self.fault_of_link.insert(link, rec);
-        if S::ENABLED {
-            self.sink
-                .event(self.now, "link_down", format!("link{link}"));
-            let span = self
-                .sink
-                .span_begin(self.now, &format!("outage.link{link}"));
+        if let Some(tel) = &mut self.telemetry {
+            let tracer = tel.tracer();
+            tracer.event(self.now, "link_down", format!("link{link}"));
+            let span = tracer.span_begin(self.now, &format!("outage.link{link}"));
             self.instr.fault_spans.insert(rec, span);
         }
         // Cut both directions: queued and in-flight packets are lost now.
@@ -754,9 +749,7 @@ impl<S: TelemetrySink> Engine<S> {
             self.chan_mut(chan).bring_up();
             self.refresh_chan_state(chan);
         }
-        if S::ENABLED {
-            self.sink.event(self.now, "link_up", format!("link{link}"));
-        }
+        self.trace("link_up", || format!("link{link}"));
         let Some(&rec) = self.fault_of_link.get(&link) else {
             return;
         };
@@ -789,10 +782,7 @@ impl<S: TelemetrySink> Engine<S> {
             return; // a probe from an earlier outage already reported it
         }
         self.records[rec].detected_ns = Some(self.now);
-        if S::ENABLED {
-            self.sink
-                .event(self.now, "fault_detected", format!("link{link}"));
-        }
+        self.trace("fault_detected", || format!("link{link}"));
         if self.sr.is_some() {
             // Segment routing: recompile the source routes around the
             // cut. No per-LSP re-signaling exists to wait for.
@@ -945,10 +935,7 @@ impl<S: TelemetrySink> Engine<S> {
         if !self.dead_nodes.insert(node) {
             return; // already down (overlapping schedules)
         }
-        if S::ENABLED {
-            self.sink
-                .event(self.now, "node_down", format!("node{node}"));
-        }
+        self.trace("node_down", || format!("node{node}"));
         self.reprogram_node(node, &NodeConfig::default());
         for link in self.links_of_node(node) {
             self.on_link_down(link);
@@ -969,9 +956,7 @@ impl<S: TelemetrySink> Engine<S> {
         if !self.dead_nodes.remove(&node) {
             return; // not down
         }
-        if S::ENABLED {
-            self.sink.event(self.now, "node_up", format!("node{node}"));
-        }
+        self.trace("node_up", || format!("node{node}"));
         for link in self.links_of_node(node) {
             self.on_link_up(link);
         }
@@ -995,37 +980,53 @@ impl<S: TelemetrySink> Engine<S> {
         }
         if self.sr.is_some() {
             self.sr_reprovision(node);
-            if S::ENABLED {
-                self.sink
-                    .event(self.now, "node_reprovisioned", format!("node{node}"));
-            }
-            return;
+        } else {
+            let cfg = self.cp.config_for(node);
+            self.reprogram_node(node, &cfg);
         }
-        let cfg = self.cp.config_for(node);
-        self.reprogram_node(node, &cfg);
-        if S::ENABLED {
-            self.sink
-                .event(self.now, "node_reprovisioned", format!("node{node}"));
-        }
+        self.trace("node_reprovisioned", || format!("node{node}"));
     }
 
     // ---- control-channel partitions ----------------------------------------
 
     fn on_partition_start(&mut self, link: LinkId) {
-        if self.partitioned.insert(link) && S::ENABLED {
-            self.sink
-                .event(self.now, "partition_start", format!("link{link}"));
+        if self.partitioned.insert(link) {
+            self.trace("partition_start", || format!("link{link}"));
         }
     }
 
     fn on_partition_end(&mut self, link: LinkId) {
-        if self.partitioned.remove(&link) && S::ENABLED {
-            self.sink
-                .event(self.now, "partition_end", format!("link{link}"));
+        if self.partitioned.remove(&link) {
+            self.trace("partition_end", || format!("link{link}"));
         }
     }
 
     // ---- telemetry ---------------------------------------------------------
+
+    /// Records a trace event now on a telemetry run; `detail` runs only
+    /// then.
+    fn trace(&mut self, name: &str, detail: impl FnOnce() -> String) {
+        if let Some(tel) = &mut self.telemetry {
+            tel.tracer().event(self.now, name, detail());
+        }
+    }
+
+    /// Records fault record `rec`'s restoration at `t` on a telemetry run
+    /// and closes its outage span.
+    fn trace_restored(&mut self, rec: usize, t: SimTime) {
+        let Some(tel) = &mut self.telemetry else {
+            return;
+        };
+        let tracer = tel.tracer();
+        tracer.event(
+            t,
+            "service_restored",
+            format!("link{}", self.records[rec].link),
+        );
+        if let Some(span) = self.instr.fault_spans.remove(&rec) {
+            tracer.span_end(t, span);
+        }
+    }
 
     /// Periodic sample point: read the channels, then re-arm only while
     /// other work is pending so sampling never keeps a finished run
@@ -1044,9 +1045,9 @@ impl<S: TelemetrySink> Engine<S> {
     /// Pushes one queue-depth and one utilization point per channel, in
     /// global channel order.
     fn sample_channels(&mut self) {
-        if !S::ENABLED {
+        let Some(tel) = &mut self.telemetry else {
             return;
-        }
+        };
         let dt = self.now.saturating_sub(self.instr.last_sample_ns);
         for g in 0..self.chan_owner.len() {
             let (s, l) = self.chan_owner[g];
@@ -1056,27 +1057,47 @@ impl<S: TelemetrySink> Engine<S> {
             self.edges.samples_at_end += u64::from(c.head_end() == Some(self.now));
             let depth = c.depth();
             let busy_ns = c.busy_ns;
-            self.sink
-                .series_push(self.instr.chan_depth[g], self.now, depth as f64);
+            tel.series_push(self.instr.chan_depth[g], self.now, depth as f64);
             if dt > 0 {
                 let busy = busy_ns.saturating_sub(self.instr.chan_busy_prev[g]);
                 let util = (busy as f64 / dt as f64).min(1.0);
-                self.sink
-                    .series_push(self.instr.chan_util[g], self.now, util);
+                tel.series_push(self.instr.chan_util[g], self.now, util);
                 self.instr.chan_busy_prev[g] = busy_ns;
             }
         }
         self.instr.last_sample_ns = self.now;
     }
 
+    /// Writes the per-flow counters from the folded `stats` and merges
+    /// the shards' buffered histograms, in shard order.
+    fn fold_flow_telemetry(&mut self, stats: &[FlowStats]) {
+        let Some(tel) = &mut self.telemetry else {
+            return;
+        };
+        let instr = &self.instr;
+        for (f, st) in stats.iter().enumerate() {
+            tel.counter_add(instr.flow_sent[f], st.sent);
+            tel.counter_add(instr.flow_delivered[f], st.delivered);
+            // Every emission of a policed flow gets a verdict.
+            if self.flows[f].police.is_some() {
+                tel.counter_add(instr.policer_conform[f], st.sent - st.policer_dropped);
+                tel.counter_add(instr.policer_exceed[f], st.policer_dropped);
+            }
+            for sh in &self.shards {
+                tel.hist_merge(instr.flow_delay[f], &sh.deltas[f].delay);
+                tel.hist_merge(instr.flow_jitter[f], &sh.deltas[f].jitter);
+            }
+        }
+    }
+
     /// End-of-run scrape: final channel sample, per-router pipeline and
     /// FSM counters, per-channel totals. Mirrors reading a hardware
     /// device's counter block after the experiment.
     fn finalize_telemetry(&mut self) {
-        if !S::ENABLED {
-            return;
-        }
         self.sample_channels();
+        let Some(tel) = &mut self.telemetry else {
+            return;
+        };
         let elapsed = self.now.max(1);
         let mut nodes: Vec<(NodeId, usize, usize)> = Vec::new();
         for (s, sh) in self.shards.iter().enumerate() {
@@ -1086,7 +1107,8 @@ impl<S: TelemetrySink> Engine<S> {
         }
         nodes.sort_unstable_by_key(|&(id, ..)| id);
         for (node, s, l) in nodes {
-            let stats = self.shards[s].nodes[l].stats();
+            let router = &self.shards[s].nodes[l];
+            let stats = router.stats();
             for (name, value) in [
                 ("packets_in", stats.packets_in),
                 ("forwarded", stats.forwarded),
@@ -1095,52 +1117,39 @@ impl<S: TelemetrySink> Engine<S> {
                 ("flow_installs", stats.flow_installs),
                 ("total_cycles", stats.total_cycles),
             ] {
-                let id = self.sink.counter(&format!("node{node}.router.{name}"));
-                self.sink.counter_add(id, value);
+                count(tel, format!("node{node}.router.{name}"), value);
             }
             for (stage, cycles) in stats.stage_cycles.iter() {
-                let id = self
-                    .sink
-                    .counter(&format!("node{node}.pipeline.{stage}_cycles"));
-                self.sink.counter_add(id, cycles);
+                count(tel, format!("node{node}.pipeline.{stage}_cycles"), cycles);
             }
-            if let Some(perf) = self.shards[s].nodes[l].core_perf() {
-                let state_cycles = perf.state_cycles();
-                let depth = perf.search_depth.clone();
-                let hits = perf.search_hits;
-                let misses = perf.search_misses;
-                for (state, cycles) in state_cycles {
-                    let id = self.sink.counter(&format!("node{node}.fsm.{state}"));
-                    self.sink.counter_add(id, cycles);
+            if let Some(perf) = router.core_perf() {
+                for (state, cycles) in perf.state_cycles() {
+                    count(tel, format!("node{node}.fsm.{state}"), cycles);
                 }
-                self.sink
-                    .import_histogram(&format!("node{node}.ib.search_depth"), &depth);
-                let id = self.sink.counter(&format!("node{node}.ib.search_hits"));
-                self.sink.counter_add(id, hits);
-                let id = self.sink.counter(&format!("node{node}.ib.search_misses"));
-                self.sink.counter_add(id, misses);
+                tel.import_histogram(format!("node{node}.ib.search_depth"), &perf.search_depth);
+                count(tel, format!("node{node}.ib.search_hits"), perf.search_hits);
+                count(
+                    tel,
+                    format!("node{node}.ib.search_misses"),
+                    perf.search_misses,
+                );
             }
         }
-        for g in 0..self.chan_owner.len() {
-            let (s, l) = self.chan_owner[g];
+        for &(s, l) in &self.chan_owner {
             let c = &self.shards[s].channels[l];
-            let (from, to) = (c.from, c.to);
-            let values = [
+            let prefix = format!("link.{}->{}", c.from, c.to);
+            for (name, value) in [
                 ("transmitted", c.transmitted),
                 ("queue_drops", c.drops),
                 ("fault_drops", c.fault_drops),
                 ("loss_drops", c.loss_drops),
-            ];
-            let busy_ns = c.busy_ns;
-            let prefix = format!("link.{from}->{to}");
-            for (name, value) in values {
-                let id = self.sink.counter(&format!("{prefix}.{name}"));
-                self.sink.counter_add(id, value);
+            ] {
+                count(tel, format!("{prefix}.{name}"), value);
             }
-            let id = self.sink.gauge(&format!("{prefix}.mean_utilization"));
-            self.sink.gauge_set(id, busy_ns as f64 / elapsed as f64);
+            let id = tel.gauge(format!("{prefix}.mean_utilization"));
+            tel.gauge_set(id, c.busy_ns as f64 / elapsed as f64);
         }
-        self.sink.event(self.now, "telemetry_end", String::new());
+        tel.tracer().event(self.now, "telemetry_end", String::new());
     }
 
     // ---- merge -------------------------------------------------------------
@@ -1176,34 +1185,15 @@ impl<S: TelemetrySink> Engine<S> {
                 self.records[rec].packets_lost += d;
             }
         }
-        if S::ENABLED {
-            for f in 0..self.flows.len() {
-                for s in 0..self.shards.len() {
-                    let (sent, delivered, conform, exceed) = {
-                        let d = &self.shards[s].deltas[f];
-                        (d.sent, d.delivered, d.conform, d.exceed)
-                    };
-                    self.sink.counter_add(self.instr.flow_sent[f], sent);
-                    self.sink
-                        .counter_add(self.instr.flow_delivered[f], delivered);
-                    self.sink
-                        .counter_add(self.instr.policer_conform[f], conform);
-                    self.sink.counter_add(self.instr.policer_exceed[f], exceed);
-                    self.sink
-                        .hist_merge(self.instr.flow_delay[f], &self.shards[s].deltas[f].delay);
-                    self.sink
-                        .hist_merge(self.instr.flow_jitter[f], &self.shards[s].deltas[f].jitter);
-                }
-            }
-        }
-        let (control, fibs) = self.finish_control();
-        self.finalize_telemetry();
         let mut stats = vec![FlowStats::default(); self.flows.len()];
         for sh in &self.shards {
             for (f, st) in sh.stats.iter().enumerate() {
                 stats[f].absorb(st);
             }
         }
+        self.fold_flow_telemetry(&stats);
+        let (control, fibs) = self.finish_control();
+        self.finalize_telemetry();
         let nchans = self.chan_owner.len();
         let elapsed = self.now.max(1);
         let mut queue_drops = 0;
@@ -1240,7 +1230,7 @@ impl<S: TelemetrySink> Engine<S> {
             shard_events: self.shards.iter().map(|s| s.events_processed).collect(),
             edges: self.edges,
         };
-        let telemetry = self.sink.into_report();
+        let telemetry = self.telemetry.as_ref().map(Registry::snapshot);
         SimReport {
             flows: self.flows.into_iter().zip(stats).collect(),
             routers,
@@ -1269,7 +1259,7 @@ mod tests {
     use mpls_packet::ipv4::parse_addr;
     use mpls_router::SwTimingModel;
 
-    fn engine(topo: &Topology, shards: usize) -> Engine<mpls_telemetry::NoopSink> {
+    fn engine(topo: &Topology, shards: usize) -> Engine {
         let cp = ControlPlane::new(topo.clone());
         let kind = RouterKind::SoftwareHash {
             timing: SwTimingModel::default(),
@@ -1291,7 +1281,7 @@ mod tests {
             });
         }
         sim.set_shards(shards);
-        sim.into_engine()
+        Engine::new(sim)
     }
 
     /// The run loop's dense tables name the routers and channels the

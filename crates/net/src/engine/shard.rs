@@ -44,15 +44,14 @@
 use crate::event::{EventQueue, EventRank, SimTime};
 use crate::link::{Channel, Departures};
 use crate::policer::TokenBucket;
-use crate::sim::{FlowTemplate, SimPacket};
+use crate::sim::{octave_bounds, FlowTemplate, SimPacket};
 use crate::stats::{FlowId, FlowStats};
 use crate::traffic::{ClosedLoopSpec, FlowSpec, TrafficPattern};
 use mpls_control::{LinkId, NodeId};
 use mpls_router::{Action, DiscardCause, Forwarding, MplsForwarder};
-use mpls_telemetry::{Histogram, TelemetrySink};
+use mpls_telemetry::Histogram;
 use rand::rngs::StdRng;
 use std::collections::{HashMap, VecDeque};
-use std::marker::PhantomData;
 
 /// Canonical ordering key for same-timestamp events: `(class, a, b)`.
 pub(crate) type EventKey = (u8, u64, u64);
@@ -296,35 +295,27 @@ impl ClosedLoopState {
     }
 }
 
-/// Per-flow telemetry buffered shard-locally and folded into the sink
-/// at the end of the run (sums and histogram merges commute).
+/// A flow's delay and jitter histograms of a telemetry run, buffered
+/// shard-locally and merged into the registry at the end of the run
+/// (histogram merges commute). The flow's counters need no buffer: the
+/// coordinator writes them from the folded [`FlowStats`].
 pub(crate) struct FlowDelta {
-    pub sent: u64,
-    pub delivered: u64,
-    pub conform: u64,
-    pub exceed: u64,
     pub delay: Histogram,
     pub jitter: Histogram,
 }
 
 impl FlowDelta {
-    pub fn new(bounds: &[u64]) -> Self {
+    pub fn new() -> Self {
         Self {
-            sent: 0,
-            delivered: 0,
-            conform: 0,
-            exceed: 0,
-            delay: Histogram::new(bounds.to_vec()),
-            jitter: Histogram::new(bounds.to_vec()),
+            delay: Histogram::new(octave_bounds()),
+            jitter: Histogram::new(octave_bounds()),
         }
     }
 }
 
 /// One shard: its nodes, owned channels, event queue and buffered
-/// effects. The sink type parameter only carries
-/// [`TelemetrySink::ENABLED`] so delta recording compiles away on
-/// untelemetered runs; the sink itself stays with the coordinator.
-pub(crate) struct ShardState<S> {
+/// effects. The telemetry registry stays with the coordinator.
+pub(crate) struct ShardState {
     pub id: usize,
     pub queue: EventQueue<LocalEvent>,
     /// The routers at this shard's nodes, by local index.
@@ -353,16 +344,15 @@ pub(crate) struct ShardState<S> {
     pub foreign_fault_drops: Vec<u64>,
     /// Packet losses owed to fault records, by record index.
     pub record_loss: HashMap<usize, u64>,
-    /// Per-flow telemetry deltas; empty unless `S::ENABLED`.
+    /// Per-flow histograms of a telemetry run; empty without telemetry.
     pub deltas: Vec<FlowDelta>,
     /// Events this shard executed (engine stats / conservation checks).
     pub events_processed: u64,
     /// Timestamp of the most recently executed event.
     pub last_time: SimTime,
-    pub _sink: PhantomData<fn() -> S>,
 }
 
-impl<S: TelemetrySink> ShardState<S> {
+impl ShardState {
     /// Executes every local event strictly before `end`.
     pub fn run_until(&mut self, end: SimTime, ctx: &SharedCtx<'_>) {
         while let Some((t, ev)) = self.queue.pop_before(end) {
@@ -393,9 +383,6 @@ impl<S: TelemetrySink> ShardState<S> {
         }
         let seq = self.stats[flow].sent;
         self.stats[flow].on_sent();
-        if S::ENABLED {
-            self.deltas[flow].sent += 1;
-        }
         let packet = ctx.templates[flow].emit(flow, seq, now);
         let li = ctx.flow_emit[flow];
         // Edge policing: non-conforming packets never enter the network.
@@ -403,13 +390,6 @@ impl<S: TelemetrySink> ShardState<S> {
             Some(bucket) => bucket.conform(now, packet.wire_len()),
             None => true,
         };
-        if S::ENABLED && self.emit[li].policer.is_some() {
-            if conforms {
-                self.deltas[flow].conform += 1;
-            } else {
-                self.deltas[flow].exceed += 1;
-            }
-        }
         if conforms {
             self.queue.schedule(
                 now,
@@ -454,21 +434,11 @@ impl<S: TelemetrySink> ShardState<S> {
         self.stats[flow].cwnd_peak = self.stats[flow].cwnd_peak.max(cwnd);
         let seq = self.stats[flow].sent;
         self.stats[flow].on_sent();
-        if S::ENABLED {
-            self.deltas[flow].sent += 1;
-        }
         let packet = ctx.templates[flow].emit(flow, seq, now);
         let conforms = match &mut self.emit[li].policer {
             Some(bucket) => bucket.conform(now, packet.wire_len()),
             None => true,
         };
-        if S::ENABLED && self.emit[li].policer.is_some() {
-            if conforms {
-                self.deltas[flow].conform += 1;
-            } else {
-                self.deltas[flow].exceed += 1;
-            }
-        }
         if conforms {
             self.queue.schedule(
                 now,
@@ -756,13 +726,12 @@ impl<S: TelemetrySink> ShardState<S> {
             Action::Deliver(inner) => {
                 let wire = inner.wire_len();
                 let delay = done - sent_ns;
-                if S::ENABLED {
-                    self.deltas[flow].delivered += 1;
-                    self.deltas[flow].delay.record(delay);
+                if let Some(d) = self.deltas.get_mut(flow) {
+                    d.delay.record(delay);
                     // Jitter differences against the previous delivery's
                     // delay, so read it before on_delivered overwrites it.
                     if let Some(prev) = self.stats[flow].last_delay_ns() {
-                        self.deltas[flow].jitter.record(prev.abs_diff(delay));
+                        d.jitter.record(prev.abs_diff(delay));
                     }
                 }
                 self.stats[flow].on_delivered(done, delay, wire);

@@ -12,7 +12,6 @@
 use super::Engine;
 use crate::sim::{ControlMode, ControlSummary};
 use mpls_control::{LinkId, NodeConfig, NodeId};
-use mpls_telemetry::TelemetrySink;
 use std::collections::BTreeMap;
 
 /// Everything the engine tracks for a `--control sr` run.
@@ -32,7 +31,7 @@ impl SrRuntime {
     }
 }
 
-impl<S: TelemetrySink> Engine<S> {
+impl Engine {
     /// Downloads fresh forwarding state into every node whose compiled
     /// configuration changed. Crashed nodes are skipped — their FIBs
     /// stay cold until `NodeReprovision` fires, the same cold-FIB window

@@ -57,8 +57,7 @@ pub use traffic::{ClosedLoopSpec, FlowSpec, TrafficPattern};
 // Telemetry surface, re-exported so simulator users don't need a direct
 // `mpls-telemetry` dependency to configure a run or read its report.
 pub use mpls_telemetry::{
-    telemetry_to_csv, telemetry_to_json, NoopSink, Registry, TelemetryConfig, TelemetryReport,
-    TelemetrySink,
+    telemetry_to_csv, telemetry_to_json, Registry, TelemetryConfig, TelemetryReport,
 };
 
 // Distributed-control-plane configuration, re-exported for the same

@@ -30,6 +30,7 @@
 use crate::traffic::{FlowSpec, TrafficPattern};
 use mpls_control::{ControlPlane, LspRequest, NodeId, SignalError, Topology, TunnelId};
 use mpls_dataplane::ftn::Prefix;
+use mpls_packet::splitmix64;
 
 /// First generated FEC host address: `10.0.0.0`. LSP `i` owns
 /// `BASE + i` as a /32 host FEC.
@@ -37,17 +38,6 @@ const FEC_BASE: u32 = 0x0A00_0000;
 
 /// Source address stamped on generated flows: `172.16.0.1`.
 const FLOW_SRC: u32 = 0xAC10_0001;
-
-/// splitmix64 — the same finalizer the engine uses for RNG stream
-/// decomposition. All workload sampling derives from it, so generation
-/// is a pure function of the spec.
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// A parametric topology family at a chosen width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -274,7 +264,7 @@ impl ScaleSpec {
     /// The LER endpoints, tunnel slot and FEC of LSP `i` — a pure
     /// function of the spec.
     fn plan(&self, i: usize) -> LspPlan {
-        let h = mix(self.seed ^ (i as u64).wrapping_mul(0x0123_4567_89AB_CDEF));
+        let h = splitmix64(self.seed ^ (i as u64).wrapping_mul(0x0123_4567_89AB_CDEF));
         let n = self.anchors();
         let strides = u64::from(self.tunnel_strides);
         let s0 = h % strides;
@@ -354,8 +344,8 @@ impl ScaleSpec {
     pub fn flow_specs(&self) -> Vec<FlowSpec> {
         let mut flows = Vec::with_capacity(self.flows);
         for f in 0..self.flows {
-            let i =
-                (mix(self.seed ^ 0xF10A ^ ((f as u64) << 32)) % self.lsps_total as u64) as usize;
+            let i = (splitmix64(self.seed ^ 0xF10A ^ ((f as u64) << 32)) % self.lsps_total as u64)
+                as usize;
             let p = self.plan(i);
             flows.push(FlowSpec {
                 name: format!("scale-{f}"),

@@ -25,7 +25,7 @@
 //! telemetry export — is byte-identical at any shard count; sharding is
 //! purely a wall-clock optimization. See [`crate::engine`].
 
-use crate::engine::{stream_seed, Engine, EngineParts, EngineStats, LdpRuntime, SrRuntime};
+use crate::engine::{stream_seed, Engine, EngineStats, LdpRuntime, SrRuntime};
 use crate::event::{ControlEvent, EventQueue, SimTime};
 use crate::fault::{FaultKind, FaultPlan, FaultRecord, RestorationPolicy};
 use crate::link::Channel;
@@ -38,8 +38,7 @@ use mpls_packet::{EtherType, EthernetFrame, Ipv4Header, MacAddr, MplsPacket};
 pub use mpls_router::RouterKind;
 use mpls_router::{MplsForwarder, RouterStats};
 use mpls_telemetry::{
-    CounterId, HistId, NoopSink, Registry, SeriesId, SpanId, TelemetryConfig, TelemetryReport,
-    TelemetrySink,
+    CounterId, HistId, Registry, SeriesId, SpanId, TelemetryConfig, TelemetryReport,
 };
 use std::collections::{BTreeMap, HashMap};
 
@@ -369,8 +368,7 @@ impl SimReport {
 
 /// Per-flow and per-channel instrument handles for a telemetry-enabled
 /// run. All vectors are index-aligned with their subject tables; on a
-/// [`NoopSink`] run they stay empty and every record site is skipped at
-/// compile time via `S::ENABLED`.
+/// run without telemetry they stay empty and no record site runs.
 #[derive(Default)]
 pub(crate) struct SimInstruments {
     /// Queue-depth time series, one per channel.
@@ -399,39 +397,45 @@ pub(crate) struct SimInstruments {
     pub(crate) fault_spans: HashMap<usize, SpanId>,
 }
 
+/// The per-flow delay and jitter histograms' bucket bounds, which LDP's
+/// reconvergence histogram shares: 1 µs .. ~1 s in octaves, covering
+/// FPGA pipelines through congested software paths.
+pub(crate) fn octave_bounds() -> Vec<u64> {
+    (0..21).map(|i| 1000u64 << i).collect()
+}
+
 /// The discrete-event simulation.
 ///
-/// The sink type parameter selects the telemetry mode: the default
-/// [`NoopSink`] compiles every record site away; converting with
-/// [`Simulation::with_telemetry`] swaps in a live [`Registry`] whose
-/// snapshot lands in [`SimReport::telemetry`].
-pub struct Simulation<S: TelemetrySink = NoopSink> {
-    channels: Vec<Channel>,
-    chan_index: HashMap<(NodeId, NodeId), usize>,
+/// Telemetry is off unless [`Simulation::with_telemetry`] sets a live
+/// [`Registry`], whose snapshot lands in [`SimReport::telemetry`].
+pub struct Simulation {
+    pub(crate) channels: Vec<Channel>,
+    pub(crate) chan_index: HashMap<(NodeId, NodeId), usize>,
     /// `chan_link[i]` is the topology link channel `i` belongs to.
-    chan_link: Vec<LinkId>,
-    nodes: Vec<Box<dyn MplsForwarder + Send>>,
+    pub(crate) chan_link: Vec<LinkId>,
+    pub(crate) nodes: Vec<Box<dyn MplsForwarder + Send>>,
     /// The simulation's own control plane: shares the tables of the
     /// plane it was built from until a runtime fault first writes one,
     /// which copies that table (copy-on-write).
-    cp: ControlPlane,
-    flows: Vec<FlowSpec>,
-    policers: Vec<Option<crate::policer::TokenBucket>>,
-    globals: EventQueue<ControlEvent>,
-    seed: u64,
-    policy: RestorationPolicy,
-    sink: S,
-    instr: SimInstruments,
-    requested_shards: Option<usize>,
-    shard_hints: HashMap<NodeId, usize>,
+    pub(crate) cp: ControlPlane,
+    pub(crate) flows: Vec<FlowSpec>,
+    pub(crate) policers: Vec<Option<crate::policer::TokenBucket>>,
+    pub(crate) globals: EventQueue<ControlEvent>,
+    pub(crate) seed: u64,
+    pub(crate) policy: RestorationPolicy,
+    /// Present on a telemetry run (see [`Self::with_telemetry`]).
+    pub(crate) telemetry: Option<Registry>,
+    pub(crate) instr: SimInstruments,
+    pub(crate) requested_shards: Option<usize>,
+    pub(crate) shard_hints: HashMap<NodeId, usize>,
     /// Present when the run uses the distributed control plane.
-    ldp: Option<LdpRuntime>,
+    pub(crate) ldp: Option<LdpRuntime>,
     /// Present when the run uses the segment-routing control plane.
-    sr: Option<SrRuntime>,
+    pub(crate) sr: Option<SrRuntime>,
     /// Control-PDU chaos windows from the fault plan; handed to the LDP
     /// runtime at engine assembly (plan and `enable_ldp` may arrive in
     /// either order).
-    pdu_chaos: Vec<crate::fault::PduChaos>,
+    pub(crate) pdu_chaos: Vec<crate::fault::PduChaos>,
 }
 
 impl Simulation {
@@ -484,7 +488,7 @@ impl Simulation {
             globals: EventQueue::new(),
             seed,
             policy: RestorationPolicy::default(),
-            sink: NoopSink,
+            telemetry: None,
             instr: SimInstruments::default(),
             requested_shards: None,
             shard_hints: HashMap::new(),
@@ -494,60 +498,44 @@ impl Simulation {
         }
     }
 
-    /// Converts this simulation into a telemetry-enabled one: a live
-    /// [`Registry`] replaces the no-op sink, per-channel queue-depth and
-    /// utilization series plus per-flow counters and latency histograms
-    /// are registered, every router's FSM cycle counters are switched
-    /// on, and periodic sample events start at
+    /// Turns telemetry on: a live [`Registry`] is set, per-channel
+    /// queue-depth and utilization series plus per-flow counters and
+    /// latency histograms are registered, every router's FSM cycle
+    /// counters are switched on, and periodic sample events start at
     /// `config.sample_interval_ns`. Call after `build` (flows added
-    /// before or after the conversion are both instrumented).
-    pub fn with_telemetry(self, config: TelemetryConfig) -> Simulation<Registry> {
+    /// before or after it are both instrumented).
+    ///
+    /// # Panics
+    ///
+    /// On a second call: a run has one registry and one sample chain.
+    pub fn with_telemetry(mut self, config: TelemetryConfig) -> Self {
+        assert!(
+            self.telemetry.is_none(),
+            "with_telemetry called twice on one simulation"
+        );
         let sample_interval_ns = config.sample_interval_ns.max(1);
-        let mut sink = Registry::new(config);
-        let mut instr = SimInstruments {
-            sample_interval_ns,
-            ..SimInstruments::default()
-        };
+        let mut registry = Registry::new(config);
+        self.instr.sample_interval_ns = sample_interval_ns;
         for c in &self.channels {
-            let depth = sink.series(format!("link.{}->{}.queue_depth", c.from, c.to));
-            let util = sink.series(format!("link.{}->{}.utilization", c.from, c.to));
-            instr.chan_depth.push(depth);
-            instr.chan_util.push(util);
-            instr.chan_busy_prev.push(c.busy_ns);
+            let depth = registry.series(format!("link.{}->{}.queue_depth", c.from, c.to));
+            let util = registry.series(format!("link.{}->{}.utilization", c.from, c.to));
+            self.instr.chan_depth.push(depth);
+            self.instr.chan_util.push(util);
+            self.instr.chan_busy_prev.push(c.busy_ns);
         }
-        let mut sim = Simulation {
-            channels: self.channels,
-            chan_index: self.chan_index,
-            chan_link: self.chan_link,
-            nodes: self.nodes,
-            cp: self.cp,
-            flows: self.flows,
-            policers: self.policers,
-            globals: self.globals,
-            seed: self.seed,
-            policy: self.policy,
-            sink,
-            instr,
-            requested_shards: self.requested_shards,
-            shard_hints: self.shard_hints,
-            ldp: self.ldp,
-            sr: self.sr,
-            pdu_chaos: self.pdu_chaos,
-        };
-        for flow in 0..sim.flows.len() {
-            sim.register_flow_instruments(flow);
+        registry.tracer().event(0, "telemetry_start", String::new());
+        self.telemetry = Some(registry);
+        for flow in 0..self.flows.len() {
+            self.register_flow_instruments(flow);
         }
-        for node in &mut sim.nodes {
+        for node in &mut self.nodes {
             node.enable_perf();
         }
-        sim.sink.event(0, "telemetry_start", String::new());
-        sim.globals
+        self.globals
             .schedule(sample_interval_ns, ControlEvent::TelemetrySample);
-        sim
+        self
     }
-}
 
-impl<S: TelemetrySink> Simulation<S> {
     /// Requests a shard count for parallel execution. Overrides the
     /// `MPLS_SIM_SHARDS` environment variable; the engine may still use
     /// fewer shards (at most one per node, and partitionings without a
@@ -695,74 +683,39 @@ impl<S: TelemetrySink> Simulation<S> {
         id
     }
 
-    /// Registers `flow`'s counters and latency histograms. No-op (and
-    /// fully compiled away) on a [`NoopSink`] run.
+    /// Registers `flow`'s counters and latency histograms on a telemetry
+    /// run.
     fn register_flow_instruments(&mut self, flow: FlowId) {
-        if !S::ENABLED {
+        let Some(tel) = &mut self.telemetry else {
             return;
-        }
-        let name = self.flows[flow].name.clone();
-        self.instr
+        };
+        let name = &self.flows[flow].name;
+        let instr = &mut self.instr;
+        instr
             .flow_sent
-            .push(self.sink.counter(&format!("flow.{name}.sent")));
-        self.instr
+            .push(tel.counter(format!("flow.{name}.sent")));
+        instr
             .flow_delivered
-            .push(self.sink.counter(&format!("flow.{name}.delivered")));
-        self.instr
+            .push(tel.counter(format!("flow.{name}.delivered")));
+        instr
             .policer_conform
-            .push(self.sink.counter(&format!("flow.{name}.policer_conform")));
-        self.instr
+            .push(tel.counter(format!("flow.{name}.policer_conform")));
+        instr
             .policer_exceed
-            .push(self.sink.counter(&format!("flow.{name}.policer_exceed")));
-        // 1 µs .. ~1 s in octaves: covers FPGA pipelines through congested
-        // software paths.
-        let bounds: Vec<u64> = (0..21).map(|i| 1000u64 << i).collect();
-        self.instr.flow_delay.push(
-            self.sink
-                .histogram(&format!("lsp.{name}.delay_ns"), bounds.clone()),
-        );
-        self.instr.flow_jitter.push(
-            self.sink
-                .histogram(&format!("lsp.{name}.jitter_ns"), bounds),
-        );
+            .push(tel.counter(format!("flow.{name}.policer_exceed")));
+        instr
+            .flow_delay
+            .push(tel.histogram(format!("lsp.{name}.delay_ns"), octave_bounds()));
+        instr
+            .flow_jitter
+            .push(tel.histogram(format!("lsp.{name}.jitter_ns"), octave_bounds()));
     }
 
     /// Runs until the event queues drain or `horizon_ns` passes, then
     /// reports. The shard count resolves as [`Self::set_shards`], else
     /// the `MPLS_SIM_SHARDS` environment variable, else 1.
     pub fn run(self, horizon_ns: SimTime) -> SimReport {
-        self.into_engine().run(horizon_ns)
-    }
-
-    /// Hands everything to the engine, partitioned into shards.
-    pub(crate) fn into_engine(self) -> Engine<S> {
-        let shards = self
-            .requested_shards
-            .or_else(|| {
-                std::env::var("MPLS_SIM_SHARDS")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or(1);
-        Engine::new(EngineParts {
-            channels: self.channels,
-            chan_index: self.chan_index,
-            chan_link: self.chan_link,
-            nodes: self.nodes,
-            cp: self.cp,
-            flows: self.flows,
-            policers: self.policers,
-            globals: self.globals,
-            seed: self.seed,
-            policy: self.policy,
-            sink: self.sink,
-            instr: self.instr,
-            shards,
-            hints: self.shard_hints,
-            ldp: self.ldp,
-            sr: self.sr,
-            pdu_chaos: self.pdu_chaos,
-        })
+        Engine::new(self).run(horizon_ns)
     }
 }
 
@@ -1457,6 +1410,25 @@ mod tests {
             assert!(n > 1, "figure-1 topology supports {shards} shards");
             assert_eq!(seq, par, "{shards}-shard ldp run diverged");
         }
+    }
+
+    /// A run has one registry and one sample chain: a second call is
+    /// refused rather than starting a second chain.
+    #[test]
+    #[should_panic(expected = "with_telemetry called twice")]
+    fn with_telemetry_refuses_a_second_call() {
+        let cp = plane_with_lsp();
+        let sim = Simulation::build(
+            &cp,
+            RouterKind::Embedded {
+                clock: ClockSpec::STRATIX_50MHZ,
+            },
+            QueueDiscipline::Fifo { capacity: 64 },
+            1,
+        );
+        let _ = sim
+            .with_telemetry(TelemetryConfig::default())
+            .with_telemetry(TelemetryConfig::default());
     }
 
     #[test]

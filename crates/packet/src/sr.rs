@@ -89,14 +89,6 @@ impl core::fmt::Display for SrError {
 
 impl std::error::Error for SrError {}
 
-/// `splitmix64` finalizer — the workspace's standard bit mixer.
-const fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Computes the entropy label for a flow, per RFC 6790 §4.2: the ingress
 /// LER hashes whatever flow keys it likes into one label so transit
 /// routers need not look past the stack. Here the keys are the IPv4
@@ -104,7 +96,7 @@ const fn mix64(mut z: u64) -> u64 {
 /// reserved range, and the function is pure — the same flow hashes to
 /// the same label on every shard, engine and run.
 pub fn entropy_label(src: u32, dst: u32) -> Label {
-    let h = mix64(((src as u64) << 32) | dst as u64);
+    let h = crate::splitmix64(((src as u64) << 32) | dst as u64);
     fold_unreserved(h as u32)
 }
 
@@ -128,7 +120,7 @@ pub fn fold_unreserved(hash: u32) -> Label {
 /// the members instead of striding.
 pub fn ecmp_index(entropy: u32, fanout: usize) -> usize {
     debug_assert!(fanout > 0);
-    (mix64(entropy as u64) % fanout as u64) as usize
+    (crate::splitmix64(entropy as u64) % fanout as u64) as usize
 }
 
 /// Encodes an entropy pair: the ELI followed by the entropy label.

@@ -76,7 +76,6 @@ pub fn to_csv(report: &TelemetryReport) -> String {
 mod tests {
     use super::*;
     use crate::registry::Registry;
-    use crate::sink::TelemetrySink;
 
     fn demo_report() -> TelemetryReport {
         let mut r = Registry::default();
@@ -89,7 +88,7 @@ mod tests {
         r.series_push(s, 0, 1.0);
         r.series_push(s, 200_000, 2.0);
         r.tracer().event(5, "note", "a \"quoted\", detail".into());
-        r.into_report().unwrap()
+        r.snapshot()
     }
 
     #[test]

@@ -12,7 +12,7 @@ use mpls_control::{ControlPlane, LspRequest, Topology};
 use mpls_core::ClockSpec;
 use mpls_dataplane::ftn::Prefix;
 use mpls_net::policer::PolicerSpec;
-use mpls_net::traffic::{FlowSpec, TrafficPattern};
+use mpls_net::traffic::{ClosedLoopSpec, FlowSpec, TrafficPattern};
 use mpls_net::{
     telemetry_to_csv, telemetry_to_json, QueueDiscipline, RouterKind, SimReport, Simulation,
     TelemetryConfig,
@@ -177,4 +177,70 @@ fn telemetry_reconciles_with_simulation_aggregates() {
     let csv = telemetry_to_csv(tel);
     assert!(csv.lines().any(|l| l.contains("queue_depth")));
     assert!(csv.lines().any(|l| l.contains("flow.bulk.sent")));
+}
+
+/// A policed closed-loop flow: the policer's drops leave packets unacked,
+/// the flow's timeouts re-send them, and `sent` counts every re-send. At
+/// 1 and 4 shards its four counters match its `FlowStats`, and the two
+/// runs report the same bytes.
+#[test]
+fn policed_closed_loop_counters_match_flow_stats_at_1_and_4_shards() {
+    let mut cp = ControlPlane::new(Topology::figure1_example());
+    cp.establish_lsp(LspRequest::best_effort(
+        0,
+        1,
+        Prefix::new(parse_addr("192.168.1.0").unwrap(), 24),
+    ))
+    .unwrap();
+    let run = |shards: usize| {
+        let mut sim = Simulation::build(
+            &cp,
+            RouterKind::Embedded {
+                clock: ClockSpec::STRATIX_50MHZ,
+            },
+            QueueDiscipline::Fifo {
+                capacity: QUEUE_CAPACITY,
+            },
+            7,
+        );
+        sim.set_shards(shards);
+        let mut spec = flow("cl", 600, 0, None);
+        spec.pattern = TrafficPattern::ClosedLoop(ClosedLoopSpec {
+            mean_arrival_ns: 500_000,
+            rto_ns: 1_000_000,
+            ..ClosedLoopSpec::default()
+        });
+        spec.police = Some(PolicerSpec {
+            rate_bps: 2_000_000,
+            burst_bytes: 2_000,
+        });
+        sim.add_flow(spec);
+        sim.with_telemetry(TelemetryConfig {
+            sample_interval_ns: 50_000,
+            ..TelemetryConfig::default()
+        })
+        .run(RUN_NS + 500_000_000)
+    };
+    let (one, four) = (run(1), run(4));
+    let st = one.flow("cl").unwrap();
+    assert!(st.policer_dropped > 0, "policer must fire");
+    assert!(st.retransmits > 0, "timeouts must re-send");
+    assert!(st.delivered > 0);
+    for (shards, report) in [(1, &one), (4, &four)] {
+        assert_eq!(report.engine.shards, shards);
+        let st = report.flow("cl").unwrap();
+        let tel = report.telemetry.as_ref().expect("telemetry enabled");
+        let counter = |name: &str| tel.counter(&format!("flow.cl.{name}"));
+        assert_eq!(counter("sent"), Some(st.sent as f64), "{shards} shards");
+        assert_eq!(counter("delivered"), Some(st.delivered as f64));
+        assert_eq!(
+            counter("policer_conform"),
+            Some((st.sent - st.policer_dropped) as f64)
+        );
+        assert_eq!(counter("policer_exceed"), Some(st.policer_dropped as f64));
+    }
+    assert_eq!(
+        serde_json::to_string(&one).unwrap(),
+        serde_json::to_string(&four).unwrap()
+    );
 }
