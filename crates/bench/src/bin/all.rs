@@ -21,7 +21,8 @@
 //! row is the fastest of runs repeated for at least 2 s of wall time.
 //! The `bench-gate` binary consumes these files and fails CI when a
 //! row's time for its fixed work (`events / events_per_sec`) grew past
-//! what a 10% events/s drop allows between the two most recent points.
+//! what a 10% events/s drop allows between the base's runs and the
+//! head's, each side at its fastest run.
 
 use mpls_bench::suite::{self, Section, SectionFn, SECTIONS};
 use serde::Value;

@@ -1,22 +1,33 @@
 //! `bench-gate` — the trajectory regression gate.
 //!
-//! Finds the two most recent `BENCH_<n>.json` files in a directory
-//! (default `.`), matches their measurement rows, and fails when any
-//! matched row's time for its fixed work grew past what the threshold
-//! allows (default 10%). A row's time is `events / events_per_sec`,
-//! which is its `wall_ms` where the row has one. A row fails when its
-//! time exceeds the base's by more than a factor of `1 / (1 - threshold)`:
-//! with equal event counts that is exactly an events/s drop beyond the
-//! threshold, and a change that does the same work in fewer events is
-//! judged by the time it takes, not by its event rate. Trajectory files
-//! are only comparable when taken on the same class of machine — CI
-//! measures and gates within one job, so both points come from the same
-//! runner generation.
+//! Compares a base side against a head side, each one or more
+//! `BENCH_<n>.json` runs of `mpls-bench --all --json`, matches their
+//! measurement rows, and fails when any matched row's time for its fixed
+//! work grew past what the threshold allows (default 10%). A row's time
+//! is `events / events_per_sec`, which is its `wall_ms` where the row has
+//! one, and each side's time for a row is the fastest of its runs: a
+//! host's slow spell outlasts a cell, so a row is judged slow only when
+//! every head run found it slow. A row fails when its time exceeds the
+//! base's by more than a factor of `1 / (1 - threshold)`: with equal
+//! event counts that is exactly an events/s drop beyond the threshold,
+//! and a change that does the same work in fewer events is judged by the
+//! time it takes, not by its event rate. Trajectory files are only
+//! comparable when taken on the same class of machine — CI measures
+//! base, head, base, head within one job and gates on those four runs.
 //!
 //! ```text
 //! cargo run --release -p mpls-bench --bin bench-gate -- [dir] \
 //!     [--max-regress 10] [--md comment.md]
+//! cargo run --release -p mpls-bench --bin bench-gate -- \
+//!     --base b1.json --base b2.json --head h1.json --head h2.json [...]
 //! ```
+//!
+//! Given a directory (default `.`), the gate compares its two most
+//! recent `BENCH_<n>.json` files, one run per side: the older is the
+//! base. `--base` and `--head` name each side's runs instead; a run
+//! that cannot be read is skipped with a warning, and a side left with
+//! none passes the gate with a warning, as a directory with fewer than
+//! two files does.
 //!
 //! `--md <path>` additionally writes the base-vs-head comparison as a
 //! markdown fragment — the table CI posts as a PR comment.
@@ -28,7 +39,7 @@
 //! measurement (`events`, `wall_ms`, `events_per_sec`, `rounds`), so
 //! points taken under different configs never get compared, while a row
 //! whose event count or round count moved stays paired. Rows present in
-//! only one file are reported and skipped — schema growth is not a
+//! only one side are reported and skipped — schema growth is not a
 //! failure.
 
 use serde::Value;
@@ -109,7 +120,21 @@ fn flatten(doc: &Value) -> BTreeMap<String, f64> {
     out
 }
 
-/// One row measured in both points.
+/// Each row's fastest time over several runs of one side; a row
+/// missing from some runs takes the fastest of the rest.
+fn fastest(runs: &[BTreeMap<String, f64>]) -> BTreeMap<String, f64> {
+    let mut out: BTreeMap<String, f64> = BTreeMap::new();
+    for run in runs {
+        for (key, &ms) in run {
+            out.entry(key.clone())
+                .and_modify(|best| *best = best.min(ms))
+                .or_insert(ms);
+        }
+    }
+    out
+}
+
+/// One row measured on both sides.
 struct Pair {
     key: String,
     base_ms: f64,
@@ -120,7 +145,7 @@ struct Pair {
     regressed: bool,
 }
 
-/// The rows of two points: those measured in both, and the head rows
+/// The rows of two sides: those measured on both, and the head rows
 /// with no base point.
 struct Comparison {
     compared: Vec<Pair>,
@@ -133,16 +158,18 @@ impl Comparison {
     }
 }
 
-/// Pairs the rows of two points and judges each pair: a head time past
+/// Pairs the rows of the base and head runs, each side's row at its
+/// fastest run, and judges each pair: a head time past
 /// `base / (1 - max_regress_pct / 100)` regressed.
 fn compare(
-    prev: &BTreeMap<String, f64>,
-    curr: &BTreeMap<String, f64>,
+    base: &[BTreeMap<String, f64>],
+    head: &[BTreeMap<String, f64>],
     max_regress_pct: f64,
 ) -> Comparison {
+    let (prev, curr) = (fastest(base), fastest(head));
     let limit = 1.0 / (1.0 - max_regress_pct / 100.0);
     let mut compared = Vec::new();
-    for (key, &base_ms) in prev {
+    for (key, &base_ms) in &prev {
         let Some(&head_ms) = curr.get(key) else {
             println!("  skipped (gone): {key}");
             continue;
@@ -158,7 +185,7 @@ fn compare(
         });
     }
     let mut fresh = Vec::new();
-    for (key, &ms) in curr {
+    for (key, &ms) in &curr {
         if !prev.contains_key(key) {
             println!("  new (unmatched): {key}");
             fresh.push((key.clone(), ms));
@@ -189,9 +216,32 @@ fn trajectory_files(dir: &str) -> Vec<(u64, std::path::PathBuf)> {
     found
 }
 
+/// Reads one side's runs, skipping (with a warning) any that cannot be
+/// read or parsed. Returns the flattened runs and their file stems.
+fn load_side(paths: &[std::path::PathBuf]) -> (Vec<BTreeMap<String, f64>>, Vec<String>) {
+    let mut runs = Vec::new();
+    let mut names = Vec::new();
+    for path in paths {
+        let doc = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|body| serde_json::from_str::<Value>(&body).map_err(|e| e.to_string()));
+        match doc {
+            Ok(doc) => {
+                runs.push(flatten(&doc));
+                let stem = path.file_stem().unwrap_or(path.as_os_str());
+                names.push(stem.to_string_lossy().into_owned());
+            }
+            Err(e) => eprintln!("bench-gate: skipping {}: {e}", path.display()),
+        }
+    }
+    (runs, names)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut dir = ".".to_string();
+    let mut dir: Option<String> = None;
+    let mut base_paths = Vec::new();
+    let mut head_paths = Vec::new();
     let mut max_regress_pct = 10.0;
     let mut md_path: Option<String> = None;
     let mut it = args.iter();
@@ -204,45 +254,59 @@ fn main() -> ExitCode {
                 };
                 max_regress_pct = v;
             }
-            "--md" => {
+            "--md" | "--base" | "--head" => {
                 let Some(path) = it.next() else {
-                    eprintln!("error: --md needs a path");
+                    eprintln!("error: {arg} needs a path");
                     return ExitCode::from(2);
                 };
-                md_path = Some(path.clone());
+                match arg.as_str() {
+                    "--md" => md_path = Some(path.clone()),
+                    "--base" => base_paths.push(std::path::PathBuf::from(path)),
+                    _ => head_paths.push(std::path::PathBuf::from(path)),
+                }
             }
-            other => dir = other.to_string(),
+            other => dir = Some(other.to_string()),
         }
     }
 
-    let files = trajectory_files(&dir);
-    if files.len() < 2 {
+    if base_paths.is_empty() && head_paths.is_empty() {
+        // Directory mode: the two newest points, one run per side.
+        let dir = dir.unwrap_or_else(|| ".".to_string());
+        let mut files = trajectory_files(&dir);
+        if files.len() < 2 {
+            println!(
+                "bench-gate: {} trajectory file(s) in {dir} — need two to compare, passing",
+                files.len()
+            );
+            return ExitCode::SUCCESS;
+        }
+        head_paths.push(files.pop().expect("two files").1);
+        base_paths.push(files.pop().expect("two files").1);
+    } else if dir.is_some() {
+        eprintln!("error: give a directory or --base/--head runs, not both");
+        return ExitCode::from(2);
+    }
+    let (base, base_names) = load_side(&base_paths);
+    let (head, head_names) = load_side(&head_paths);
+    if base.is_empty() || head.is_empty() {
         println!(
-            "bench-gate: {} trajectory file(s) in {dir} — need two to compare, passing",
-            files.len()
+            "bench-gate: {} base and {} head run(s) read — need one of each to compare, passing",
+            base.len(),
+            head.len()
         );
         return ExitCode::SUCCESS;
     }
-    let (prev_n, prev_path) = &files[files.len() - 2];
-    let (curr_n, curr_path) = &files[files.len() - 1];
-    let load = |path: &std::path::Path| -> Value {
-        let body = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-        serde_json::from_str(&body)
-            .unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()))
-    };
-    let prev = flatten(&load(prev_path));
-    let curr = flatten(&load(curr_path));
+    let (base_label, head_label) = (base_names.join(", "), head_names.join(", "));
     println!(
-        "bench-gate: BENCH_{prev_n} -> BENCH_{curr_n}, {} vs {} measured rows, \
-         threshold {max_regress_pct}%",
-        prev.len(),
-        curr.len()
+        "bench-gate: {base_label} -> {head_label}, each row the fastest of {} base and {} head \
+         run(s), threshold {max_regress_pct}%",
+        base.len(),
+        head.len()
     );
 
-    let cmp = compare(&prev, &curr, max_regress_pct);
+    let cmp = compare(&base, &head, max_regress_pct);
     if let Some(path) = &md_path {
-        let md = render_md(*prev_n, *curr_n, max_regress_pct, &cmp);
+        let md = render_md(&base_label, &head_label, max_regress_pct, &cmp);
         std::fs::write(path, md).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("wrote {path}");
     }
@@ -273,10 +337,11 @@ fn main() -> ExitCode {
 /// The base-vs-head comparison as a GitHub-flavored markdown fragment —
 /// what CI posts as the PR comment. Keys are long `k=v` chains, so the
 /// per-row table splits the section prefix from the row fields.
-fn render_md(prev_n: u64, curr_n: u64, max_regress_pct: f64, cmp: &Comparison) -> String {
+fn render_md(base: &str, head: &str, max_regress_pct: f64, cmp: &Comparison) -> String {
     let mut md = String::new();
     md.push_str(&format!(
-        "### Bench gate: `BENCH_{prev_n}` (base) vs `BENCH_{curr_n}` (head)\n\n"
+        "### Bench gate: `{base}` (base) vs `{head}` (head)\n\n\
+         Each row is the fastest of its side's runs.\n\n"
     ));
     let regressed = cmp.regressions().count();
     let verdict = if cmp.compared.is_empty() {
@@ -338,14 +403,14 @@ mod tests {
         let base = point(100_000, 1e6, 5e5, 40);
         // 11% fewer events/s for the same events: 12.4% more time.
         let head = point(100_000, 0.89e6, 5e5, 40);
-        let cmp = compare(&base, &head, 10.0);
+        let cmp = compare(std::slice::from_ref(&base), &[head], 10.0);
         assert_eq!(cmp.compared.len(), 2);
         let failed: Vec<&str> = cmp.regressions().map(|p| p.key.as_str()).collect();
         assert_eq!(failed.len(), 1, "{failed:?}");
         assert!(failed[0].contains("shards=1"), "{failed:?}");
         // 9% fewer still passes, as it did when the gate read events/s.
         let head = point(100_000, 0.91e6, 5e5, 40);
-        assert_eq!(compare(&base, &head, 10.0).regressions().count(), 0);
+        assert_eq!(compare(&[base], &[head], 10.0).regressions().count(), 0);
     }
 
     #[test]
@@ -353,7 +418,7 @@ mod tests {
         let base = point(100_000, 1e6, 5e5, 40);
         // Half the events at a 30% lower rate: 0.71x the time.
         let head = point(50_000, 0.7e6, 0.35e6, 40);
-        let cmp = compare(&base, &head, 10.0);
+        let cmp = compare(std::slice::from_ref(&base), &[head], 10.0);
         assert_eq!(cmp.compared.len(), 2);
         assert_eq!(cmp.regressions().count(), 0);
         assert!(cmp.compared.iter().all(|p| p.head_ms < p.base_ms));
@@ -362,12 +427,50 @@ mod tests {
     #[test]
     fn a_row_whose_rounds_changed_stays_paired() {
         let cmp = compare(
-            &point(100_000, 1e6, 5e5, 40),
-            &point(60_000, 1e6, 5e5, 27),
+            &[point(100_000, 1e6, 5e5, 40)],
+            &[point(60_000, 1e6, 5e5, 27)],
             10.0,
         );
         assert_eq!(cmp.compared.len(), 2, "both rows paired");
         assert!(cmp.fresh.is_empty());
         assert_eq!(cmp.regressions().count(), 0);
+    }
+
+    /// Two runs per side, as CI measures them: a row slow in one head
+    /// run is judged by the other and passes; a row slow in both fails.
+    #[test]
+    fn a_row_fails_only_when_every_head_run_is_slow() {
+        let base = [
+            point(100_000, 1e6, 5e5, 40),
+            point(100_000, 0.95e6, 5e5, 40),
+        ];
+        // The single-shard row is 30% slow in the first head run only.
+        let head = [
+            point(100_000, 0.7e6, 5e5, 40),
+            point(100_000, 0.98e6, 5e5, 40),
+        ];
+        let cmp = compare(&base, &head, 10.0);
+        assert_eq!(cmp.compared.len(), 2);
+        assert_eq!(cmp.regressions().count(), 0);
+        let one = cmp
+            .compared
+            .iter()
+            .find(|p| p.key.contains("shards=1"))
+            .unwrap();
+        assert_eq!(
+            (one.base_ms, one.head_ms),
+            (100.0, 100_000.0 / 0.98e6 * 1e3)
+        );
+        // Slow in both head runs: fails.
+        let head = [
+            point(100_000, 0.7e6, 5e5, 40),
+            point(100_000, 0.8e6, 5e5, 40),
+        ];
+        let failed: Vec<String> = compare(&base, &head, 10.0)
+            .regressions()
+            .map(|p| p.key.clone())
+            .collect();
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert!(failed[0].contains("shards=1"), "{failed:?}");
     }
 }

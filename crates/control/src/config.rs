@@ -145,6 +145,21 @@ impl NodeConfig {
             && self.ecmp.is_empty()
     }
 
+    /// The number of label pairs per information-base level: levels 1
+    /// and 2 at indices 0 and 1, every other level at 2, as the routers
+    /// place them. A router sizes each level once from it.
+    pub fn bindings_per_level(&self) -> [usize; 3] {
+        let mut n = [0; 3];
+        for b in &self.bindings {
+            n[match b.level {
+                1 => 0,
+                2 => 1,
+                _ => 2,
+            }] += 1;
+        }
+        n
+    }
+
     /// Longest-prefix-match over the IP routes. Among identical
     /// prefixes the first route wins, as it does in both routers.
     pub fn ip_route_for(&self, addr: u32) -> Option<Hop> {

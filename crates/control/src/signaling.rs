@@ -107,8 +107,10 @@ pub enum SignalError {
     LinkFailed(LinkId),
 }
 
-/// A fully signaled LSP: its logical path, per-hop labels, and the
-/// nodes it holds forwarding state at.
+/// A fully signaled LSP: its logical path, per-hop labels and reserved
+/// links. Its forwarding state sits in the per-node store at the nodes
+/// of its path and, when it rides a tunnel, at the tunnel's penultimate
+/// node.
 #[derive(Debug, Clone)]
 pub struct SignaledLsp {
     /// Identifier.
@@ -122,10 +124,6 @@ pub struct SignaledLsp {
     /// Physical links reserved (a tunneled LSP's two access segments;
     /// its tunnel holds the rest).
     pub reserved_links: Vec<LinkId>,
-    /// Topology indices of the nodes whose per-node store holds entries
-    /// of this LSP, in the order it first wrote to them; teardown removes
-    /// its entries there.
-    nodes: Vec<u32>,
     /// The tunnel the LSP rides, if any.
     tunnel: Option<TunnelId>,
 }
@@ -163,35 +161,91 @@ struct TunnelHop {
     entry_label: Label,
 }
 
-/// One forwarding entry of the per-node store: a label pair, a next
-/// hop, an ingress classification or an unlabeled route, as
-/// [`ControlPlane::config_for`] hands it to the data plane.
+/// One forwarding entry of the per-node store — a label pair, a next
+/// hop, an ingress classification or an unlabeled route — without the
+/// node it programs, which is the store's index. Every stored key is an
+/// IPv4 address (a host FEC's level-1 pair) or a 20-bit label, so it is
+/// kept in 32 bits. [`ControlPlane::config_for`] rebuilds the public
+/// [`BindingEntry`], [`NextHopEntry`], [`FecEntry`] and [`IpRoute`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Entry {
-    Binding(BindingEntry),
-    NextHop(NextHopEntry),
-    Fec(FecEntry),
-    IpRoute(IpRoute),
+    Binding {
+        level: u8,
+        op: LabelOp,
+        key: u32,
+        new_label: Label,
+    },
+    NextHop {
+        label: Option<Label>,
+        next: Hop,
+    },
+    Fec {
+        prefix: Prefix,
+        push_label: Label,
+        cos: CosBits,
+    },
+    IpRoute {
+        prefix: Prefix,
+        next: Hop,
+    },
 }
 
+/// An `(LSP id, entry)` of the store is 24 bytes; the public forms,
+/// node id and 64-bit key included, made it 40.
+const _: () = assert!(std::mem::size_of::<(LspId, Entry)>() == 24);
+
 impl Entry {
-    /// The node the entry programs.
-    fn node(&self) -> NodeId {
-        match self {
-            Entry::Binding(b) => b.node,
-            Entry::NextHop(n) => n.node,
-            Entry::Fec(f) => f.node,
-            Entry::IpRoute(r) => r.node,
+    /// A label pair keyed by an incoming label.
+    fn label_pair(level: u8, in_label: Label, new_label: Label, op: LabelOp) -> Self {
+        Entry::Binding {
+            level,
+            op,
+            key: in_label.value(),
+            new_label,
         }
     }
 
-    /// Appends the entry to the list of its kind in `cfg`.
-    fn add_to(self, cfg: &mut NodeConfig) {
+    /// The list of `cfg` the entry goes to: 0 bindings, 1 next hops,
+    /// 2 FECs, 3 IP routes.
+    fn kind(&self) -> usize {
         match self {
-            Entry::Binding(b) => cfg.bindings.push(b),
-            Entry::NextHop(n) => cfg.next_hops.push(n),
-            Entry::Fec(f) => cfg.fecs.push(f),
-            Entry::IpRoute(r) => cfg.ip_routes.push(r),
+            Entry::Binding { .. } => 0,
+            Entry::NextHop { .. } => 1,
+            Entry::Fec { .. } => 2,
+            Entry::IpRoute { .. } => 3,
+        }
+    }
+
+    /// Appends the entry, as the public form programming `node`, to the
+    /// list of its kind in `cfg`.
+    fn add_to(self, node: NodeId, cfg: &mut NodeConfig) {
+        match self {
+            Entry::Binding {
+                level,
+                op,
+                key,
+                new_label,
+            } => cfg.bindings.push(BindingEntry {
+                node,
+                level,
+                key: u64::from(key),
+                new_label,
+                op,
+            }),
+            Entry::NextHop { label, next } => {
+                cfg.next_hops.push(NextHopEntry { node, label, next })
+            }
+            Entry::Fec {
+                prefix,
+                push_label,
+                cos,
+            } => cfg.fecs.push(FecEntry {
+                node,
+                prefix,
+                push_label,
+                cos,
+            }),
+            Entry::IpRoute { prefix, next } => cfg.ip_routes.push(IpRoute { node, prefix, next }),
         }
     }
 }
@@ -518,28 +572,40 @@ impl ControlPlane {
     /// of one kind in the order it generated them; then tunnel entries by
     /// ascending tunnel id; then the attached routes in declaration order.
     /// The per-node store holds the LSP and tunnel entries in exactly
-    /// that order (see [`NodeState`]), so this is one walk over the
-    /// node's own state.
+    /// that order (see [`NodeState`]), so this walks the node's own
+    /// state twice: once to size each list exactly, once to fill it.
     pub fn config_for(&self, node: NodeId) -> NodeConfig {
-        let mut cfg = NodeConfig::default();
-        if let Some(state) = self.topo.index_of(node).map(|i| &self.node_state[i]) {
-            for &(id, entry) in &state.lsps {
-                // A standby keeps its transit state (levels 2/3 and next
-                // hops) installed so failover is head-end-only, but its
-                // ingress steering — FEC classification and exact
-                // level-1 pairs — stays out until activation.
-                match entry {
-                    Entry::Binding(b) if b.level == 1 && self.lsp_is_standby(id) => {}
-                    Entry::Fec(_) if self.lsp_is_standby(id) => {}
-                    _ => entry.add_to(&mut cfg),
-                }
-            }
-            for &entry in &state.tunnels {
-                entry.add_to(&mut cfg);
-            }
+        let state = self.topo.index_of(node).map(|i| &self.node_state[i]);
+        let (lsps, tunnels) = state.map_or((&[][..], &[][..]), |s| (&s.lsps[..], &s.tunnels[..]));
+        // A standby keeps its transit state (levels 2/3 and next hops)
+        // installed so failover is head-end-only, but its ingress
+        // steering — FEC classification and exact level-1 pairs — stays
+        // out until activation.
+        let entries = || {
+            lsps.iter()
+                .filter(|&&(id, entry)| match entry {
+                    Entry::Binding { level: 1, .. } | Entry::Fec { .. } => !self.lsp_is_standby(id),
+                    _ => true,
+                })
+                .map(|&(_, entry)| entry)
+                .chain(tunnels.iter().copied())
+        };
+        let attached = || self.attached.iter().filter(|r| r.node == node);
+        let mut len = [0; 4];
+        for entry in entries() {
+            len[entry.kind()] += 1;
         }
-        cfg.ip_routes
-            .extend(self.attached.iter().filter(|r| r.node == node));
+        let mut cfg = NodeConfig {
+            bindings: Vec::with_capacity(len[0]),
+            next_hops: Vec::with_capacity(len[1]),
+            fecs: Vec::with_capacity(len[2]),
+            ip_routes: Vec::with_capacity(len[3] + attached().count()),
+            ..NodeConfig::default()
+        };
+        for entry in entries() {
+            entry.add_to(node, &mut cfg);
+        }
+        cfg.ip_routes.extend(attached());
         #[cfg(debug_assertions)]
         assert_eq!(
             cfg,
@@ -584,20 +650,26 @@ impl ControlPlane {
             entry_label: t.entry_label,
         };
 
-        // Route the two physical segments; the tunnel is one logical hop.
-        let seg1 = self.cspf(request.ingress, hop.head, request.bandwidth_bps)?;
-        let seg2 = self.cspf(hop.tail, request.egress, request.bandwidth_bps)?;
-        let mut path = seg1.clone();
-        path.extend_from_slice(&seg2);
+        // Route the two physical segments into one logical path; the
+        // tunnel is its one hop from head to tail.
+        let bw = request.bandwidth_bps;
+        let mut path = Vec::new();
+        let none = HashSet::new();
+        self.cspf_into(request.ingress, hop.head, bw, &none, &mut path)?;
+        let head_at = path.len();
+        self.cspf_into(hop.tail, request.egress, bw, &none, &mut path)?;
 
-        let mut links = self.reserve_path(&seg1, request.bandwidth_bps)?;
-        match self.reserve_path(&seg2, request.bandwidth_bps) {
-            Ok(more) => links.extend(more),
-            Err(e) => {
-                self.release_links(&links, request.bandwidth_bps);
-                return Err(e);
-            }
-        }
+        // The physical links of both segments, in path order.
+        let topo = &self.topo;
+        let links: Vec<LinkId> = path[..head_at]
+            .windows(2)
+            .chain(path[head_at..].windows(2))
+            .map(|w| {
+                topo.link_between(w[0], w[1])
+                    .expect("routed segments are connected")
+            })
+            .collect();
+        self.reserve_links(&links, bw)?;
         match self.allocate_hop_labels(&request, &path, Some(hop)) {
             Ok(labels) => Ok(self.install_lsp(request, path, links, labels, Some(hop))),
             Err(e) => {
@@ -651,20 +723,22 @@ impl ControlPlane {
         let mut written = Vec::new();
         let topo = &self.topo;
         let store = Arc::make_mut(&mut self.node_state);
-        let mut put = |entry: Entry| {
+        let mut put = |node: NodeId, entry: Entry| {
             #[cfg(debug_assertions)]
-            written.push(entry);
-            store[topo.index_of(entry.node()).expect("paths hold known nodes")]
+            written.push((node, entry));
+            store[topo.index_of(node).expect("paths hold known nodes")]
                 .tunnels
                 .push(entry);
         };
         // Head: next hop for the entry label (the push binding itself is
         // installed per inner LSP).
-        put(Entry::NextHop(NextHopEntry {
-            node: head,
-            label: Some(hop_labels[0]),
-            next: Hop::Node(path[1]),
-        }));
+        put(
+            head,
+            Entry::NextHop {
+                label: Some(hop_labels[0]),
+                next: Hop::Node(path[1]),
+            },
+        );
         // Interior nodes: depth-2 arrivals -> level 3. The last interior
         // node pops (PHP); the rest swap.
         for i in 1..path.len() - 1 {
@@ -672,13 +746,10 @@ impl ControlPlane {
             let in_label = hop_labels[i - 1];
             let penultimate = i == path.len() - 2;
             if penultimate {
-                put(Entry::Binding(BindingEntry {
+                put(
                     node,
-                    level: 3,
-                    key: in_label.value() as u64,
-                    new_label: Label::IPV4_EXPLICIT_NULL,
-                    op: LabelOp::Pop,
-                }));
+                    Entry::label_pair(3, in_label, Label::IPV4_EXPLICIT_NULL, LabelOp::Pop),
+                );
                 // After the pop the inner label leads; the inner LSPs
                 // install no next hop here, so route the *inner* label via
                 // the tail. We cannot know inner labels in advance, so the
@@ -686,18 +757,17 @@ impl ControlPlane {
                 // entries installed at inner-LSP setup time (see
                 // lsp_entries' tunnel handling).
             } else {
-                put(Entry::Binding(BindingEntry {
+                put(
                     node,
-                    level: 3,
-                    key: in_label.value() as u64,
-                    new_label: hop_labels[i],
-                    op: LabelOp::Swap,
-                }));
-                put(Entry::NextHop(NextHopEntry {
+                    Entry::label_pair(3, in_label, hop_labels[i], LabelOp::Swap),
+                );
+                put(
                     node,
-                    label: Some(hop_labels[i]),
-                    next: Hop::Node(path[i + 1]),
-                }));
+                    Entry::NextHop {
+                        label: Some(hop_labels[i]),
+                        next: Hop::Node(path[i + 1]),
+                    },
+                );
             }
         }
         #[cfg(debug_assertions)]
@@ -725,9 +795,17 @@ impl ControlPlane {
         self.backups.retain(|_, &mut b| b != id);
         self.standby.remove(&id);
         self.release_links(&lsp.reserved_links, lsp.request.bandwidth_bps);
+        // The LSP wrote entries at the nodes of its path and, riding a
+        // tunnel, at the tunnel's penultimate node (see `lsp_entries`).
+        let penultimate = lsp.tunnel.map(|t| {
+            let path = &self.tunnels[slot(t)].path;
+            path[path.len() - 2]
+        });
+        let topo = &self.topo;
         let store = Arc::make_mut(&mut self.node_state);
-        for &i in &lsp.nodes {
-            store[i as usize].lsps.retain(|&(l, _)| l != id);
+        for &node in lsp.path.iter().chain(&penultimate) {
+            let i = topo.index_of(node).expect("paths hold known nodes");
+            store[i].lsps.retain(|&(l, _)| l != id);
         }
         #[cfg(debug_assertions)]
         self.oracle.teardown_lsp(id);
@@ -771,6 +849,22 @@ impl ControlPlane {
         bw: u64,
         avoid: &HashSet<LinkId>,
     ) -> Result<Vec<NodeId>, SignalError> {
+        let mut path = Vec::new();
+        self.cspf_into(from, to, bw, avoid, &mut path)?;
+        Ok(path)
+    }
+
+    /// Appends the shortest path `from` → `to` that offers `bw` and
+    /// avoids the failed links and `avoid` to `path`; on an error `path`
+    /// is left as it was.
+    fn cspf_into(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        bw: u64,
+        avoid: &HashSet<LinkId>,
+        path: &mut Vec<NodeId>,
+    ) -> Result<(), SignalError> {
         // Delta-CSPF fast path: an unconstrained request (no bandwidth
         // floor, no extra exclusions) sees exactly "shortest path over
         // non-failed links" — answered from the head end's cached tree,
@@ -787,17 +881,19 @@ impl ControlPlane {
             }
             // A hit only reads the cache; a miss builds the tree and
             // writes it (copying the cache first if it is shared).
-            let path = match &self.spt_cache[head] {
-                Some(tree) => tree.path(&self.topo, to),
+            let found = match &self.spt_cache[head] {
+                Some(tree) => tree.path_into(&self.topo, to, path),
                 None => {
                     let failed = &self.failed_links;
                     let tree = SptTree::build(&self.topo, from, &|l| !failed.contains(&l));
-                    let path = tree.path(&self.topo, to);
+                    let found = tree.path_into(&self.topo, to, path);
                     Arc::make_mut(&mut self.spt_cache)[head] = Some(tree);
-                    path
+                    found
                 }
             };
-            return path.ok_or(SignalError::Path(PathError::NoPath));
+            return found
+                .then_some(())
+                .ok_or(SignalError::Path(PathError::NoPath));
         }
         // Failed links are excluded outright — a zero-bandwidth
         // (best-effort) request must still avoid them.
@@ -808,10 +904,12 @@ impl ControlPlane {
             exclude_links,
             ..Default::default()
         };
-        shortest_path(&self.topo, from, to, &constraint, &|l| {
+        let found = shortest_path(&self.topo, from, to, &constraint, &|l| {
             self.available_bandwidth(l)
         })
-        .map_err(SignalError::Path)
+        .map_err(SignalError::Path)?;
+        path.extend_from_slice(&found);
+        Ok(())
     }
 
     fn resolve_route(&mut self, request: &LspRequest) -> Result<Vec<NodeId>, SignalError> {
@@ -838,17 +936,21 @@ impl ControlPlane {
             .topo
             .path_links(path)
             .expect("routes are validated before reservation");
+        self.reserve_links(&links, bw)?;
+        Ok(links)
+    }
+
+    /// Reserves `bw` on every link of `links` in order; on the first
+    /// link short of it, gives back what it took and names that link.
+    fn reserve_links(&mut self, links: &[LinkId], bw: u64) -> Result<(), SignalError> {
         for (i, &link) in links.iter().enumerate() {
             if self.available_bandwidth(link) < bw {
-                // Roll back what we already took.
-                for &l in &links[..i] {
-                    self.reserved[l as usize] -= bw;
-                }
+                self.release_links(&links[..i], bw);
                 return Err(SignalError::InsufficientBandwidth { link });
             }
             self.reserved[link as usize] += bw;
         }
-        Ok(links)
+        Ok(())
     }
 
     fn release_links(&mut self, links: &[LinkId], bw: u64) {
@@ -908,18 +1010,24 @@ impl ControlPlane {
         tunnel: Option<TunnelHop>,
     ) -> LspId {
         let id = self.lsps.len() as LspId + 1;
-        let mut nodes: Vec<u32> = Vec::new();
         #[cfg(debug_assertions)]
         let mut written = Vec::new();
         let topo = &self.topo;
         let store = Arc::make_mut(&mut self.node_state);
-        lsp_entries(&request, &path, &hop_labels, tunnel, |entry| {
-            let i = topo.index_of(entry.node()).expect("paths hold known nodes");
-            if !nodes.contains(&(i as u32)) {
-                nodes.push(i as u32);
-            }
+        // An LSP writes its entries a node at a time, so the last node's
+        // index answers most lookups.
+        let mut last: Option<(NodeId, usize)> = None;
+        lsp_entries(&request, &path, &hop_labels, tunnel, |node, entry| {
+            let i = match last {
+                Some((n, i)) if n == node => i,
+                _ => {
+                    let i = topo.index_of(node).expect("paths hold known nodes");
+                    last = Some((node, i));
+                    i
+                }
+            };
             #[cfg(debug_assertions)]
-            written.push(entry);
+            written.push((node, entry));
             store[i].lsps.push((id, entry));
         });
         #[cfg(debug_assertions)]
@@ -930,7 +1038,6 @@ impl ControlPlane {
             path,
             hop_labels,
             reserved_links,
-            nodes,
             tunnel: tunnel.map(|t| t.id),
         }));
         id
@@ -938,8 +1045,10 @@ impl ControlPlane {
 }
 
 /// Generates the forwarding state of an LSP over a (logical) path with
-/// its allocated labels, handing each entry to `put`. `tunnel` marks the
-/// node that is a tunnel head on this path:
+/// its allocated labels, handing each entry and the node it programs to
+/// `put`. It writes only at the nodes of `path` and at the tunnel's
+/// penultimate node, which teardown relies on. `tunnel` marks the node
+/// that is a tunnel head on this path:
 /// there the LSP *pushes* into the tunnel, and the tunnel's penultimate
 /// node routes the preserved inner label on to the tail.
 fn lsp_entries(
@@ -947,32 +1056,38 @@ fn lsp_entries(
     path: &[NodeId],
     hop_labels: &[Label],
     tunnel: Option<TunnelHop>,
-    mut put: impl FnMut(Entry),
+    mut put: impl FnMut(NodeId, Entry),
 ) {
     let last = path.len() - 1;
 
     // Ingress LER.
-    put(Entry::Fec(FecEntry {
-        node: path[0],
-        prefix: request.fec,
-        push_label: hop_labels[0],
-        cos: request.cos,
-    }));
+    put(
+        path[0],
+        Entry::Fec {
+            prefix: request.fec,
+            push_label: hop_labels[0],
+            cos: request.cos,
+        },
+    );
     if request.fec.len == 32 {
         // Host FEC: the exact level-1 pair can be preinstalled.
-        put(Entry::Binding(BindingEntry {
-            node: path[0],
-            level: 1,
-            key: request.fec.addr as u64,
-            new_label: hop_labels[0],
-            op: LabelOp::Push,
-        }));
+        put(
+            path[0],
+            Entry::Binding {
+                level: 1,
+                op: LabelOp::Push,
+                key: request.fec.addr,
+                new_label: hop_labels[0],
+            },
+        );
     }
-    put(Entry::NextHop(NextHopEntry {
-        node: path[0],
-        label: Some(hop_labels[0]),
-        next: Hop::Node(path[1]),
-    }));
+    put(
+        path[0],
+        Entry::NextHop {
+            label: Some(hop_labels[0]),
+            next: Hop::Node(path[1]),
+        },
+    );
 
     // Transit nodes.
     for i in 1..last {
@@ -981,75 +1096,76 @@ fn lsp_entries(
 
         if let Some(t) = tunnel.filter(|t| t.head == node) {
             // Push into the tunnel; the inner label is preserved.
-            put(Entry::Binding(BindingEntry {
+            put(
                 node,
-                level: 2,
-                key: in_label.value() as u64,
-                new_label: t.entry_label,
-                op: LabelOp::Push,
-            }));
+                Entry::label_pair(2, in_label, t.entry_label, LabelOp::Push),
+            );
             // Next hop for the tunnel entry label exists from tunnel
             // establishment. Additionally, the tunnel's penultimate
             // node needs to route this inner label to the tail after
             // its PHP pop.
-            put(Entry::NextHop(NextHopEntry {
-                node: t.penultimate,
-                label: Some(in_label),
-                next: Hop::Node(t.tail),
-            }));
+            put(
+                t.penultimate,
+                Entry::NextHop {
+                    label: Some(in_label),
+                    next: Hop::Node(t.tail),
+                },
+            );
             continue;
         }
 
         let php_pop = request.php && i == last - 1;
         if php_pop {
-            put(Entry::Binding(BindingEntry {
+            put(
                 node,
-                level: 2,
-                key: in_label.value() as u64,
-                new_label: Label::IPV4_EXPLICIT_NULL,
-                op: LabelOp::Pop,
-            }));
+                Entry::label_pair(2, in_label, Label::IPV4_EXPLICIT_NULL, LabelOp::Pop),
+            );
             // After the pop the packet is unlabeled: IP-route it to the
             // egress.
-            put(Entry::IpRoute(IpRoute {
+            put(
                 node,
-                prefix: request.fec,
-                next: Hop::Node(path[last]),
-            }));
+                Entry::IpRoute {
+                    prefix: request.fec,
+                    next: Hop::Node(path[last]),
+                },
+            );
         } else {
             let out_label = hop_labels[i];
-            put(Entry::Binding(BindingEntry {
+            put(
                 node,
-                level: 2,
-                key: in_label.value() as u64,
-                new_label: out_label,
-                op: LabelOp::Swap,
-            }));
-            put(Entry::NextHop(NextHopEntry {
+                Entry::label_pair(2, in_label, out_label, LabelOp::Swap),
+            );
+            put(
                 node,
-                label: Some(out_label),
-                next: Hop::Node(path[i + 1]),
-            }));
+                Entry::NextHop {
+                    label: Some(out_label),
+                    next: Hop::Node(path[i + 1]),
+                },
+            );
         }
     }
 
     // Egress LER.
     if !request.php {
-        put(Entry::Binding(BindingEntry {
-            node: path[last],
-            level: 2,
-            key: hop_labels[last - 1].value() as u64,
-            new_label: Label::IPV4_EXPLICIT_NULL,
-            op: LabelOp::Pop,
-        }));
+        put(
+            path[last],
+            Entry::label_pair(
+                2,
+                hop_labels[last - 1],
+                Label::IPV4_EXPLICIT_NULL,
+                LabelOp::Pop,
+            ),
+        );
     }
     // The FEC is attached behind the egress: deliver locally once
     // unlabeled.
-    put(Entry::IpRoute(IpRoute {
-        node: path[last],
-        prefix: request.fec,
-        next: Hop::Local,
-    }));
+    put(
+        path[last],
+        Entry::IpRoute {
+            prefix: request.fec,
+            next: Hop::Local,
+        },
+    );
 }
 
 /// The per-LSP aggregation the per-node store replaced, kept in debug
@@ -1070,10 +1186,10 @@ mod oracle {
 
     /// One LSP's or tunnel's entries split by kind, as each of them held
     /// its own state before the per-node store.
-    fn split(entries: &[Entry]) -> NodeConfig {
+    fn split(entries: &[(NodeId, Entry)]) -> NodeConfig {
         let mut e = NodeConfig::default();
-        for &entry in entries {
-            entry.add_to(&mut e);
+        for &(node, entry) in entries {
+            entry.add_to(node, &mut e);
         }
         e
     }
@@ -1101,7 +1217,7 @@ mod oracle {
     }
 
     impl PerLsp {
-        pub(super) fn install_lsp(&mut self, id: LspId, entries: &[Entry]) {
+        pub(super) fn install_lsp(&mut self, id: LspId, entries: &[(NodeId, Entry)]) {
             let e = split(entries);
             for node in nodes(&e) {
                 self.lsps_by_node.entry(node).or_default().push(id);
@@ -1109,7 +1225,7 @@ mod oracle {
             self.lsps.insert(id, (e, false));
         }
 
-        pub(super) fn install_tunnel(&mut self, id: TunnelId, entries: &[Entry]) {
+        pub(super) fn install_tunnel(&mut self, id: TunnelId, entries: &[(NodeId, Entry)]) {
             let e = split(entries);
             for node in nodes(&e) {
                 self.tunnels_by_node.entry(node).or_default().push(id);
@@ -1415,6 +1531,34 @@ mod tests {
         let distinct: HashSet<Label> = held.iter().copied().collect();
         assert_eq!(distinct.len(), held.len(), "a label on two hops: {held:?}");
         assert_eq!(cp.labels_allocated(), 5);
+    }
+
+    /// A tunneled LSP writes one entry off its own path: the next hop
+    /// for its inner label at the tunnel's penultimate node. Teardown
+    /// removes it there too, and leaves the tunnel's own entries.
+    #[test]
+    fn tunneled_teardown_clears_the_penultimate_next_hop() {
+        let mut cp = ControlPlane::new(Topology::grid(3, 1_000_000_000, 10_000));
+        // Corner LSRs 0 and 8 anchor a tunnel whose penultimate node is
+        // off every LSP path: 0-1-2-5-8.
+        let tid = cp
+            .establish_tunnel(0, 8, 0, Some(vec![0, 1, 2, 5, 8]))
+            .unwrap();
+        let bare = cp.config_for(5);
+        // LER 9 hangs off corner 0 and LER 11 off corner 8.
+        let id = cp
+            .establish_lsp_via_tunnel(LspRequest::best_effort(9, 11, prefix("10.9.0.0", 16)), tid)
+            .unwrap();
+        let lsp = cp.lsp(id).unwrap().clone();
+        assert_eq!(lsp.path, vec![9, 0, 8, 11]);
+        let inner = lsp.hop_labels[0];
+        assert_eq!(
+            cp.config_for(5).next_hop_for(Some(inner)),
+            Some(Hop::Node(8))
+        );
+        cp.teardown_lsp(id).unwrap();
+        assert_eq!(cp.config_for(5), bare, "only the tunnel's entries stay");
+        assert_eq!(cp.config_for(5).next_hop_for(Some(inner)), None);
     }
 
     /// A cut inside a tunnel breaks the LSPs riding it, though they

@@ -83,19 +83,31 @@ impl SptTree {
     /// The shortest path source → `to` (inclusive), exactly the node
     /// sequence `shortest_path` would return. `None` when unreachable.
     pub fn path(&self, topo: &Topology, to: NodeId) -> Option<Vec<NodeId>> {
-        let ti = topo.index_of(to)?;
+        let mut path = Vec::new();
+        self.path_into(topo, to, &mut path).then_some(path)
+    }
+
+    /// Appends [`Self::path`]`(topo, to)` to `out`, so a caller can
+    /// route several segments into one `Vec`. Returns false, leaving
+    /// `out` as it was, when `to` is unreachable.
+    pub fn path_into(&self, topo: &Topology, to: NodeId, out: &mut Vec<NodeId>) -> bool {
+        let Some(ti) = topo.index_of(to) else {
+            return false;
+        };
         if self.dist[ti] == u64::MAX {
-            return None;
+            return false;
         }
-        let mut path = vec![to];
+        // Walk the parents back from `to`, then turn the walk around.
+        let start = out.len();
+        out.push(to);
         let mut cur = to;
         while cur != self.src {
-            let i = topo.index_of(cur)?;
+            let i = topo.index_of(cur).expect("parents are known nodes");
             cur = self.prev[i];
-            path.push(cur);
+            out.push(cur);
         }
-        path.reverse();
-        Some(path)
+        out[start..].reverse();
+        true
     }
 
     /// Repairs the tree after `link` became unusable (`usable` must
@@ -376,7 +388,8 @@ mod tests {
 
     /// Random graph + random fail/restore sequence: after every delta the
     /// repaired tree answers every pair exactly like a fresh
-    /// `shortest_path` — the invariant the signaling cache relies on.
+    /// `shortest_path` — the invariant the signaling cache relies on —
+    /// through both `path` and `path_into`.
     fn random_topo(n: u32, extra: &[(u32, u32, u32)]) -> Topology {
         let mut t = Topology::new();
         for i in 0..n {
@@ -435,10 +448,19 @@ mod tests {
                     let want = reference(&topo, src, node.id, &failed);
                     prop_assert_eq!(
                         tree.path(&topo, node.id),
-                        want,
+                        want.clone(),
                         "src {} to {} after {:?}",
                         src, node.id, failed
                     );
+                    // `path_into` appends exactly that path behind what
+                    // the vector already holds, and nothing when there
+                    // is none.
+                    let mut into = vec![NO_NODE, src];
+                    let found = tree.path_into(&topo, node.id, &mut into);
+                    prop_assert_eq!(found, want.is_some());
+                    let mut expect = vec![NO_NODE, src];
+                    expect.extend(want.unwrap_or_default());
+                    prop_assert_eq!(into, expect);
                 }
             }
         }

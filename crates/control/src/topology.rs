@@ -1,42 +1,17 @@
 //! The network graph of the paper's Fig. 1: LERs on the edge, LSRs in the
 //! core, bidirectional links with cost, capacity and propagation delay.
 
+use mpls_packet::BuildSplitMix;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Node identifier.
 pub type NodeId = u32;
 
-/// A map keyed by [`NodeId`] that hashes with [`NodeIdHasher`].
-pub(crate) type NodeMap<V> = HashMap<NodeId, V, BuildHasherDefault<NodeIdHasher>>;
-
-/// Hashes a node id with the splitmix64 finalizer, the workspace's
-/// standard mixer, instead of SipHash, because signaling looks one up
-/// per hop. The trade: SipHash's per-process key stops keys crafted to
-/// collide, and a scenario file could now pick ids that share low hash
-/// bits and slow its own set-up; the simulator runs the scenarios its
-/// user writes, so no one else's input reaches this map. The hash is
-/// the same in every process, so iteration over a [`NodeMap`] is too;
-/// nothing may depend on that order.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct NodeIdHasher(u64);
-
-impl Hasher for NodeIdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
-
-    fn write_u32(&mut self, id: u32) {
-        self.0 = u64::from(id);
-    }
-
-    fn finish(&self) -> u64 {
-        mpls_packet::splitmix64(self.0)
-    }
-}
+/// A map keyed by [`NodeId`] that hashes with the workspace's
+/// splitmix64 hasher ([`mpls_packet::SplitMixHasher`]) instead of
+/// SipHash, because signaling looks one up per hop.
+pub(crate) type NodeMap<V> = HashMap<NodeId, V, BuildSplitMix>;
 
 /// Link identifier (index into the link table; each spec describes both
 /// directions).

@@ -64,6 +64,12 @@ impl<S: LookupStrategy> Fib<S> {
         self.levels[level.index()].insert(key, binding);
     }
 
+    /// Makes room for `additional` more bindings at `level` (see
+    /// [`LookupStrategy::reserve`]).
+    pub fn reserve(&mut self, level: FibLevel, additional: usize) {
+        self.levels[level.index()].reserve(additional);
+    }
+
     /// Looks `key` up at `level`, returning the binding and the probes
     /// spent.
     pub fn lookup(&self, level: FibLevel, key: u64) -> (Option<LabelBinding>, usize) {

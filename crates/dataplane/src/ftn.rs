@@ -10,6 +10,7 @@
 //! map per prefix length, and the routers use it for FEC
 //! classification, unlabeled IP routes and segment-routing steering.
 
+use mpls_packet::BuildSplitMix;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -75,13 +76,17 @@ impl core::fmt::Display for Prefix {
 ///   segment-routing policies use this: the first entry in `NodeConfig`
 ///   order wins.
 ///
-/// The maps keep the standard library's default hasher, which resists
-/// crafted collisions: prefixes come from scenario files.
+/// The maps hash with the workspace's splitmix64 hasher
+/// ([`mpls_packet::SplitMixHasher`]), not SipHash: a router probes one
+/// per unlabeled packet. Prefixes come from scenario files, so a file
+/// could choose prefixes whose addresses share low hash bits and slow
+/// its own run; SipHash's per-process key would stop that, but no one
+/// else's input reaches these tables.
 #[derive(Debug, Clone)]
 pub struct PrefixTable<V> {
     /// `(prefix length, masked address -> value)`, by descending length,
     /// one element per length present.
-    lengths: Vec<(u8, HashMap<u32, V>)>,
+    lengths: Vec<(u8, HashMap<u32, V, BuildSplitMix>)>,
 }
 
 impl<V> Default for PrefixTable<V> {
@@ -99,10 +104,10 @@ impl<V: Copy> PrefixTable<V> {
     }
 
     /// The map of one prefix length, created on first use.
-    fn length(&mut self, len: u8) -> &mut HashMap<u32, V> {
+    fn length(&mut self, len: u8) -> &mut HashMap<u32, V, BuildSplitMix> {
         let pos = self.lengths.partition_point(|&(l, _)| l > len);
         if self.lengths.get(pos).map(|&(l, _)| l) != Some(len) {
-            self.lengths.insert(pos, (len, HashMap::new()));
+            self.lengths.insert(pos, (len, HashMap::default()));
         }
         &mut self.lengths[pos].1
     }

@@ -116,8 +116,8 @@ impl HashFib {
         }
     }
 
-    fn grow(&mut self) {
-        let new_len = self.keys.len() * 2;
+    /// Rehashes every key into `new_len` slots (a power of two).
+    fn resize(&mut self, new_len: usize) {
         let old_keys = std::mem::replace(&mut self.keys, vec![0; new_len]);
         let old_ranks = std::mem::replace(&mut self.ranks, vec![0; new_len]);
         let old_bindings = std::mem::replace(&mut self.bindings, vec![EMPTY_BINDING; new_len]);
@@ -131,6 +131,12 @@ impl HashFib {
             self.ranks[j] = rank;
             self.bindings[j] = old_bindings[i];
         }
+    }
+
+    /// True when `live` keys fill `slots` to the 3/4 load the table
+    /// grows at.
+    fn full(live: usize, slots: usize) -> bool {
+        live * 4 >= slots * 3
     }
 }
 
@@ -150,8 +156,23 @@ impl LookupStrategy for HashFib {
         self.ranks[i] = u32::try_from(self.inserted).expect("FIB occupancy fits u32");
         self.bindings[i] = binding;
         self.live += 1;
-        if self.live * 4 >= self.keys.len() * 3 {
-            self.grow();
+        if Self::full(self.live, self.keys.len()) {
+            self.resize(self.keys.len() * 2);
+        }
+    }
+
+    /// Sizes the table once for `additional` more keys: the slot count
+    /// doubling on inserts would reach, so they never rehash. Placement
+    /// never reaches an answer — a hit reports its rank, a miss the
+    /// insert count — so a reserved table answers exactly as a grown
+    /// one.
+    fn reserve(&mut self, additional: usize) {
+        let mut slots = self.keys.len();
+        while Self::full(self.live + additional, slots) {
+            slots *= 2;
+        }
+        if slots > self.keys.len() {
+            self.resize(slots);
         }
     }
 
@@ -276,6 +297,40 @@ mod tests {
     }
 
     proptest! {
+        /// A table reserved once for its inserts answers exactly as one
+        /// grown insert by insert: every query — hits, misses and keys
+        /// bound twice — gets the same binding and probe count, and the
+        /// occupancy and live-key counts agree. Both carry the shadow
+        /// oracle. Some tables reserve more than they get, some reserve
+        /// after inserts have begun.
+        #[test]
+        fn reserved_answers_as_grown(
+            inserts in proptest::collection::vec((0u64..400, 1u32..1000), 0..300),
+            queries in proptest::collection::vec(0u64..450, 0..64),
+            extra in 0usize..40,
+            before in 0usize..20,
+        ) {
+            let mut grown = HashFib::with_diff(true);
+            let mut reserved = HashFib::with_diff(true);
+            let before = before.min(inserts.len());
+            for &(k, v) in &inserts[..before] {
+                grown.insert(k, b(v));
+                reserved.insert(k, b(v));
+            }
+            reserved.reserve(inserts.len() - before + extra);
+            let slots = reserved.keys.len();
+            for &(k, v) in &inserts[before..] {
+                grown.insert(k, b(v));
+                reserved.insert(k, b(v));
+            }
+            prop_assert_eq!(reserved.keys.len(), slots, "a reserved table never grows");
+            prop_assert_eq!(reserved.len(), grown.len());
+            prop_assert_eq!(reserved.live_keys(), grown.live_keys());
+            for q in inserts.iter().map(|&(k, _)| k).chain(queries) {
+                prop_assert_eq!(reserved.get(q), grown.get(q), "key {}", q);
+            }
+        }
+
         /// The canonical-probe contract under insert/clear churn: bindings,
         /// probe counts, and occupancy all match the linear oracle exactly —
         /// this is the invariant that keeps reports byte-identical.

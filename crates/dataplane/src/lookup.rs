@@ -27,6 +27,12 @@ pub trait LookupStrategy: Default + Clone + core::fmt::Debug {
     /// Number of stored bindings.
     fn len(&self) -> usize;
 
+    /// Makes room for `additional` more inserts, so a table loaded from
+    /// a config of known size is sized once instead of growing
+    /// ([`crate::HashFib`]). The default, which the scan table keeps,
+    /// does nothing.
+    fn reserve(&mut self, _additional: usize) {}
+
     /// True when no bindings are stored.
     fn is_empty(&self) -> bool {
         self.len() == 0

@@ -31,7 +31,7 @@ mod sr;
 pub(crate) use ldp::{InFlightPdu, LdpRuntime};
 pub(crate) use sr::SrRuntime;
 
-use crate::event::{ControlEvent, EventQueue, EventRank, SimTime};
+use crate::event::{ControlEvent, ControlQueue, EventQueue, EventRank, SimTime};
 use crate::fault::{FaultRecord, RecoveryMode, RestorationPolicy};
 use crate::link::Channel;
 use crate::sim::{FlowTemplate, LinkUsage, SimInstruments, SimReport, Simulation};
@@ -160,7 +160,7 @@ struct PendingResignal {
 /// control plane and all fault/telemetry state.
 pub(crate) struct Engine {
     shards: Vec<ShardState>,
-    globals: EventQueue<ControlEvent>,
+    globals: ControlQueue,
     flows: Vec<FlowSpec>,
     /// Interned per-flow packet constants, parallel to `flows`.
     templates: Vec<FlowTemplate>,
@@ -1030,10 +1030,13 @@ impl Engine {
 
     /// Periodic sample point: read the channels, then re-arm only while
     /// other work is pending so sampling never keeps a finished run
-    /// alive.
+    /// alive. The LDP protocol's own tick and deliveries do not count:
+    /// the tick re-arms until the horizon, so they would keep the sampler
+    /// reading idle channels after the last packet.
     fn on_telemetry_sample(&mut self) {
         self.sample_channels();
-        let pending = self.shards.iter().any(|s| !s.queue.is_empty()) || !self.globals.is_empty();
+        let pending =
+            self.shards.iter().any(|s| !s.queue.is_empty()) || self.globals.other_than_ldp();
         if pending {
             self.globals.schedule(
                 self.now + self.instr.sample_interval_ns,

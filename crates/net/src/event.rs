@@ -74,8 +74,9 @@ pub enum ControlEvent {
     },
     /// A periodic telemetry sample point: queue depths and utilization
     /// series take a reading. Only scheduled on telemetry-enabled runs,
-    /// and only re-armed while other work is pending, so it never keeps
-    /// an otherwise-finished run alive.
+    /// and only re-armed while other work than the LDP protocol's tick
+    /// and deliveries is pending, so it never keeps sampling a run whose
+    /// traffic and faults are over.
     TelemetrySample,
     /// The distributed control plane's hello/keepalive timer fires:
     /// every LDP speaker emits its periodic PDUs and expires silent
@@ -298,6 +299,47 @@ impl<K: EventRank> EventQueue<K> {
     /// True when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
+    }
+}
+
+/// The coordinator's [`EventQueue`] of control events, counting the LDP
+/// protocol's own events ([`ControlEvent::LdpTick`] and
+/// [`ControlEvent::LdpDeliver`]) as they are scheduled and popped. An LDP
+/// run always has its next tick pending, so only this count tells whether
+/// anything else waits (see [`Self::other_than_ldp`]).
+#[derive(Default)]
+pub(crate) struct ControlQueue {
+    queue: EventQueue<ControlEvent>,
+    /// Pending `LdpTick`s and `LdpDelivers`.
+    ldp: usize,
+}
+
+impl ControlQueue {
+    fn is_ldp(ev: &ControlEvent) -> bool {
+        matches!(ev, ControlEvent::LdpTick | ControlEvent::LdpDeliver { .. })
+    }
+
+    /// Schedules `ev` at absolute time `time`.
+    pub(crate) fn schedule(&mut self, time: SimTime, ev: ControlEvent) {
+        self.ldp += usize::from(Self::is_ldp(&ev));
+        self.queue.schedule(time, ev);
+    }
+
+    /// Pops the earliest event.
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, ControlEvent)> {
+        let (time, ev) = self.queue.pop()?;
+        self.ldp -= usize::from(Self::is_ldp(&ev));
+        Some((time, ev))
+    }
+
+    /// Timestamp of the earliest pending event.
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
+        self.queue.peek_time()
+    }
+
+    /// True while an event other than an LDP tick or delivery is pending.
+    pub(crate) fn other_than_ldp(&self) -> bool {
+        self.queue.len() > self.ldp
     }
 }
 

@@ -26,7 +26,7 @@
 //! purely a wall-clock optimization. See [`crate::engine`].
 
 use crate::engine::{stream_seed, Engine, EngineStats, LdpRuntime, SrRuntime};
-use crate::event::{ControlEvent, EventQueue, SimTime};
+use crate::event::{ControlEvent, ControlQueue, SimTime};
 use crate::fault::{FaultKind, FaultPlan, FaultRecord, RestorationPolicy};
 use crate::link::Channel;
 use crate::queue::QueueDiscipline;
@@ -420,7 +420,7 @@ pub struct Simulation {
     pub(crate) cp: ControlPlane,
     pub(crate) flows: Vec<FlowSpec>,
     pub(crate) policers: Vec<Option<crate::policer::TokenBucket>>,
-    pub(crate) globals: EventQueue<ControlEvent>,
+    pub(crate) globals: ControlQueue,
     pub(crate) seed: u64,
     pub(crate) policy: RestorationPolicy,
     /// Present on a telemetry run (see [`Self::with_telemetry`]).
@@ -485,7 +485,7 @@ impl Simulation {
             cp: cp.clone(),
             flows: Vec::new(),
             policers: Vec::new(),
-            globals: EventQueue::new(),
+            globals: ControlQueue::default(),
             seed,
             policy: RestorationPolicy::default(),
             telemetry: None,

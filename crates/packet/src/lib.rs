@@ -40,14 +40,71 @@ pub use stack::LabelStack;
 
 /// The splitmix64 finalizer: adds the golden-ratio increment, then mixes
 /// to full avalanche. The workspace's one bit mixer — entropy labels,
-/// hash-FIB and flow-cache slots, node-id maps, LDP backoff jitter,
-/// streaming-workload sampling and the chaos generator all hash with it.
+/// hash-FIB and flow-cache slots, the maps built on [`SplitMixHasher`],
+/// LDP backoff jitter, streaming-workload sampling and the chaos
+/// generator all hash with it.
 #[inline]
 pub const fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// A [`Hasher`](std::hash::Hasher) for integer keys built on
+/// [`splitmix64`]: each write folds one integer in as
+/// `state = splitmix64(state ^ x)`, and `finish` returns the state. A
+/// key of one integer hashes to `splitmix64(x)`; a key of several
+/// integers (a tuple, an `Option`'s discriminant and value) hashes each
+/// in turn, so `(a, b)` and `(c, b)` differ, as do `None` and
+/// `Some(0)`.
+///
+/// The trade against the standard library's SipHash: SipHash's
+/// per-process key stops keys crafted to collide, and this hash is the
+/// same in every process, so a scenario file could pick node ids,
+/// labels or prefixes that share low hash bits and slow its own run.
+/// The simulator runs the scenarios its user writes, so no one else's
+/// input reaches these maps. Iteration over a map using it is also the
+/// same in every process; nothing may depend on that order.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SplitMixHasher(u64);
+
+/// Builds [`SplitMixHasher`]s for `HashMap::with_hasher` and friends.
+pub type BuildSplitMix = std::hash::BuildHasherDefault<SplitMixHasher>;
+
+impl SplitMixHasher {
+    #[inline]
+    fn fold(&mut self, x: u64) {
+        self.0 = splitmix64(self.0 ^ x);
+    }
+}
+
+impl std::hash::Hasher for SplitMixHasher {
+    /// Byte strings fold eight bytes at a time. The map keys in use
+    /// (`u32` ids, labels and addresses, `Option` discriminants) take
+    /// the integer writes below instead.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.fold(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.fold(u64::from(x));
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.fold(x as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Number of stack entries the embedded hardware data path provisions.
@@ -73,7 +130,8 @@ pub const MAX_STACK_DEPTH: usize = 12;
 
 #[cfg(test)]
 mod tests {
-    use super::splitmix64;
+    use super::{splitmix64, BuildSplitMix};
+    use std::hash::BuildHasher;
 
     /// The reference outputs of splitmix64 seeded at 0: the first draw
     /// of a stream whose state starts at 0 is `splitmix64(0)`.
@@ -81,5 +139,20 @@ mod tests {
     fn splitmix64_matches_the_reference_stream() {
         assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
         assert_eq!(splitmix64(1), 0x910a_2dec_8902_5cc1);
+    }
+
+    /// Every write folds into the hash: a tuple's first field is not
+    /// overwritten by its second, and an `Option`'s discriminant keeps
+    /// `None` apart from `Some(0)`. A single integer hashes to its
+    /// splitmix64.
+    #[test]
+    fn the_shared_hasher_folds_every_write() {
+        let build = BuildSplitMix::default();
+        for (a, b, c) in [(1u32, 2u32, 3u32), (0, 0, 1), (7, 7, 8)] {
+            assert_ne!(build.hash_one((a, b)), build.hash_one((c, b)), "({a}, {b})");
+        }
+        assert_ne!(build.hash_one(None::<u32>), build.hash_one(Some(0u32)));
+        assert_ne!(build.hash_one(Some(1u32)), build.hash_one(Some(2u32)));
+        assert_eq!(build.hash_one(42u32), splitmix64(42));
     }
 }

@@ -90,6 +90,9 @@ impl EmbeddedRouter {
             clock,
             stats: RouterStats::default(),
         };
+        for (level, n) in Level::ALL.into_iter().zip(config.bindings_per_level()) {
+            router.modifier.reserve(level, n);
+        }
         for b in &config.bindings {
             let stored = router.write_pair(level_of(b.level), b.key, b.new_label, b.op);
             debug_assert!(stored, "info base overflow at setup");

@@ -10,7 +10,7 @@ use mpls_control::{Hop, NodeConfig, NodeId, SrPolicyEntry};
 use mpls_dataplane::ftn::PrefixTable;
 use mpls_packet::label::LabelStackEntry;
 use mpls_packet::sr::{self, EntropyScan, MnaNas};
-use mpls_packet::{CosBits, Ipv4Header, Label};
+use mpls_packet::{BuildSplitMix, CosBits, Ipv4Header, Label};
 use std::collections::HashMap;
 
 /// The source route a segment-routing `policy` imposes on a packet with
@@ -58,14 +58,17 @@ pub enum SrPick {
 /// keep such scans beside them and check every lookup against them.
 /// Simulated time never depends on the number of prefixes: the software
 /// router charges a fixed probe count for these lookups, the embedded
-/// router no cycles.
+/// router no cycles. Every map hashes with the workspace's splitmix64
+/// hasher ([`mpls_packet::SplitMixHasher`]), which a packet pays on each
+/// forward or unlabeled arrival, and the next-hop map is sized once from
+/// its config.
 #[derive(Debug, Clone, Default)]
 pub struct RouterTables {
     /// FEC classification: prefix -> (the LSP's first-hop label, CoS).
     /// The last `FecEntry` for an identical prefix wins.
     ftn: PrefixTable<(Label, CosBits)>,
     /// Outgoing top label -> next hop.
-    next_hops: HashMap<Option<u32>, Hop>,
+    next_hops: HashMap<Option<u32>, Hop, BuildSplitMix>,
     /// Unlabeled routes. The first route for an identical prefix, in
     /// `NodeConfig` order, wins.
     ip_routes: PrefixTable<Hop>,
@@ -75,7 +78,7 @@ pub struct RouterTables {
     /// identical prefix wins.
     sr_index: PrefixTable<usize>,
     /// Equal-cost fan-out per outgoing top label (SR control plane).
-    ecmp: HashMap<u32, Vec<NodeId>>,
+    ecmp: HashMap<u32, Vec<NodeId>, BuildSplitMix>,
     /// Readable label depth for the entropy scan.
     rld: usize,
     /// The linear scans the prefix tables replaced.
@@ -89,6 +92,10 @@ impl RouterTables {
         let mut t = Self {
             rld: cfg.rld.map(usize::from).unwrap_or(usize::MAX),
             sr_policies: cfg.sr_policies.clone(),
+            next_hops: HashMap::with_capacity_and_hasher(
+                cfg.next_hops.len(),
+                BuildSplitMix::default(),
+            ),
             #[cfg(debug_assertions)]
             oracle: oracle::Scan::from_config(cfg),
             ..Self::default()

@@ -59,7 +59,8 @@ pub struct SoftwareRouter<S: LookupStrategy> {
     use_cache: bool,
 }
 
-/// Loads a fresh FIB from a node configuration. Building a new forwarder
+/// Loads a fresh FIB from a node configuration, each level sized once
+/// for its bindings. Building a new forwarder
 /// is also how the router is *reprogrammed*, so any flow cache dies here
 /// with the bindings it memoized — withdraw/release, fault rewrites and
 /// LSP retirement all invalidate by construction.
@@ -72,14 +73,16 @@ fn load_fib<S: LookupStrategy>(
     if use_cache {
         forwarder = forwarder.with_flow_cache();
     }
+    for (level, n) in FibLevel::ALL.into_iter().zip(config.bindings_per_level()) {
+        forwarder.fib_mut().reserve(level, n);
+    }
     for b in &config.bindings {
         let level = match b.level {
             1 => FibLevel::L1,
             2 => FibLevel::L2,
             _ => FibLevel::L3,
         };
-        let op = b.op;
-        forwarder.bind(level, b.key, b.new_label, op);
+        forwarder.bind(level, b.key, b.new_label, b.op);
     }
     forwarder
 }

@@ -78,6 +78,13 @@ impl TxnModifier {
         true
     }
 
+    /// Makes room for `pairs` more writes at `level` — at most the
+    /// level's [`LEVEL_CAPACITY`], since it stores no more — so
+    /// programming a config sizes each level once.
+    pub fn reserve(&mut self, level: Level, pairs: usize) {
+        self.levels[level.index()].reserve(pairs.min(LEVEL_CAPACITY));
+    }
+
     /// True when level 1 holds a pair for `packet_id`.
     pub fn has_flow(&self, packet_id: u32) -> bool {
         self.levels[Level::L1.index()]

@@ -244,3 +244,64 @@ fn policed_closed_loop_counters_match_flow_stats_at_1_and_4_shards() {
         serde_json::to_string(&four).unwrap()
     );
 }
+
+/// On an LDP run the protocol's tick is always pending, so it must not
+/// keep the sampler alive: once the last packet is delivered, at most
+/// one more periodic sample is taken (the one that finds the shards
+/// idle), though the run goes on ticking to its horizon and ends with
+/// the end-of-run scrape.
+#[test]
+fn ldp_telemetry_takes_no_sample_after_its_last_shard_event() {
+    const INTERVAL_NS: u64 = 20_000;
+    const HORIZON_NS: u64 = 60_000_000;
+    let fec = Prefix::new(parse_addr("192.168.1.0").unwrap(), 24);
+    let mut cp = ControlPlane::new(Topology::figure1_example());
+    cp.attach_prefix(1, fec);
+    cp.establish_lsp(LspRequest::best_effort(0, 1, fec))
+        .unwrap();
+    let mut sim = Simulation::build(
+        &cp,
+        RouterKind::Embedded {
+            clock: ClockSpec::STRATIX_50MHZ,
+        },
+        QueueDiscipline::Fifo {
+            capacity: QUEUE_CAPACITY,
+        },
+        7,
+    );
+    sim.enable_ldp(mpls_ldp::LdpConfig::default());
+    // Traffic starts once the sessions are up and stops well before the
+    // horizon.
+    let mut spec = flow("probe", 256, 100_000, None);
+    spec.start_ns = 10_000_000;
+    spec.stop_ns = 15_000_000;
+    sim.add_flow(spec);
+    let report = sim
+        .with_telemetry(TelemetryConfig {
+            sample_interval_ns: INTERVAL_NS,
+            ..TelemetryConfig::default()
+        })
+        .run(HORIZON_NS);
+    let st = report.flow("probe").unwrap();
+    assert!(st.sent > 0);
+    assert_eq!(st.delivered, st.sent, "every packet is delivered");
+    let last_event = st.last_delivery_ns;
+    assert!(
+        report.elapsed_ns > last_event + 10 * INTERVAL_NS,
+        "the LDP tick runs on to the horizon"
+    );
+    let depth = &report
+        .telemetry
+        .as_ref()
+        .expect("telemetry enabled")
+        .series("link.0->2.queue_depth")
+        .expect("first hop sampled")
+        .points;
+    let (&(scrape, _), periodic) = depth.split_last().expect("sampled");
+    assert_eq!(scrape, report.elapsed_ns, "the end-of-run scrape");
+    let last_sample = periodic.last().expect("periodic samples").0;
+    assert!(
+        last_sample > last_event && last_sample <= last_event + INTERVAL_NS,
+        "last periodic sample at {last_sample} ns, last delivery at {last_event} ns"
+    );
+}
