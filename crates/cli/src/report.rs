@@ -6,12 +6,13 @@ use mpls_net::SimReport;
 pub fn format_report(report: &SimReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "engine: {}, {} shard{} ({} rounds, {} events), control: {}",
+        "engine: {}, {} shard{} ({} rounds, {} events, {} FIB downloads), control: {}",
         report.engine.kind.name(),
         report.engine.shards,
         if report.engine.shards == 1 { "" } else { "s" },
         report.engine.epochs,
         report.engine.total_events(),
+        report.engine.fib_downloads,
         report.control.mode,
     ));
     if let Some(conv) = report.control.convergence_ns {
@@ -191,6 +192,10 @@ mod tests {
         // Shard count follows MPLS_SIM_SHARDS, so only assert the shape.
         assert!(text.starts_with("engine: barrier, "));
         assert!(text.contains("rounds"));
+        assert!(
+            text.contains(" events, 0 FIB downloads)"),
+            "a fault-free centralized run downloads nothing:\n{text}"
+        );
         assert!(!text.contains("ldp:"), "no ldp block on centralized runs");
     }
 

@@ -357,11 +357,7 @@ impl Engine {
     pub(super) fn reprogram_ldp_dirty(&mut self, rt: &mut LdpRuntime) {
         for id in rt.fabric.take_dirty() {
             let cfg = rt.fabric.config_for(id);
-            for sh in &mut self.shards {
-                if let Some(&l) = sh.node_local.get(&id) {
-                    sh.nodes[l].reprogram(&cfg);
-                }
-            }
+            self.download(id, &cfg);
         }
         rt.track_route_changes();
     }

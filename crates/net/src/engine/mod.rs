@@ -89,6 +89,10 @@ pub struct EngineStats {
     pub global_events: u64,
     /// Packet-level events executed, per shard.
     pub shard_events: Vec<u64>,
+    /// Router rebuilds from a [`NodeConfig`] during the run, by any
+    /// control plane: each one replaces a router's tables and empties its
+    /// flow cache. Programming before the run is not counted.
+    pub fib_downloads: u64,
     /// How often the run met the channel edges its departure timetables
     /// must get right.
     pub edges: ChannelEdges,
@@ -166,6 +170,10 @@ pub(crate) struct Engine {
     templates: Vec<FlowTemplate>,
     chan_index: HashMap<(NodeId, NodeId), usize>,
     chan_link: Vec<LinkId>,
+    /// Node id -> `(shard, local index)` of its router, for the
+    /// coordinator's per-node calls. The run loop finds routers through
+    /// the dense tables in [`SharedCtx`] instead.
+    node_home: HashMap<NodeId, (usize, usize)>,
     /// `(owning shard, local index)` per global channel index.
     chan_owner: Vec<(usize, usize)>,
     /// Shard of each channel's receiving node.
@@ -212,6 +220,7 @@ pub(crate) struct Engine {
     instr: SimInstruments,
     epochs: u64,
     global_events: u64,
+    fib_downloads: u64,
     /// The run's horizon: completions at or before it happened.
     horizon: SimTime,
     edges: ChannelEdges,
@@ -257,7 +266,6 @@ impl Engine {
                 id,
                 queue: EventQueue::new(),
                 nodes: Vec::new(),
-                node_local: HashMap::new(),
                 ports: Vec::new(),
                 channels: Vec::new(),
                 emit: Vec::new(),
@@ -275,18 +283,19 @@ impl Engine {
                 last_time: 0,
             })
             .collect();
+        let mut node_home = HashMap::with_capacity(nodes.len());
         for node in nodes {
-            let sh = &mut shards[part.shard_of_node[&node.node_id()]];
-            sh.node_local.insert(node.node_id(), sh.nodes.len());
+            let s = part.shard_of_node[&node.node_id()];
+            let sh = &mut shards[s];
+            node_home.insert(node.node_id(), (s, sh.nodes.len()));
             sh.nodes.push(node);
             sh.ports.push(Vec::new());
         }
         // The run loop's next-hop lookup: each router's ports, sorted by
         // neighbor, one per neighbor (a topology has no parallel links).
         for (&(from, to), &g) in &chan_index {
-            let sh = &mut shards[part.shard_of_node[&from]];
-            let li = sh.node_local[&from];
-            sh.ports[li].push((to, g));
+            let (s, li) = node_home[&from];
+            shards[s].ports[li].push((to, g));
         }
         for sh in &mut shards {
             for ports in &mut sh.ports {
@@ -304,9 +313,9 @@ impl Engine {
         let mut chan_state = Vec::with_capacity(nchans);
         for c in channels {
             let owner = part.shard_of_node[&c.from];
-            let dest = part.shard_of_node[&c.to];
+            let (dest, dest_local) = node_home[&c.to];
             chan_dest_shard.push(dest);
-            chan_dest_local.push(shards[dest].node_local[&c.to]);
+            chan_dest_local.push(dest_local);
             chan_state.push(ChanState {
                 up: c.up,
                 gen: c.gen,
@@ -318,8 +327,9 @@ impl Engine {
         let mut flow_ingress_local = Vec::with_capacity(nflows);
         let mut flow_emit = Vec::with_capacity(nflows);
         for (f, (spec, policer)) in flows.iter().zip(policers).enumerate() {
-            let sh = &mut shards[part.shard_of_node[&spec.ingress]];
-            flow_ingress_local.push(sh.node_local[&spec.ingress]);
+            let (s, li) = node_home[&spec.ingress];
+            let sh = &mut shards[s];
+            flow_ingress_local.push(li);
             flow_emit.push(sh.emit.len());
             let cl = match spec.pattern {
                 TrafficPattern::ClosedLoop(ref c) => Some(ClosedLoopState::new(c)),
@@ -351,6 +361,7 @@ impl Engine {
             templates,
             chan_index,
             chan_link,
+            node_home,
             chan_owner,
             chan_dest_shard,
             chan_dest_local,
@@ -375,6 +386,7 @@ impl Engine {
             instr,
             epochs: 0,
             global_events: 0,
+            fib_downloads: 0,
             horizon: SimTime::MAX,
             edges: ChannelEdges::default(),
         }
@@ -608,20 +620,29 @@ impl Engine {
         }
     }
 
-    /// Rebuilds every live router's forwarding state from the (mutated)
-    /// control plane. Statistics survive; stale flow-cache entries do
-    /// not. Crashed nodes are skipped: their FIBs stay cold until
-    /// `NodeReprovision` fires.
+    /// Replaces `node`'s forwarding state with `cfg`: the one way any
+    /// control plane rebuilds a router during a run, counted in
+    /// [`EngineStats::fib_downloads`]. Statistics survive; stale
+    /// flow-cache entries do not.
+    fn download(&mut self, node: NodeId, cfg: &NodeConfig) {
+        let (s, l) = self.node_home[&node];
+        self.shards[s].nodes[l].reprogram(cfg);
+        self.fib_downloads += 1;
+    }
+
+    /// Downloads every live router's forwarding state from the (mutated)
+    /// control plane. Crashed nodes are skipped: their FIBs stay cold
+    /// until `NodeReprovision` fires.
     fn reprogram_routers(&mut self) {
-        for sh in &mut self.shards {
-            for node in &mut sh.nodes {
-                let id = node.node_id();
-                if self.dead_nodes.contains(&id) {
-                    continue;
-                }
-                let cfg = self.cp.config_for(id);
-                node.reprogram(&cfg);
-            }
+        let live: Vec<NodeId> = self
+            .shards
+            .iter()
+            .flat_map(|sh| sh.nodes.iter().map(|n| n.node_id()))
+            .filter(|id| !self.dead_nodes.contains(id))
+            .collect();
+        for id in live {
+            let cfg = self.cp.config_for(id);
+            self.download(id, &cfg);
         }
     }
 
@@ -917,16 +938,6 @@ impl Engine {
             .collect()
     }
 
-    /// Replaces `node`'s forwarding state with `cfg` (statistics
-    /// survive, exactly like [`Self::reprogram_routers`]).
-    fn reprogram_node(&mut self, node: NodeId, cfg: &NodeConfig) {
-        for sh in &mut self.shards {
-            if let Some(&l) = sh.node_local.get(&node) {
-                sh.nodes[l].reprogram(cfg);
-            }
-        }
-    }
-
     /// A node crashes: its FIB is wiped cold, every incident link goes
     /// dark (queued and in-flight packets are lost and counted), and
     /// under `--control ldp` all of its protocol state is lost — peers
@@ -936,7 +947,7 @@ impl Engine {
             return; // already down (overlapping schedules)
         }
         self.trace("node_down", || format!("node{node}"));
-        self.reprogram_node(node, &NodeConfig::default());
+        self.download(node, &NodeConfig::default());
         for link in self.links_of_node(node) {
             self.on_link_down(link);
         }
@@ -982,7 +993,7 @@ impl Engine {
             self.sr_reprovision(node);
         } else {
             let cfg = self.cp.config_for(node);
-            self.reprogram_node(node, &cfg);
+            self.download(node, &cfg);
         }
         self.trace("node_reprovisioned", || format!("node{node}"));
     }
@@ -1102,14 +1113,13 @@ impl Engine {
             return;
         };
         let elapsed = self.now.max(1);
-        let mut nodes: Vec<(NodeId, usize, usize)> = Vec::new();
-        for (s, sh) in self.shards.iter().enumerate() {
-            for (&id, &l) in &sh.node_local {
-                nodes.push((id, s, l));
-            }
-        }
-        nodes.sort_unstable_by_key(|&(id, ..)| id);
-        for (node, s, l) in nodes {
+        let mut nodes: Vec<(NodeId, (usize, usize))> = self
+            .node_home
+            .iter()
+            .map(|(&id, &home)| (id, home))
+            .collect();
+        nodes.sort_unstable_by_key(|&(id, _)| id);
+        for (node, (s, l)) in nodes {
             let router = &self.shards[s].nodes[l];
             let stats = router.stats();
             for (name, value) in [
@@ -1231,6 +1241,7 @@ impl Engine {
             epochs: self.epochs,
             global_events: self.global_events,
             shard_events: self.shards.iter().map(|s| s.events_processed).collect(),
+            fib_downloads: self.fib_downloads,
             edges: self.edges,
         };
         let telemetry = self.telemetry.as_ref().map(Registry::snapshot);
@@ -1297,16 +1308,9 @@ mod tests {
         let topo = &Topology::figure1_example();
         for shards in [1, 2, 3] {
             let eng = engine(topo, shards);
-            let local = |node: NodeId| {
-                let s = eng
-                    .shards
-                    .iter()
-                    .position(|sh| sh.node_local.contains_key(&node))
-                    .expect("every node lives on a shard");
-                (s, eng.shards[s].node_local[&node])
-            };
             for a in topo.nodes() {
-                let (s, li) = local(a.id);
+                let (s, li) = eng.node_home[&a.id];
+                assert_eq!(eng.shards[s].nodes[li].node_id(), a.id);
                 for b in topo.nodes() {
                     assert_eq!(
                         eng.shards[s].port_to(li, b.id),

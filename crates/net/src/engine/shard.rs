@@ -320,10 +320,6 @@ pub(crate) struct ShardState {
     pub queue: EventQueue<LocalEvent>,
     /// The routers at this shard's nodes, by local index.
     pub nodes: Vec<Box<dyn MplsForwarder + Send>>,
-    /// Node id -> local index, for the coordinator's per-node calls.
-    /// The run loop finds routers through the dense tables in
-    /// [`SharedCtx`] instead.
-    pub node_local: HashMap<NodeId, usize>,
     /// Per router (parallel to `nodes`): `(neighbor, global channel)`
     /// sorted by neighbor id, one entry per neighbor.
     pub ports: Vec<Vec<(NodeId, usize)>>,

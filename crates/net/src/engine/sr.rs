@@ -44,11 +44,7 @@ impl Engine {
             }
             any = true;
             let cfg = rt.fabric.config_for(id);
-            for sh in &mut self.shards {
-                if let Some(&l) = sh.node_local.get(&id) {
-                    sh.nodes[l].reprogram(&cfg);
-                }
-            }
+            self.download(id, &cfg);
         }
         if any {
             rt.last_fib_change_ns = rt.last_fib_change_ns.max(self.now);
@@ -86,7 +82,7 @@ impl Engine {
             return;
         };
         let cfg = rt.fabric.config_for(node);
-        self.reprogram_node(node, &cfg);
+        self.download(node, &cfg);
     }
 
     /// The report's control summary and converged FIBs for an SR run.
