@@ -103,6 +103,10 @@ pub(crate) struct LdpRuntime {
     pub(crate) pdus_sent: u64,
     pub(crate) pdus_delivered: u64,
     pub(crate) pdus_lost: u64,
+    /// The configuration each router last received, for the download
+    /// oracle ([`Engine::assert_ldp_downloads`]).
+    #[cfg(debug_assertions)]
+    pub(crate) downloaded: BTreeMap<NodeId, NodeConfig>,
 }
 
 impl LdpRuntime {
@@ -123,6 +127,8 @@ impl LdpRuntime {
             pdus_sent: 0,
             pdus_delivered: 0,
             pdus_lost: 0,
+            #[cfg(debug_assertions)]
+            downloaded: BTreeMap::new(),
         }
     }
 
@@ -147,8 +153,9 @@ impl LdpRuntime {
 
     /// Folds the fabric's route gains and losses into every pending
     /// outage: a lost snapshot pair goes missing, a regained one is
-    /// covered again.
-    fn track_route_changes(&mut self) {
+    /// covered again. Runs after every fabric call, so the log is empty
+    /// whenever a cut takes its snapshot.
+    pub(super) fn track_route_changes(&mut self) {
         let changes = self.fabric.take_route_changes();
         for p in &mut self.pending_restore {
             for c in &changes {
@@ -191,7 +198,7 @@ impl Engine {
         let (sends, events) = rt.fabric.tick(self.now);
         self.dispatch_ldp(&mut rt, sends);
         self.process_ldp_events(&mut rt, events);
-        self.reprogram_ldp_dirty(&mut rt);
+        rt.track_route_changes();
         self.ldp_settle_check(&mut rt);
         self.globals
             .schedule(self.now + rt.tick_ns, ControlEvent::LdpTick);
@@ -232,7 +239,7 @@ impl Engine {
                 .note_malformed(self.now, inflight.from, inflight.to);
             self.dispatch_ldp(&mut rt, sends);
             self.process_ldp_events(&mut rt, events);
-            self.reprogram_ldp_dirty(&mut rt);
+            rt.track_route_changes();
         } else {
             rt.pdus_delivered += 1;
             let (sends, events) =
@@ -240,7 +247,7 @@ impl Engine {
                     .deliver(self.now, inflight.from, inflight.to, &inflight.pdu);
             self.dispatch_ldp(&mut rt, sends);
             self.process_ldp_events(&mut rt, events);
-            self.reprogram_ldp_dirty(&mut rt);
+            rt.track_route_changes();
         }
         self.ldp_settle_check(&mut rt);
         self.ldp = Some(rt);
@@ -351,15 +358,39 @@ impl Engine {
     }
 
     /// Downloads fresh forwarding state into every node whose
-    /// FIB-relevant protocol state changed, and folds the route changes
-    /// into the pending outages. Runs after every fabric call, so the
-    /// log is empty whenever a cut takes its snapshot.
-    pub(super) fn reprogram_ldp_dirty(&mut self, rt: &mut LdpRuntime) {
+    /// FIB-relevant protocol state changed since the last call. The
+    /// fabric's dirty set is a pending download: the engine applies it
+    /// at the last moment before anything other than the fabric reads
+    /// or writes a router (before every shard round, every coordinator
+    /// event other than [`ControlEvent::LdpTick`] and
+    /// [`ControlEvent::LdpDeliver`], and the report fold), so a node the
+    /// protocol changes many times between two such moments is rebuilt
+    /// once, from its latest state.
+    pub(super) fn flush_ldp_downloads(&mut self) {
+        let Some(rt) = &mut self.ldp else {
+            return;
+        };
         for id in rt.fabric.take_dirty() {
-            let cfg = rt.fabric.config_for(id);
+            let cfg = self.ldp.as_ref().expect("checked").fabric.config_for(id);
             self.download(id, &cfg);
         }
-        rt.track_route_changes();
+    }
+
+    /// The download oracle: every router holds what the fabric renders
+    /// for its node now, as downloading after every PDU guaranteed. Call
+    /// right after [`Self::flush_ldp_downloads`].
+    #[cfg(debug_assertions)]
+    pub(super) fn assert_ldp_downloads(&self) {
+        let Some(rt) = &self.ldp else {
+            return;
+        };
+        for id in rt.fabric.node_ids() {
+            assert!(
+                rt.downloaded.get(&id) == Some(&rt.fabric.config_for(id)),
+                "node {id}'s router is stale at {} ns",
+                self.now
+            );
+        }
     }
 
     /// A settled instant: no session/label message is in flight, so no

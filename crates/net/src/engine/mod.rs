@@ -467,6 +467,9 @@ impl Engine {
                     let (t, ev) = self.globals.pop().expect("peeked");
                     self.now = t;
                     self.global_events += 1;
+                    if !ControlQueue::is_ldp(&ev) {
+                        self.flush_ldp_downloads();
+                    }
                     self.handle_global(ev);
                 }
                 (_, Some(l)) => {
@@ -477,6 +480,9 @@ impl Engine {
                         .unwrap_or(SimTime::MAX)
                         .min(l.saturating_add(self.lookahead))
                         .min(horizon_ns.saturating_add(1));
+                    self.flush_ldp_downloads();
+                    #[cfg(debug_assertions)]
+                    self.assert_ldp_downloads();
                     self.run_round(end);
                 }
                 // Both queues are empty.
@@ -628,6 +634,10 @@ impl Engine {
         let (s, l) = self.node_home[&node];
         self.shards[s].nodes[l].reprogram(cfg);
         self.fib_downloads += 1;
+        #[cfg(debug_assertions)]
+        if let Some(rt) = &mut self.ldp {
+            rt.downloaded.insert(node, cfg.clone());
+        }
     }
 
     /// Downloads every live router's forwarding state from the (mutated)
@@ -951,10 +961,9 @@ impl Engine {
         for link in self.links_of_node(node) {
             self.on_link_down(link);
         }
-        if let Some(mut rt) = self.ldp.take() {
+        if let Some(rt) = &mut self.ldp {
             rt.fabric.crash_node(self.now, node);
-            self.reprogram_ldp_dirty(&mut rt);
-            self.ldp = Some(rt);
+            rt.track_route_changes();
         }
     }
 
@@ -971,10 +980,9 @@ impl Engine {
         for link in self.links_of_node(node) {
             self.on_link_up(link);
         }
-        if let Some(mut rt) = self.ldp.take() {
+        if let Some(rt) = &mut self.ldp {
             rt.fabric.restart_node(self.now, node);
-            self.reprogram_ldp_dirty(&mut rt);
-            self.ldp = Some(rt);
+            rt.track_route_changes();
         } else if self.policy.mode != RecoveryMode::None {
             self.globals.schedule(
                 self.now + self.policy.detection_delay_ns,
@@ -1172,6 +1180,9 @@ impl Engine {
     /// they are folded in a fixed order (shard index, then subject
     /// index), so the result does not depend on epoch timing.
     fn finish(mut self) -> SimReport {
+        self.flush_ldp_downloads();
+        #[cfg(debug_assertions)]
+        self.assert_ldp_downloads();
         // Every serialization that ended by the horizon completed, and
         // the run's clock covers the last of them.
         let through = self.horizon.saturating_add(1);

@@ -315,7 +315,8 @@ pub(crate) struct ControlQueue {
 }
 
 impl ControlQueue {
-    fn is_ldp(ev: &ControlEvent) -> bool {
+    /// Whether `ev` is the LDP protocol's own: a tick or a delivery.
+    pub(crate) fn is_ldp(ev: &ControlEvent) -> bool {
         matches!(ev, ControlEvent::LdpTick | ControlEvent::LdpDeliver { .. })
     }
 

@@ -619,15 +619,18 @@ impl Simulation {
             fabric.originate(route.node, route.prefix, mpls_packet::CosBits::BEST_EFFORT);
         }
         self.policy.mode = crate::fault::RecoveryMode::Ldp;
+        let mut rt = LdpRuntime::new(fabric, self.channels.len(), self.seed);
         // Strip the omniscient programming: nodes start with only their
         // locally originated state and learn the rest over the wire.
         for node in &mut self.nodes {
-            let cfg = fabric.config_for(node.node_id());
+            let cfg = rt.fabric.config_for(node.node_id());
             node.reprogram(&cfg);
+            #[cfg(debug_assertions)]
+            rt.downloaded.insert(node.node_id(), cfg);
         }
-        fabric.take_dirty();
+        rt.fabric.take_dirty();
         self.globals.schedule(0, ControlEvent::LdpTick);
-        self.ldp = Some(LdpRuntime::new(fabric, self.channels.len(), self.seed));
+        self.ldp = Some(rt);
     }
 
     /// Switches the run to the segment-routing control plane: every
