@@ -8,6 +8,7 @@
 use mpls_control::{ControlPlane, LinkId, LinkSpec, LspRequest, RouterRole, Topology};
 use mpls_core::{ClockSpec, LEVEL_CAPACITY};
 use mpls_dataplane::ftn::Prefix;
+use mpls_net::fault::FaultKind;
 use mpls_net::policer::PolicerSpec;
 use mpls_net::subscriber::{SlaClass, SubscriberModel};
 use mpls_net::traffic::{ClosedLoopSpec, FlowSpec, TrafficPattern};
@@ -33,6 +34,8 @@ pub enum ScenarioError {
     Invalid(String),
     /// LSP/tunnel signaling failed.
     Signal(String),
+    /// Under `--control ldp`, the LDP fabric cannot label the plan.
+    LdpCapacity(mpls_ldp::CapacityError),
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -42,6 +45,7 @@ impl std::fmt::Display for ScenarioError {
             Self::Parse(e) => write!(f, "cannot parse scenario: {e}"),
             Self::Invalid(m) => write!(f, "invalid scenario: {m}"),
             Self::Signal(m) => write!(f, "signaling failed: {m}"),
+            Self::LdpCapacity(e) => write!(f, "LDP cannot label this scenario: {e}"),
         }
     }
 }
@@ -143,6 +147,29 @@ fn check_info_base_capacity(cp: &ControlPlane) -> Result<(), ScenarioError> {
         }
     }
     Ok(())
+}
+
+/// Rejects an LDP run the fabric cannot label (see
+/// [`mpls_ldp::check_capacity`]): every node may route every FEC the
+/// plan originates, the egresses of its LSPs and its attached routes,
+/// and relabels them after each crash the fault plan schedules for it.
+fn check_ldp_capacity(cp: &ControlPlane, faults: Option<&FaultPlan>) -> Result<(), ScenarioError> {
+    let lsp_fecs = cp
+        .lsp_ids()
+        .into_iter()
+        .filter_map(|id| cp.lsp(id))
+        .map(|lsp| lsp.request.fec);
+    let routes = cp.attached_routes().iter().map(|r| r.prefix);
+    let fecs: BTreeSet<(u32, u8)> = lsp_fecs.chain(routes).map(|p| (p.addr, p.len)).collect();
+    let mut crashes: BTreeMap<u32, usize> = BTreeMap::new();
+    for ev in faults.map_or(&[][..], |plan| &plan.events) {
+        if let FaultKind::NodeDown(node) = ev.kind {
+            *crashes.entry(node).or_default() += 1;
+        }
+    }
+    let starts = 1 + crashes.values().copied().max().unwrap_or(0);
+    mpls_ldp::check_capacity(cp.topology().nodes().len(), fecs.len(), starts)
+        .map_err(ScenarioError::LdpCapacity)
 }
 
 /// Top-level scenario document.
@@ -1350,6 +1377,10 @@ impl Scenario {
         if let RouterDecl::Embedded { .. } = self.router {
             check_info_base_capacity(&cp)?;
         }
+        let faults = self.fault_plan(&cp)?;
+        if control == ControlChoice::Ldp {
+            check_ldp_capacity(&cp, faults.as_ref())?;
+        }
         let explicit = self.flows.iter().map(|f| ("flow", &f.name, f.ingress));
         let populations = self
             .subscribers
@@ -1371,7 +1402,7 @@ impl Scenario {
                 .filter_map(|n| Some((n.id, n.shard?)))
                 .collect(),
             seed: self.seed,
-            faults: self.fault_plan(&cp)?,
+            faults,
             cp,
             router: self.router_kind(),
             queue: self.queue_discipline(),
@@ -2655,6 +2686,123 @@ mod tests {
         let base = serde_json::to_string(&report).unwrap();
         let sharded = sc.run_with_overrides(false, Some(4), None).unwrap();
         assert_eq!(base, serde_json::to_string(&sharded).unwrap());
+    }
+
+    /// A `topology:` fat tree with `lsps` LSPs (one FEC each), `lers`
+    /// LERs per edge switch and the fault `events` given as JSON.
+    fn fat_tree(lsps: u32, lers: u32, events: &str) -> Scenario {
+        Scenario::from_json(&format!(
+            r#"{{
+                "topology": {{
+                    "family": "fat_tree",
+                    "lers_per_edge": {lers},
+                    "lsps_total": {lsps},
+                    "flows": 1,
+                    "flow_stop_ms": 1
+                }},
+                "faults": {{"events": [{events}]}},
+                "horizon_ms": 2
+            }}"#
+        ))
+        .unwrap()
+    }
+
+    /// Every node may route every FEC, so an LDP plan with more FECs than
+    /// a node's label range is a typed error naming both, from `validate`
+    /// and from `run`; the centralized plane takes the same plan. A plan
+    /// at the range itself validates.
+    #[test]
+    fn ldp_fecs_past_a_label_range_are_a_typed_error() {
+        let range = mpls_ldp::LABEL_RANGE;
+        assert!(fat_tree(range, 4, "")
+            .validate_with_overrides(None, Some("ldp"))
+            .is_ok());
+        let sc = fat_tree(range + 1, 4, "");
+        let err = sc
+            .validate_with_overrides(None, Some("ldp"))
+            .err()
+            .expect("rejected");
+        assert!(matches!(
+            err,
+            ScenarioError::LdpCapacity(mpls_ldp::CapacityError::Labels { fecs, starts: 1 })
+                if fecs == range as usize + 1
+        ));
+        assert_eq!(
+            err.to_string(),
+            "LDP cannot label this scenario: 2049 FECs, more than the 2048 labels of a \
+             node's range"
+        );
+        assert!(matches!(
+            sc.run_with_overrides(false, None, Some("ldp")),
+            Err(ScenarioError::LdpCapacity(_))
+        ));
+        assert!(
+            sc.validate().is_ok(),
+            "the centralized plane has no such range"
+        );
+    }
+
+    /// A crash forgets a node's bindings but not the labels it used, so
+    /// each crash the fault plan schedules for one node counts its FECs
+    /// again.
+    #[test]
+    fn ldp_crashes_count_against_the_label_range() {
+        let crash = r#"{"kind": "node_down", "at_ms": 1, "node": 0},
+                       {"kind": "node_up", "at_ms": 2, "node": 0}"#;
+        let half = mpls_ldp::LABEL_RANGE / 2;
+        assert!(fat_tree(half, 4, crash)
+            .validate_with_overrides(None, Some("ldp"))
+            .is_ok());
+        assert!(fat_tree(half + 1, 4, "")
+            .validate_with_overrides(None, Some("ldp"))
+            .is_ok());
+        let err = fat_tree(half + 1, 4, crash)
+            .validate_with_overrides(None, Some("ldp"))
+            .err()
+            .expect("rejected");
+        assert!(matches!(
+            err,
+            ScenarioError::LdpCapacity(mpls_ldp::CapacityError::Labels { fecs, starts: 2 })
+                if fecs == half as usize + 1
+        ));
+        assert!(err
+            .to_string()
+            .contains("1025 FECs relabeled at each of a node's 2 starts"));
+    }
+
+    /// A topology with more nodes than label ranges fit the 20-bit
+    /// space is a typed error naming both counts, not the fabric's panic.
+    #[test]
+    fn ldp_nodes_past_the_label_space_are_a_typed_error() {
+        // k=8: 80 switches and 14 LERs at each of 32 edge switches.
+        let sc = Scenario::from_json(
+            r#"{
+                "topology": {
+                    "family": "fat_tree",
+                    "k": 8,
+                    "lers_per_edge": 14,
+                    "lsps_total": 1,
+                    "flows": 1,
+                    "flow_stop_ms": 1
+                },
+                "horizon_ms": 2
+            }"#,
+        )
+        .unwrap();
+        let err = sc
+            .validate_with_overrides(None, Some("ldp"))
+            .err()
+            .expect("rejected");
+        assert!(matches!(
+            err,
+            ScenarioError::LdpCapacity(mpls_ldp::CapacityError::Nodes { nodes: 528 })
+        ));
+        assert_eq!(
+            err.to_string(),
+            "LDP cannot label this scenario: 528 nodes, more than the 511 whose \
+             2048-label ranges fit the 20-bit label space"
+        );
+        assert!(sc.validate().is_ok());
     }
 
     #[test]

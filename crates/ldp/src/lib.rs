@@ -437,23 +437,87 @@ pub struct LdpFabric {
 /// Width of each node's private label range. The data-plane next-hop
 /// table is keyed by the *outgoing* label alone, so two neighbors must
 /// never hand out the same numeric label: each node allocates from its
-/// own slice of the 20-bit space.
-const LABEL_RANGE: u32 = 2048;
+/// own slice of the 20-bit space. A node takes one label per FEC it
+/// routes and never reuses one, not even after a crash.
+pub const LABEL_RANGE: u32 = 2048;
+
+/// The most nodes one fabric holds: as many [`LABEL_RANGE`]s as fit the
+/// 20-bit label space above the reserved labels.
+pub const MAX_NODES: usize =
+    ((Label::MAX - Label::FIRST_UNRESERVED.value()) / LABEL_RANGE) as usize;
+
+/// A plan the fabric cannot label, found before any PDU is sent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CapacityError {
+    /// More nodes than [`MAX_NODES`].
+    Nodes {
+        /// Nodes in the topology.
+        nodes: usize,
+    },
+    /// Some node may need more labels than its [`LABEL_RANGE`]: one per
+    /// FEC each time it starts.
+    Labels {
+        /// Distinct FECs the plan originates.
+        fecs: usize,
+        /// How many times the node starts: once, plus once per restart
+        /// after a crash.
+        starts: usize,
+    },
+}
+
+impl std::fmt::Display for CapacityError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Self::Nodes { nodes } => write!(
+                f,
+                "{nodes} nodes, more than the {MAX_NODES} whose {LABEL_RANGE}-label ranges \
+                 fit the 20-bit label space"
+            ),
+            Self::Labels { fecs, starts: 1 } => write!(
+                f,
+                "{fecs} FECs, more than the {LABEL_RANGE} labels of a node's range"
+            ),
+            Self::Labels { fecs, starts } => write!(
+                f,
+                "{fecs} FECs relabeled at each of a node's {starts} starts, more than the \
+                 {LABEL_RANGE} labels of its range"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CapacityError {}
+
+/// Checks that a fabric of `nodes` nodes can label `fecs` distinct FECs
+/// at a node that starts `starts` times: once, plus once per restart
+/// after a crash, since a crash forgets the node's bindings but not the
+/// labels it used. A plan that passes never exhausts a label range.
+pub fn check_capacity(nodes: usize, fecs: usize, starts: usize) -> Result<(), CapacityError> {
+    if nodes > MAX_NODES {
+        return Err(CapacityError::Nodes { nodes });
+    }
+    if fecs.saturating_mul(starts) > LABEL_RANGE as usize {
+        return Err(CapacityError::Labels { fecs, starts });
+    }
+    Ok(())
+}
 
 impl LdpFabric {
     /// Builds a fabric over `topo` with every adjacency known (sessions
     /// all start down; nothing is advertised until they form).
+    ///
+    /// # Panics
+    ///
+    /// With more than [`MAX_NODES`] nodes (see [`check_capacity`]).
     pub fn new(topo: &Topology, cfg: LdpConfig) -> Self {
         let mut order: Vec<NodeId> = topo.nodes().iter().map(|n| n.id).collect();
         order.sort_unstable();
+        if let Err(e) = check_capacity(order.len(), 0, 1) {
+            panic!("label space exhausted: {e}");
+        }
         let mut nodes = BTreeMap::new();
         for (index, &id) in order.iter().enumerate() {
             let base = Label::FIRST_UNRESERVED.value() + index as u32 * LABEL_RANGE;
-            assert!(
-                base + LABEL_RANGE <= Label::MAX,
-                "label space exhausted by {} nodes",
-                order.len()
-            );
             let mut peers = BTreeMap::new();
             for &(nbr, link) in topo.neighbors(id) {
                 let spec = topo.link(link).expect("adjacency references known link");
@@ -1378,6 +1442,50 @@ mod tests {
         // Labels come from disjoint per-node ranges.
         let l1 = cfg0.fecs[0].push_label.value();
         assert!((Label::FIRST_UNRESERVED.value() + LABEL_RANGE..).contains(&l1));
+    }
+
+    /// The capacity bounds are tight: a fabric of [`MAX_NODES`] nodes
+    /// gives its last node a whole range inside the label space, and a
+    /// node labels exactly [`LABEL_RANGE`] FECs once per start.
+    #[test]
+    fn capacity_bounds_are_exact() {
+        assert_eq!(MAX_NODES, 511);
+        let last_base = Label::FIRST_UNRESERVED.value() + (MAX_NODES as u32 - 1) * LABEL_RANGE;
+        assert!(last_base + LABEL_RANGE - 1 <= Label::MAX);
+        assert!(
+            last_base + 2 * LABEL_RANGE - 1 > Label::MAX,
+            "one more would not fit"
+        );
+        assert_eq!(check_capacity(MAX_NODES, LABEL_RANGE as usize, 1), Ok(()));
+        assert_eq!(
+            check_capacity(MAX_NODES + 1, 0, 1),
+            Err(CapacityError::Nodes {
+                nodes: MAX_NODES + 1
+            })
+        );
+        let half = LABEL_RANGE as usize / 2;
+        assert_eq!(check_capacity(2, half, 2), Ok(()));
+        assert_eq!(
+            check_capacity(2, half + 1, 2),
+            Err(CapacityError::Labels {
+                fecs: half + 1,
+                starts: 2
+            })
+        );
+        // The egress of a line binds one label per FEC it originates, and
+        // again when it restarts: exactly the range across two starts.
+        let mut f = LdpFabric::new(&line3(), LdpConfig::default());
+        for i in 0..half as u32 {
+            f.originate(
+                2,
+                Prefix::new(0x0a00_0000 + (i << 8), 24),
+                CosBits::BEST_EFFORT,
+            );
+        }
+        f.crash_node(0, 2);
+        f.restart_node(1, 2);
+        assert_eq!(f.nodes[&2].labels_left, 0);
+        assert_eq!(f.config_for(2).bindings.len(), half);
     }
 
     #[test]
