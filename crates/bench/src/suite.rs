@@ -13,8 +13,8 @@ use mpls_core::ClockSpec;
 use mpls_dataplane::ftn::Prefix;
 use mpls_net::traffic::{ClosedLoopSpec, FlowSpec, TrafficPattern};
 use mpls_net::{
-    FaultPlan, LdpConfig, QueueDiscipline, RestorationPolicy, RouterKind, ScaleFamily, ScaleSpec,
-    SimReport, Simulation, TelemetryConfig,
+    ControlMode, FaultPlan, LdpConfig, QueueDiscipline, RestorationPolicy, RouterKind, ScaleFamily,
+    ScaleSpec, SimReport, Simulation, TelemetryConfig,
 };
 use mpls_packet::ipv4::parse_addr;
 use mpls_router::SwTimingModel;
@@ -679,7 +679,7 @@ pub fn ext11_convergence(quick: bool) -> Section {
         let cp = convergence_grid(grows, gcols);
         for &hold in holds {
             let up = run_bringup(&cp, hold);
-            assert_eq!(up.control.mode, "ldp");
+            assert_eq!(up.control.mode, ControlMode::Ldp);
             let bringup = up
                 .control
                 .convergence_ns
@@ -1184,7 +1184,7 @@ pub fn ext16_sr_vs_ldp(quick: bool) -> Section {
         (report, start.elapsed().as_secs_f64())
     };
     let (ldp_report, ldp_secs) = best_of(3, run_ldp);
-    assert_eq!(ldp_report.control.mode, "ldp");
+    assert_eq!(ldp_report.control.mode, ControlMode::Ldp);
     check_flows("ldp", &ldp_report);
     let ldp_bringup = ldp_report
         .control
@@ -1269,7 +1269,7 @@ pub fn ext16_sr_vs_ldp(quick: bool) -> Section {
                 "sr depth {depth} rld {rld}: report diverged at 4 shards"
             );
 
-            assert_eq!(report.control.mode, "sr");
+            assert_eq!(report.control.mode, ControlMode::Sr);
             check_flows(&format!("sr d{depth} r{rld}"), &report);
             let rec = &report.faults[0];
             let reconverge =

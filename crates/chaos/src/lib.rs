@@ -31,13 +31,12 @@
 //! nodes while the violation persists, yielding a minimal repro.
 
 use mpls_cli::scenario::{
-    AttachDecl, ClosedLoopDecl, ControlChoice, FaultEventDecl, FaultsDecl, FlowDecl, LdpDecl,
-    LinkDecl, LspDecl, NodeDecl, PatternDecl, PduChaosDecl, PoliceDecl, RouterDecl, Scenario,
-    SrDecl, SubscriberDecl,
+    AttachDecl, ClosedLoopDecl, FaultEventDecl, FaultsDecl, FlowDecl, LdpDecl, LinkDecl, LspDecl,
+    NodeDecl, PatternDecl, PduChaosDecl, PoliceDecl, RouterDecl, Scenario, SrDecl, SubscriberDecl,
 };
 use mpls_control::{Hop, NodeConfig, NodeId, RouterRole, Topology};
 use mpls_dataplane::LabelOp;
-use mpls_net::SimReport;
+use mpls_net::{ControlMode, SimReport};
 use mpls_packet::ipv4::parse_addr;
 use mpls_packet::Label;
 use mpls_sr::{SrFabric, SrPolicySpec};
@@ -821,7 +820,7 @@ pub fn check(sc: &Scenario) -> Result<(), Violation> {
     // must route a probe of each flow along exactly the source route an
     // independently compiled fabric predicts — same segments, same
     // entropy-hashed ECMP choices, same RLD fallbacks.
-    if mode == ControlChoice::Sr {
+    if mode == ControlMode::Sr {
         if all_faults_heal(sc) {
             let fibs = base.fibs.as_ref().ok_or_else(|| Violation {
                 oracle: "sr_source_route",
@@ -865,7 +864,7 @@ pub fn check(sc: &Scenario) -> Result<(), Violation> {
         }
         return Ok(());
     }
-    if mode != ControlChoice::Ldp {
+    if mode != ControlMode::Ldp {
         return Ok(());
     }
 

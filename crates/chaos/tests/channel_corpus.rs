@@ -16,10 +16,8 @@
 #![cfg(not(feature = "bug-demo"))]
 
 use mpls_chaos::{generate, Rng};
-use mpls_cli::scenario::{
-    ControlChoice, FaultEventDecl, LinkLossDecl, QueueDecl, Scenario, TelemetryDecl,
-};
-use mpls_net::{SimReport, Simulation};
+use mpls_cli::scenario::{FaultEventDecl, LinkLossDecl, QueueDecl, Scenario, TelemetryDecl};
+use mpls_net::SimReport;
 
 const SEED: u64 = 0x0C4A_77E1_ED6E;
 const RUNS: u64 = 128;
@@ -75,30 +73,15 @@ fn case(idx: u64) -> (Scenario, u64) {
     (sc, horizon_ns)
 }
 
-/// Runs `sc` as `mpls-sim run` would, but stops at `horizon_ns` instead
-/// of the scenario's horizon plus its drain margin, so the run ends
-/// while traffic still flows.
+/// Runs `sc` as `mpls-sim run --metrics-out` would, but stops at
+/// `horizon_ns` instead of the scenario's horizon plus its drain margin,
+/// so the run ends while traffic still flows.
 fn run(sc: &Scenario, horizon_ns: u64, shards: usize) -> SimReport {
-    let plan = sc
+    let mut plan = sc
         .validate_with_overrides(Some(shards), None)
         .expect("a generated case validates");
-    let mut sim = Simulation::build(&plan.cp, plan.router, plan.queue, plan.seed);
-    sim.set_shards(shards);
-    for (node, hint) in plan.shard_hints {
-        sim.shard_hint(node, hint);
-    }
-    match plan.control {
-        ControlChoice::Centralized => {}
-        ControlChoice::Ldp => sim.enable_ldp(plan.ldp),
-        ControlChoice::Sr => sim.enable_sr(plan.sr),
-    }
-    if let Some(faults) = plan.faults {
-        sim.set_fault_plan(faults);
-    }
-    for f in plan.flows {
-        sim.add_flow(f);
-    }
-    sim.with_telemetry(plan.telemetry).run(horizon_ns)
+    plan.horizon_ns = horizon_ns;
+    plan.execute(true)
 }
 
 /// FNV-1a 64 over a serialized report.

@@ -40,7 +40,7 @@ fn corpus_covers_the_fault_space() {
             })
             .count();
         subs += sc.subscribers.len();
-        if sc.uses_ldp(None).unwrap() {
+        if sc.control_mode(None).unwrap() == mpls_net::ControlMode::Ldp {
             ldp += 1;
         } else {
             central += 1;

@@ -7,4 +7,4 @@ pub mod report;
 pub mod scenario;
 
 pub use report::format_report;
-pub use scenario::{ControlChoice, RunPlan, Scenario, ScenarioError};
+pub use scenario::{RunPlan, Scenario, ScenarioError};

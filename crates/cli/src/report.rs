@@ -1,6 +1,6 @@
 //! Plain-text report rendering for scenario runs.
 
-use mpls_net::SimReport;
+use mpls_net::{ControlMode, SimReport};
 
 /// Formats the per-flow report plus link utilization as aligned text.
 pub fn format_report(report: &SimReport) -> String {
@@ -35,7 +35,7 @@ pub fn format_report(report: &SimReport) -> String {
              ({hit_rate:.1}% hit rate)\n"
         ));
     }
-    if report.control.mode == "ldp" {
+    if report.control.mode == ControlMode::Ldp {
         out.push_str(&format!(
             "  ldp: {} sessions up, {} expired, {} PDUs sent ({} delivered, {} lost), \
              {} loop rejections\n",

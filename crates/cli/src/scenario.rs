@@ -13,8 +13,8 @@ use mpls_net::policer::PolicerSpec;
 use mpls_net::subscriber::{SlaClass, SubscriberModel};
 use mpls_net::traffic::{ClosedLoopSpec, FlowSpec, TrafficPattern};
 use mpls_net::{
-    FaultPlan, LdpConfig, QueueDiscipline, RecoveryMode, RestorationPolicy, RouterKind, ScaleError,
-    Simulation, TelemetryConfig,
+    ControlMode, FaultPlan, LdpConfig, QueueDiscipline, RecoveryMode, RestorationPolicy,
+    RouterKind, ScaleError, Simulation, TelemetryConfig,
 };
 use mpls_packet::ipv4::parse_addr;
 use mpls_packet::{CosBits, Ipv4Header};
@@ -252,17 +252,6 @@ fn default_horizon_ms() -> u64 {
     1000
 }
 
-/// The resolved control-plane mode of a scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ControlChoice {
-    /// The omniscient solver programs every node before t=0.
-    Centralized,
-    /// Nodes discover labels in-band over LDP sessions.
-    Ldp,
-    /// Segment routing: compiled source routes, no transit LSP state.
-    Sr,
-}
-
 /// Everything a run takes from a scenario and its command-line
 /// overrides, derived and checked by [`Scenario::validate`] (or
 /// [`Scenario::validate_with_overrides`]); [`Scenario::run`] executes
@@ -271,7 +260,7 @@ pub enum ControlChoice {
 pub struct RunPlan {
     /// The control-plane mode: `--control`, else the scenario's
     /// `control` field, else centralized.
-    pub control: ControlChoice,
+    pub control: ControlMode,
     /// The requested engine shard count (at least 1): `--shards`, else
     /// the scenario's `shards` field. `None` leaves the count to
     /// [`Simulation::run`]: `MPLS_SIM_SHARDS`, else 1.
@@ -304,10 +293,10 @@ pub struct RunPlan {
 }
 
 impl RunPlan {
-    /// Builds the simulation the plan describes and runs it. Telemetry
-    /// is collected when the scenario asks for it or `force_telemetry`
-    /// is set (the `--metrics-out` path).
-    fn execute(self, force_telemetry: bool) -> mpls_net::SimReport {
+    /// Builds the simulation the plan describes and runs it to
+    /// `horizon_ns`. Telemetry is collected when the scenario asks for it
+    /// or `force_telemetry` is set (the `--metrics-out` path).
+    pub fn execute(self, force_telemetry: bool) -> mpls_net::SimReport {
         let mut sim = Simulation::build(&self.cp, self.router, self.queue, self.seed);
         if let Some(shards) = self.shards {
             sim.set_shards(shards);
@@ -316,9 +305,9 @@ impl RunPlan {
             sim.shard_hint(node, hint);
         }
         match self.control {
-            ControlChoice::Centralized => {}
-            ControlChoice::Ldp => sim.enable_ldp(self.ldp),
-            ControlChoice::Sr => sim.enable_sr(self.sr),
+            ControlMode::Centralized => {}
+            ControlMode::Ldp => sim.enable_ldp(self.ldp),
+            ControlMode::Sr => sim.enable_sr(self.sr),
         }
         if let Some(faults) = self.faults {
             sim.set_fault_plan(faults);
@@ -1378,7 +1367,7 @@ impl Scenario {
             check_info_base_capacity(&cp)?;
         }
         let faults = self.fault_plan(&cp)?;
-        if control == ControlChoice::Ldp {
+        if control == ControlMode::Ldp {
             check_ldp_capacity(&cp, faults.as_ref())?;
         }
         let explicit = self.flows.iter().map(|f| ("flow", &f.name, f.ingress));
@@ -1721,24 +1710,18 @@ impl Scenario {
     pub fn control_mode(
         &self,
         control_override: Option<&str>,
-    ) -> Result<ControlChoice, ScenarioError> {
+    ) -> Result<ControlMode, ScenarioError> {
         let mode = control_override
             .or(self.control.as_deref())
             .unwrap_or("centralized");
         match mode.to_ascii_lowercase().as_str() {
-            "centralized" => Ok(ControlChoice::Centralized),
-            "ldp" => Ok(ControlChoice::Ldp),
-            "sr" => Ok(ControlChoice::Sr),
+            "centralized" => Ok(ControlMode::Centralized),
+            "ldp" => Ok(ControlMode::Ldp),
+            "sr" => Ok(ControlMode::Sr),
             other => Err(ScenarioError::Invalid(format!(
                 "unknown control mode {other:?} (use \"centralized\", \"ldp\" or \"sr\")"
             ))),
         }
-    }
-
-    /// Whether the resolved control mode is `"ldp"` (see
-    /// [`Self::control_mode`]).
-    pub fn uses_ldp(&self, control_override: Option<&str>) -> Result<bool, ScenarioError> {
-        Ok(self.control_mode(control_override)? == ControlChoice::Ldp)
     }
 
     /// The segment-routing configuration (scenario `sr` section or
@@ -2411,12 +2394,17 @@ mod tests {
     #[test]
     fn control_mode_resolves_and_runs_ldp() {
         let mut sc = Scenario::from_json(FAULTY).unwrap();
-        assert!(!sc.uses_ldp(None).unwrap(), "centralized by default");
-        assert!(sc.uses_ldp(Some("ldp")).unwrap(), "--control wins");
-        assert!(sc.uses_ldp(Some("warlock")).is_err());
+        let mode = |sc: &Scenario, flag| sc.control_mode(flag).unwrap();
+        assert_eq!(mode(&sc, None), ControlMode::Centralized, "by default");
+        assert_eq!(mode(&sc, Some("ldp")), ControlMode::Ldp, "--control wins");
+        assert!(sc.control_mode(Some("warlock")).is_err());
         sc.control = Some("ldp".into());
-        assert!(sc.uses_ldp(None).unwrap(), "scenario field works");
-        assert!(!sc.uses_ldp(Some("centralized")).unwrap(), "override wins");
+        assert_eq!(mode(&sc, None), ControlMode::Ldp, "scenario field works");
+        assert_eq!(
+            mode(&sc, Some("centralized")),
+            ControlMode::Centralized,
+            "override wins"
+        );
 
         // Give the protocol room to converge before traffic starts, then
         // let it reconverge around FAULTY's north-path outage.
@@ -2424,7 +2412,7 @@ mod tests {
         sc.flows[0].stop_ms = 40;
         sc.horizon_ms = 60;
         let report = sc.run().expect("ldp scenario runs");
-        assert_eq!(report.control.mode, "ldp");
+        assert_eq!(report.control.mode, ControlMode::Ldp);
         let conv = report.control.convergence_ns.expect("converged");
         assert!(conv < 10_000_000, "{conv}");
         assert!(report.control.sessions_established >= 6);
@@ -2441,7 +2429,7 @@ mod tests {
         let central = sc
             .run_with_overrides(false, None, Some("centralized"))
             .unwrap();
-        assert_eq!(central.control.mode, "centralized");
+        assert_eq!(central.control.mode, ControlMode::Centralized);
         assert!(central.control.convergence_ns.is_none());
         assert!(central.fibs.is_none());
     }
@@ -2453,16 +2441,15 @@ mod tests {
         let mut sc = Scenario::from_json(FAULTY).unwrap();
         assert_eq!(
             sc.control_mode(None).unwrap(),
-            ControlChoice::Centralized,
+            ControlMode::Centralized,
             "centralized by default"
         );
-        assert_eq!(sc.control_mode(Some("sr")).unwrap(), ControlChoice::Sr);
-        assert!(!sc.uses_ldp(Some("sr")).unwrap(), "sr is not ldp");
+        assert_eq!(sc.control_mode(Some("sr")).unwrap(), ControlMode::Sr);
         sc.control = Some("sr".into());
-        assert_eq!(sc.control_mode(None).unwrap(), ControlChoice::Sr);
+        assert_eq!(sc.control_mode(None).unwrap(), ControlMode::Sr);
         assert_eq!(
             sc.control_mode(Some("ldp")).unwrap(),
-            ControlChoice::Ldp,
+            ControlMode::Ldp,
             "override wins"
         );
         assert!(sc.control_mode(Some("rsvp")).is_err());
@@ -2492,7 +2479,7 @@ mod tests {
     fn sr_scenario_runs_and_is_shard_invariant() {
         let sc = Scenario::from_json(SR_FABRIC).expect("sr scenario parses");
         let report = sc.run().expect("sr scenario runs");
-        assert_eq!(report.control.mode, "sr");
+        assert_eq!(report.control.mode, ControlMode::Sr);
         assert!(!report.flows.is_empty());
         for (spec, s) in &report.flows {
             assert_eq!(s.delivered, s.sent, "flow {} lost traffic", spec.name);

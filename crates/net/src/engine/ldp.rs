@@ -17,13 +17,14 @@
 //! across a failing channel is lost: delivery checks the channel's
 //! liveness generation, exactly like data packets.
 
-use super::{stream_seed, Engine};
+use super::{channels_of, link_of, stream_seed, Control, Engine};
 use crate::event::{ControlEvent, SimTime};
-use crate::fault::PduChaos;
-use crate::sim::{octave_bounds, ControlSummary};
+use crate::fault::{FaultRecord, PduChaos};
+use crate::sim::{octave_bounds, ControlMode, ControlSummary};
 use mpls_control::{NodeConfig, NodeId};
 use mpls_ldp::{FecKey, LdpEvent, LdpFabric, LdpSend};
 use mpls_packet::LdpPdu;
+use mpls_telemetry::Registry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// An LDP PDU on the wire: the payload of a
@@ -151,6 +152,16 @@ impl LdpRuntime {
             .copied()
     }
 
+    /// Called when `rec`'s link is cut: snapshots what was routable so
+    /// the settle check can tell when reconvergence has covered it again.
+    pub(super) fn note_link_down(&mut self, rec: usize) {
+        self.pending_restore.push(PendingRestore {
+            rec,
+            snapshot: self.fabric.routed_pairs(),
+            missing: BTreeSet::new(),
+        });
+    }
+
     /// Folds the fabric's route gains and losses into every pending
     /// outage: a lost snapshot pair goes missing, a regained one is
     /// covered again. Runs after every fabric call, so the log is empty
@@ -188,11 +199,23 @@ impl LdpRuntime {
 }
 
 impl Engine {
+    /// Moves the LDP runtime out of `control` for a protocol event that
+    /// works on it and on the engine at once; the handler puts it back.
+    fn take_ldp(&mut self) -> Option<LdpRuntime> {
+        match std::mem::replace(&mut self.control, Control::Centralized) {
+            Control::Ldp(rt) => Some(rt),
+            other => {
+                self.control = other;
+                None
+            }
+        }
+    }
+
     /// The periodic protocol timer: hellos, keepalives, session
     /// initiation and hold-timer expiry. Re-arms unconditionally — the
     /// run ends at the horizon, not by queue drain, in ldp mode.
     pub(super) fn on_ldp_tick(&mut self) {
-        let Some(mut rt) = self.ldp.take() else {
+        let Some(mut rt) = self.take_ldp() else {
             return;
         };
         let (sends, events) = rt.fabric.tick(self.now);
@@ -202,22 +225,19 @@ impl Engine {
         self.ldp_settle_check(&mut rt);
         self.globals
             .schedule(self.now + rt.tick_ns, ControlEvent::LdpTick);
-        self.ldp = Some(rt);
+        self.control = Control::Ldp(rt);
     }
 
     /// An LDP PDU arrives (or dies with the channel it was crossing).
     pub(super) fn on_ldp_deliver(&mut self, inflight: InFlightPdu) {
-        let Some(mut rt) = self.ldp.take() else {
+        let Some(mut rt) = self.take_ldp() else {
             return;
         };
         if inflight.protocol {
             rt.live_protocol -= 1;
         }
         let st = self.chan_state[inflight.chan];
-        if !st.up
-            || st.gen != inflight.gen
-            || self.partitioned.contains(&self.chan_link[inflight.chan])
-        {
+        if !st.up || st.gen != inflight.gen || self.partitioned.contains(&link_of(inflight.chan)) {
             rt.pdus_lost += 1;
         } else if inflight.corrupted {
             rt.pdus_delivered += 1;
@@ -250,19 +270,7 @@ impl Engine {
             rt.track_route_changes();
         }
         self.ldp_settle_check(&mut rt);
-        self.ldp = Some(rt);
-    }
-
-    /// Called from `on_link_down`: snapshot what was routable so the
-    /// settle check can tell when reconvergence has covered it again.
-    pub(super) fn ldp_note_link_down(&mut self, rec: usize) {
-        if let Some(rt) = &mut self.ldp {
-            rt.pending_restore.push(PendingRestore {
-                rec,
-                snapshot: rt.fabric.routed_pairs(),
-                missing: BTreeSet::new(),
-            });
-        }
+        self.control = Control::Ldp(rt);
     }
 
     /// Transmits the fabric's outgoing PDUs: serialization at link
@@ -272,12 +280,14 @@ impl Engine {
     /// corrupt each PDU, drawn from the channel's chaos stream.
     fn dispatch_ldp(&mut self, rt: &mut LdpRuntime, sends: Vec<LdpSend>) {
         for s in sends {
-            let Some(&chan) = self.chan_index.get(&(s.from, s.to)) else {
+            // The sender's port to the receiver.
+            let port = self.node_home.get(&s.from);
+            let Some(chan) = port.and_then(|&(sh, li)| self.shards[sh].port_to(li, s.to)) else {
                 continue;
             };
             rt.pdus_sent += 1;
             let st = self.chan_state[chan];
-            if !st.up || self.partitioned.contains(&self.chan_link[chan]) {
+            if !st.up || self.partitioned.contains(&link_of(chan)) {
                 rt.pdus_lost += 1;
                 continue;
             }
@@ -286,7 +296,7 @@ impl Engine {
             let mut copies = 1usize;
             let mut extra_ns = 0u64;
             let mut corrupted = false;
-            if let Some(cz) = rt.chaos_at(self.chan_link[chan], self.now) {
+            if let Some(cz) = rt.chaos_at(link_of(chan), self.now) {
                 let lost = rt.chaos_roll(chan) < cz.loss;
                 if rt.chaos_roll(chan) < cz.duplicate {
                     copies = 2;
@@ -342,7 +352,7 @@ impl Engine {
                 }
                 LdpEvent::SessionDown { at, peer, link } => {
                     self.trace("ldp_session_down", || format!("{at}-{peer} link{link}"));
-                    let [a, _] = self.channels_of(link);
+                    let [a, _] = channels_of(link);
                     if self.chan(a).up {
                         continue; // lossy-wire expiry, not an outage
                     }
@@ -357,31 +367,12 @@ impl Engine {
         }
     }
 
-    /// Downloads fresh forwarding state into every node whose
-    /// FIB-relevant protocol state changed since the last call. The
-    /// fabric's dirty set is a pending download: the engine applies it
-    /// at the last moment before anything other than the fabric reads
-    /// or writes a router (before every shard round, every coordinator
-    /// event other than [`ControlEvent::LdpTick`] and
-    /// [`ControlEvent::LdpDeliver`], and the report fold), so a node the
-    /// protocol changes many times between two such moments is rebuilt
-    /// once, from its latest state.
-    pub(super) fn flush_ldp_downloads(&mut self) {
-        let Some(rt) = &mut self.ldp else {
-            return;
-        };
-        for id in rt.fabric.take_dirty() {
-            let cfg = self.ldp.as_ref().expect("checked").fabric.config_for(id);
-            self.download(id, &cfg);
-        }
-    }
-
     /// The download oracle: every router holds what the fabric renders
     /// for its node now, as downloading after every PDU guaranteed. Call
-    /// right after [`Self::flush_ldp_downloads`].
+    /// right after [`Self::flush_downloads`].
     #[cfg(debug_assertions)]
     pub(super) fn assert_ldp_downloads(&self) {
-        let Some(rt) = &self.ldp else {
+        let Control::Ldp(rt) = &self.control else {
             return;
         };
         for id in rt.fabric.node_ids() {
@@ -432,53 +423,51 @@ impl Engine {
             self.trace_restored(rec, t);
         }
     }
+}
 
-    /// Builds the report's control-plane summary and (in ldp mode) the
-    /// converged per-node FIBs, and exports the protocol's telemetry:
-    /// the bring-up convergence span, per-node session/label counters
-    /// and the reconvergence histogram.
-    pub(super) fn finish_control(
-        &mut self,
+impl LdpRuntime {
+    /// The report's control-plane summary and the converged per-node
+    /// FIBs, and the protocol's telemetry on a telemetry run: the
+    /// bring-up convergence span, per-node session/label counters and
+    /// the reconvergence histogram of `records`.
+    pub(super) fn finish(
+        &self,
+        records: &[FaultRecord],
+        telemetry: Option<&mut Registry>,
     ) -> (ControlSummary, Option<BTreeMap<NodeId, NodeConfig>>) {
-        if self.sr.is_some() {
-            return self.finish_sr();
-        }
-        let Some(rt) = &self.ldp else {
-            return (ControlSummary::default(), None);
-        };
-        let stats = rt.fabric.stats();
+        let stats = self.fabric.stats();
         let summary = ControlSummary {
-            mode: crate::sim::ControlMode::Ldp,
-            convergence_ns: rt.convergence_ns,
+            mode: ControlMode::Ldp,
+            convergence_ns: self.convergence_ns,
             sessions_established: stats.sessions_established,
             session_downs: stats.session_downs,
-            pdus_sent: rt.pdus_sent,
-            pdus_delivered: rt.pdus_delivered,
-            pdus_lost: rt.pdus_lost,
+            pdus_sent: self.pdus_sent,
+            pdus_delivered: self.pdus_delivered,
+            pdus_lost: self.pdus_lost,
             loop_rejections: stats.loop_rejections,
             session_retries: stats.session_retries,
             sequence_violations: stats.sequence_violations,
             malformed_pdus: stats.malformed_pdus,
-            last_fib_change_ns: rt.fabric.last_fib_change_ns(),
+            last_fib_change_ns: self.fabric.last_fib_change_ns(),
         };
-        let fibs: BTreeMap<NodeId, NodeConfig> = rt
+        let fibs: BTreeMap<NodeId, NodeConfig> = self
             .fabric
             .node_ids()
             .into_iter()
-            .map(|id| (id, rt.fabric.config_for(id)))
+            .map(|id| (id, self.fabric.config_for(id)))
             .collect();
-        if let Some(tel) = &mut self.telemetry {
-            if let Some(t) = rt.convergence_ns {
+        if let Some(tel) = telemetry {
+            if let Some(t) = self.convergence_ns {
                 let span = tel.tracer().span_begin(0, "ldp.convergence");
                 tel.tracer().span_end(t, span);
             }
             let hist = tel.histogram("ldp.reconverge_ns", octave_bounds());
-            for r in &self.records {
+            for r in records {
                 if let Some(ttr) = r.time_to_restore_ns() {
                     tel.hist_record(hist, ttr);
                 }
             }
-            for (id, s) in rt.fabric.node_stats() {
+            for (id, s) in self.fabric.node_stats() {
                 for (name, value) in [
                     ("pdus_rx", s.pdus_rx),
                     ("mappings_rx", s.mappings_rx),

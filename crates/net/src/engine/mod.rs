@@ -34,7 +34,7 @@ pub(crate) use sr::SrRuntime;
 use crate::event::{ControlEvent, ControlQueue, EventQueue, EventRank, SimTime};
 use crate::fault::{FaultRecord, RecoveryMode, RestorationPolicy};
 use crate::link::Channel;
-use crate::sim::{FlowTemplate, LinkUsage, SimInstruments, SimReport, Simulation};
+use crate::sim::{ControlSummary, FlowTemplate, LinkUsage, SimInstruments, SimReport, Simulation};
 use crate::stats::{FlowId, FlowStats};
 use crate::traffic::{FlowSpec, TrafficPattern};
 use mpls_control::{ControlPlane, LinkId, LspRequest, NodeConfig, NodeId};
@@ -45,7 +45,32 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shard::{ChanState, ClosedLoopState, EmitState, FlowDelta, LocalEvent, ShardState, SharedCtx};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
+
+/// The run's control plane: which routing program writes the routers'
+/// label pairs, holding that program's state. A run has exactly one,
+/// chosen before it starts. The centralized solver's state is the run's
+/// own [`ControlPlane`], which every run keeps.
+pub(crate) enum Control {
+    /// The centralized solver, which programs every node before t=0.
+    Centralized,
+    /// In-band label distribution (see [`ldp`]).
+    Ldp(LdpRuntime),
+    /// Compiled segment-routing source routes (see [`sr`]).
+    Sr(SrRuntime),
+}
+
+/// The link channel `g` belongs to: [`Simulation::build`] gives link `k`
+/// channel `2k` from its `a` end and `2k + 1` from its `b` end.
+pub(crate) fn link_of(g: usize) -> LinkId {
+    (g / 2) as LinkId
+}
+
+/// The two channels of `link`, one per direction.
+pub(crate) fn channels_of(link: LinkId) -> [usize; 2] {
+    let g = 2 * link as usize;
+    [g, g + 1]
+}
 
 /// The shard coordination scheme. There is one: the global epoch
 /// barrier, where every shard advances to the same conservative bound
@@ -168,8 +193,6 @@ pub(crate) struct Engine {
     flows: Vec<FlowSpec>,
     /// Interned per-flow packet constants, parallel to `flows`.
     templates: Vec<FlowTemplate>,
-    chan_index: HashMap<(NodeId, NodeId), usize>,
-    chan_link: Vec<LinkId>,
     /// Node id -> `(shard, local index)` of its router, for the
     /// coordinator's per-node calls. The run loop finds routers through
     /// the dense tables in [`SharedCtx`] instead.
@@ -203,12 +226,11 @@ pub(crate) struct Engine {
     /// straggler losses still attribute to the right outage).
     fault_of_link: HashMap<LinkId, usize>,
     pending: Vec<PendingResignal>,
-    /// Present on `--control ldp` runs: the distributed control plane
-    /// and its in-flight PDUs (see [`ldp`]).
-    ldp: Option<LdpRuntime>,
-    /// Present on `--control sr` runs: the compiled segment-routing
-    /// fabric (see [`sr`]).
-    sr: Option<SrRuntime>,
+    /// The run's control plane.
+    control: Control,
+    /// Nodes whose routers await a download from `control` (see
+    /// [`Engine::flush_downloads`]).
+    pending_downloads: BTreeSet<NodeId>,
     /// Nodes currently crashed: incident links stay down and stray
     /// `LinkUp` events cannot revive their ports.
     dead_nodes: HashSet<NodeId>,
@@ -233,8 +255,6 @@ impl Engine {
     pub fn new(sim: Simulation) -> Self {
         let Simulation {
             channels,
-            chan_index,
-            chan_link,
             nodes,
             cp,
             flows,
@@ -246,8 +266,7 @@ impl Engine {
             instr,
             requested_shards,
             shard_hints,
-            mut ldp,
-            sr,
+            mut control,
             pdu_chaos,
         } = sim;
         let requested = requested_shards
@@ -291,17 +310,6 @@ impl Engine {
             sh.nodes.push(node);
             sh.ports.push(Vec::new());
         }
-        // The run loop's next-hop lookup: each router's ports, sorted by
-        // neighbor, one per neighbor (a topology has no parallel links).
-        for (&(from, to), &g) in &chan_index {
-            let (s, li) = node_home[&from];
-            shards[s].ports[li].push((to, g));
-        }
-        for sh in &mut shards {
-            for ports in &mut sh.ports {
-                ports.sort_unstable();
-            }
-        }
         let ack_dist = Self::ack_distances(&flows, &channels);
         let flow_shard: Vec<usize> = flows
             .iter()
@@ -311,8 +319,9 @@ impl Engine {
         let mut chan_dest_shard = Vec::with_capacity(nchans);
         let mut chan_dest_local = Vec::with_capacity(nchans);
         let mut chan_state = Vec::with_capacity(nchans);
-        for c in channels {
-            let owner = part.shard_of_node[&c.from];
+        for (g, c) in channels.into_iter().enumerate() {
+            let (owner, from_local) = node_home[&c.from];
+            shards[owner].ports[from_local].push((c.to, g));
             let (dest, dest_local) = node_home[&c.to];
             chan_dest_shard.push(dest);
             chan_dest_local.push(dest_local);
@@ -323,6 +332,13 @@ impl Engine {
             let sh = &mut shards[owner];
             chan_owner.push((owner, sh.channels.len()));
             sh.channels.push(c);
+        }
+        // The run loop's next-hop lookup: each router's ports, sorted by
+        // neighbor, one per neighbor (a topology has no parallel links).
+        for sh in &mut shards {
+            for ports in &mut sh.ports {
+                ports.sort_unstable();
+            }
         }
         let mut flow_ingress_local = Vec::with_capacity(nflows);
         let mut flow_emit = Vec::with_capacity(nflows);
@@ -350,7 +366,7 @@ impl Engine {
             };
             sh.queue.schedule(spec.start_ns, ev);
         }
-        if let Some(rt) = &mut ldp {
+        if let Control::Ldp(rt) = &mut control {
             rt.chaos = pdu_chaos;
         }
         let templates = flows.iter().map(FlowTemplate::of).collect();
@@ -359,8 +375,6 @@ impl Engine {
             globals,
             flows,
             templates,
-            chan_index,
-            chan_link,
             node_home,
             chan_owner,
             chan_dest_shard,
@@ -378,8 +392,8 @@ impl Engine {
             outstanding: Vec::new(),
             fault_of_link: HashMap::new(),
             pending: Vec::new(),
-            ldp,
-            sr,
+            control,
+            pending_downloads: BTreeSet::new(),
             dead_nodes: HashSet::new(),
             partitioned: HashSet::new(),
             telemetry,
@@ -468,9 +482,14 @@ impl Engine {
                     self.now = t;
                     self.global_events += 1;
                     if !ControlQueue::is_ldp(&ev) {
-                        self.flush_ldp_downloads();
+                        self.flush_downloads();
                     }
                     self.handle_global(ev);
+                    // The centralized solver and SR download at the
+                    // instant their state changes; LDP defers.
+                    if !matches!(self.control, Control::Ldp(_)) {
+                        self.flush_downloads();
+                    }
                 }
                 (_, Some(l)) => {
                     if l > horizon_ns {
@@ -480,7 +499,7 @@ impl Engine {
                         .unwrap_or(SimTime::MAX)
                         .min(l.saturating_add(self.lookahead))
                         .min(horizon_ns.saturating_add(1));
-                    self.flush_ldp_downloads();
+                    self.flush_downloads();
                     #[cfg(debug_assertions)]
                     self.assert_ldp_downloads();
                     self.run_round(end);
@@ -501,7 +520,6 @@ impl Engine {
         let ctx = SharedCtx {
             flows: &self.flows,
             templates: &self.templates,
-            chan_link: &self.chan_link,
             chan_state: &self.chan_state,
             chan_owner: &self.chan_owner,
             chan_dest_shard: &self.chan_dest_shard,
@@ -579,23 +597,6 @@ impl Engine {
         self.chan_state[g] = snap;
     }
 
-    /// Indices of the two channels (one per direction) of `link`.
-    fn channels_of(&self, link: LinkId) -> [usize; 2] {
-        let mut found = [usize::MAX; 2];
-        let mut n = 0;
-        for (i, &l) in self.chan_link.iter().enumerate() {
-            if l == link {
-                found[n] = i;
-                n += 1;
-                if n == 2 {
-                    break;
-                }
-            }
-        }
-        debug_assert_eq!(n, 2, "every link has exactly two channels");
-        found
-    }
-
     // ---- fault machinery ---------------------------------------------------
 
     /// Marks `rec` restored now (first caller wins), closes its outage
@@ -626,34 +627,61 @@ impl Engine {
         }
     }
 
-    /// Replaces `node`'s forwarding state with `cfg`: the one way any
-    /// control plane rebuilds a router during a run, counted in
+    /// Replaces `node`'s forwarding state with `cfg`, counted in
     /// [`EngineStats::fib_downloads`]. Statistics survive; stale
-    /// flow-cache entries do not.
+    /// flow-cache entries do not. Only [`Self::flush_downloads`] and a
+    /// crash's wipe call it.
     fn download(&mut self, node: NodeId, cfg: &NodeConfig) {
         let (s, l) = self.node_home[&node];
         self.shards[s].nodes[l].reprogram(cfg);
         self.fib_downloads += 1;
         #[cfg(debug_assertions)]
-        if let Some(rt) = &mut self.ldp {
+        if let Control::Ldp(rt) = &mut self.control {
             rt.downloaded.insert(node, cfg.clone());
         }
     }
 
-    /// Downloads every live router's forwarding state from the (mutated)
-    /// control plane. Crashed nodes are skipped: their FIBs stay cold
-    /// until `NodeReprovision` fires.
-    fn reprogram_routers(&mut self) {
-        let live: Vec<NodeId> = self
-            .shards
-            .iter()
-            .flat_map(|sh| sh.nodes.iter().map(|n| n.node_id()))
-            .filter(|id| !self.dead_nodes.contains(id))
-            .collect();
-        for id in live {
-            let cfg = self.cp.config_for(id);
+    /// Downloads every pending node's forwarding state, rendered from the
+    /// control plane now: the one way a control plane reaches the routers
+    /// during a run. Four sources feed the pending set: the LDP fabric's
+    /// dirty nodes, the SR fabric's, every router after the centralized
+    /// solver changes state, and a reprovisioned node. Crashed nodes are
+    /// skipped under every plane: their FIBs stay cold until they restart
+    /// and relearn or reprovision. It runs before every shard round,
+    /// before every coordinator event other than LDP's own, after every
+    /// coordinator event of a centralized or SR run, and at the report
+    /// fold (DESIGN.md, "Downloads").
+    fn flush_downloads(&mut self) {
+        let mut nodes = std::mem::take(&mut self.pending_downloads);
+        match &mut self.control {
+            Control::Centralized => {}
+            Control::Ldp(rt) => nodes.extend(rt.fabric.take_dirty()),
+            Control::Sr(rt) => {
+                let dirty = rt.fabric.take_dirty();
+                if dirty.iter().any(|id| !self.dead_nodes.contains(id)) {
+                    rt.last_fib_change_ns = rt.last_fib_change_ns.max(self.now);
+                }
+                nodes.extend(dirty);
+            }
+        }
+        for id in nodes {
+            if self.dead_nodes.contains(&id) {
+                continue;
+            }
+            let cfg = match &self.control {
+                Control::Centralized => self.cp.config_for(id),
+                Control::Ldp(rt) => rt.fabric.config_for(id),
+                Control::Sr(rt) => rt.fabric.config_for(id),
+            };
             self.download(id, &cfg);
         }
+    }
+
+    /// Marks every router pending after the centralized solver changed
+    /// state: a failover, a re-signal or a husk teardown.
+    fn download_every_router(&mut self) {
+        self.pending_downloads
+            .extend(self.node_home.keys().copied());
     }
 
     /// How long a retired LSP's transit state must outlive the
@@ -681,16 +709,28 @@ impl Engine {
         // The husk may already be gone (a later fault's standby sweep).
         if self.cp.lsp(lsp).is_some() {
             let _ = self.cp.teardown_lsp(lsp);
-            self.reprogram_routers();
+            self.download_every_router();
         }
     }
 
     fn on_link_down(&mut self, link: LinkId) {
-        let [a, b] = self.channels_of(link);
+        let [a, b] = channels_of(link);
         if !self.chan(a).up {
             return; // already down (overlapping schedules)
         }
         let rec = self.records.len();
+        let (mode, detect) = match &mut self.control {
+            Control::Centralized => (self.policy.mode, self.policy.mode != RecoveryMode::None),
+            // Distributed mode: detection is the session hold-timer, and
+            // recovery is the protocol's own withdraw/remap cascade.
+            Control::Ldp(rt) => {
+                rt.note_link_down(rec);
+                (RecoveryMode::Ldp, false)
+            }
+            // SR detects every cut after the detection delay, whatever
+            // the plan's recovery says, and recompiles.
+            Control::Sr(_) => (RecoveryMode::Sr, true),
+        };
         self.records.push(FaultRecord {
             link,
             down_ns: self.now,
@@ -698,7 +738,7 @@ impl Engine {
             restored_ns: None,
             link_up_ns: None,
             packets_lost: 0,
-            mode: self.policy.mode,
+            mode,
         });
         self.outstanding.push(0);
         self.fault_of_link.insert(link, rec);
@@ -712,11 +752,7 @@ impl Engine {
         for chan in [a, b] {
             self.cut_channel(chan, link);
         }
-        if self.ldp.is_some() {
-            // Distributed mode: detection is the session hold-timer, and
-            // recovery is the protocol's own withdraw/remap cascade.
-            self.ldp_note_link_down(rec);
-        } else if self.policy.mode != RecoveryMode::None {
+        if detect {
             self.globals.schedule(
                 self.now + self.policy.detection_delay_ns,
                 ControlEvent::FaultDetected { link },
@@ -764,7 +800,7 @@ impl Engine {
     }
 
     fn on_link_up(&mut self, link: LinkId) {
-        let [a, b] = self.channels_of(link);
+        let [a, b] = channels_of(link);
         if self.chan(a).up {
             return; // already up
         }
@@ -790,7 +826,7 @@ impl Engine {
             // detection delay, or no recovery configured): the stale
             // forwarding state simply works again.
             self.set_restored(rec);
-        } else if self.ldp.is_none() {
+        } else if !matches!(self.control, Control::Ldp(_)) {
             // Detection fired, so the control plane has the link marked
             // failed; hold it down before reusing it. (In ldp mode the
             // link returns to service by session re-formation instead.)
@@ -802,7 +838,7 @@ impl Engine {
     }
 
     fn on_fault_detected(&mut self, link: LinkId) {
-        let [a, _] = self.channels_of(link);
+        let [a, _] = channels_of(link);
         if self.chan(a).up {
             return; // the flap cleared before anyone noticed
         }
@@ -814,11 +850,19 @@ impl Engine {
         }
         self.records[rec].detected_ns = Some(self.now);
         self.trace("fault_detected", || format!("link{link}"));
-        if self.sr.is_some() {
+        match &mut self.control {
+            Control::Centralized => {}
             // Segment routing: recompile the source routes around the
-            // cut. No per-LSP re-signaling exists to wait for.
-            self.sr_fault_detected(link, rec);
-            return;
+            // cut. The record is restored in the same instant: the
+            // ingress stacks are the only per-path state, and the
+            // recompile rewrote them (downloaded as this event ends).
+            Control::Sr(rt) => {
+                rt.fabric.fail_link(link);
+                self.set_restored(rec);
+                return;
+            }
+            // Hold-timer expiry is LDP's detection; it schedules none.
+            Control::Ldp(_) => return,
         }
         let affected = self.cp.fail_link(link);
         let mut changed = false;
@@ -877,7 +921,7 @@ impl Engine {
             self.set_restored(rec);
         }
         if changed {
-            self.reprogram_routers();
+            self.download_every_router();
         }
     }
 
@@ -906,7 +950,7 @@ impl Engine {
                 if self.outstanding[rec] == 0 {
                     self.set_restored(rec);
                 }
-                self.reprogram_routers();
+                self.download_every_router();
             }
             Err(_) => {
                 let next_attempt = attempt + 1;
@@ -926,26 +970,33 @@ impl Engine {
     }
 
     fn on_hold_down_expired(&mut self, link: LinkId) {
-        let [a, _] = self.channels_of(link);
+        let [a, _] = channels_of(link);
         if !self.chan(a).up {
             return; // failed again before the hold-down expired
         }
-        if self.sr.is_some() {
-            self.sr_hold_down_expired(link);
-            return;
+        match &mut self.control {
+            Control::Centralized => self.cp.restore_link(link),
+            // Recompile with the link usable again.
+            Control::Sr(rt) => {
+                rt.fabric.restore_link(link);
+            }
+            // LDP re-forms sessions instead; it holds nothing down.
+            Control::Ldp(_) => {}
         }
-        self.cp.restore_link(link);
     }
 
     // ---- node crash / restart ----------------------------------------------
 
-    /// Links incident to `node` — each contributes exactly one channel
-    /// whose transmitting end is `node`.
+    /// Links incident to `node`, in ascending id (the order their fault
+    /// records are created in): the links of the node's ports.
     fn links_of_node(&self, node: NodeId) -> Vec<LinkId> {
-        (0..self.chan_owner.len())
-            .filter(|&g| self.chan(g).from == node)
-            .map(|g| self.chan_link[g])
-            .collect()
+        let (s, li) = self.node_home[&node];
+        let mut links: Vec<LinkId> = self.shards[s].ports[li]
+            .iter()
+            .map(|&(_, g)| link_of(g))
+            .collect();
+        links.sort_unstable();
+        links
     }
 
     /// A node crashes: its FIB is wiped cold, every incident link goes
@@ -961,7 +1012,7 @@ impl Engine {
         for link in self.links_of_node(node) {
             self.on_link_down(link);
         }
-        if let Some(rt) = &mut self.ldp {
+        if let Control::Ldp(rt) = &mut self.control {
             rt.fabric.crash_node(self.now, node);
             rt.track_route_changes();
         }
@@ -980,10 +1031,16 @@ impl Engine {
         for link in self.links_of_node(node) {
             self.on_link_up(link);
         }
-        if let Some(rt) = &mut self.ldp {
-            rt.fabric.restart_node(self.now, node);
-            rt.track_route_changes();
-        } else if self.policy.mode != RecoveryMode::None {
+        let reprovision = match &mut self.control {
+            Control::Centralized => self.policy.mode != RecoveryMode::None,
+            Control::Ldp(rt) => {
+                rt.fabric.restart_node(self.now, node);
+                rt.track_route_changes();
+                false
+            }
+            Control::Sr(_) => true,
+        };
+        if reprovision {
             self.globals.schedule(
                 self.now + self.policy.detection_delay_ns,
                 ControlEvent::NodeReprovision { node },
@@ -991,18 +1048,13 @@ impl Engine {
         }
     }
 
-    /// The centralized control plane re-downloads a restarted node's
-    /// configuration, ending its cold-FIB window.
+    /// The centralized solver or SR re-downloads a restarted node's
+    /// configuration as this event ends, closing its cold-FIB window.
     fn on_node_reprovision(&mut self, node: NodeId) {
         if self.dead_nodes.contains(&node) {
             return; // crashed again before the download landed
         }
-        if self.sr.is_some() {
-            self.sr_reprovision(node);
-        } else {
-            let cfg = self.cp.config_for(node);
-            self.download(node, &cfg);
-        }
+        self.pending_downloads.insert(node);
         self.trace("node_reprovisioned", || format!("node{node}"));
     }
 
@@ -1180,7 +1232,7 @@ impl Engine {
     /// they are folded in a fixed order (shard index, then subject
     /// index), so the result does not depend on epoch timing.
     fn finish(mut self) -> SimReport {
-        self.flush_ldp_downloads();
+        self.flush_downloads();
         #[cfg(debug_assertions)]
         self.assert_ldp_downloads();
         // Every serialization that ended by the horizon completed, and
@@ -1216,7 +1268,11 @@ impl Engine {
             }
         }
         self.fold_flow_telemetry(&stats);
-        let (control, fibs) = self.finish_control();
+        let (control, fibs) = match &self.control {
+            Control::Centralized => (ControlSummary::default(), None),
+            Control::Ldp(rt) => rt.finish(&self.records, self.telemetry.as_mut()),
+            Control::Sr(rt) => rt.finish(),
+        };
         self.finalize_telemetry();
         let nchans = self.chan_owner.len();
         let elapsed = self.now.max(1);
@@ -1310,10 +1366,10 @@ mod tests {
     }
 
     /// The run loop's dense tables name the routers and channels the
-    /// coordinator's maps name: every `(node, neighbor)` pair resolves
-    /// through the ports to `chan_index`'s channel, a non-neighbor to
-    /// none, every channel to its receiving router and every flow to its
-    /// ingress router and its own traffic source.
+    /// topology names: every `(node, neighbor)` pair resolves through the
+    /// ports to the channel of the link between them in that direction, a
+    /// non-neighbor to none, every channel to its receiving router and
+    /// every flow to its ingress router and its own traffic source.
     #[test]
     fn dense_lookups_resolve_as_the_maps_do() {
         let topo = &Topology::figure1_example();
@@ -1323,13 +1379,19 @@ mod tests {
                 let (s, li) = eng.node_home[&a.id];
                 assert_eq!(eng.shards[s].nodes[li].node_id(), a.id);
                 for b in topo.nodes() {
-                    assert_eq!(
-                        eng.shards[s].port_to(li, b.id),
-                        eng.chan_index.get(&(a.id, b.id)).copied(),
-                        "{} -> {} at {shards} shards",
-                        a.id,
-                        b.id
-                    );
+                    let want = topo.link_between(a.id, b.id).map(|k| {
+                        let [ab, ba] = channels_of(k);
+                        if topo.link(k).unwrap().a == a.id {
+                            ab
+                        } else {
+                            ba
+                        }
+                    });
+                    let got = eng.shards[s].port_to(li, b.id);
+                    assert_eq!(got, want, "{} -> {} at {shards} shards", a.id, b.id);
+                    if let Some(g) = got {
+                        assert_eq!((eng.chan(g).from, eng.chan(g).to), (a.id, b.id));
+                    }
                 }
             }
             for g in 0..eng.chan_owner.len() {

@@ -41,6 +41,7 @@
 //! tally, telemetry) are buffered in commutative per-shard deltas the
 //! coordinator folds in deterministically.
 
+use super::link_of;
 use crate::event::{EventQueue, EventRank, SimTime};
 use crate::link::{Channel, Departures};
 use crate::policer::TokenBucket;
@@ -173,7 +174,6 @@ pub(crate) struct SharedCtx<'a> {
     /// in flight carry only deltas; the wire image is materialized from
     /// here at the router boundary.
     pub templates: &'a [FlowTemplate],
-    pub chan_link: &'a [LinkId],
     /// Per-global-channel liveness snapshot.
     pub chan_state: &'a [ChanState],
     /// `(owning shard, local index)` of every global channel.
@@ -647,7 +647,7 @@ impl ShardState {
                     } else {
                         self.foreign_fault_drops[chan] += 1;
                     }
-                    self.count_fault_loss(ctx.chan_link[chan], packet.flow, ctx);
+                    self.count_fault_loss(link_of(chan), packet.flow, ctx);
                     return;
                 }
                 (chan as u64, ctx.chan_dest_local[chan])
@@ -714,7 +714,7 @@ impl ShardState {
                 if !ctx.chan_state[chan].up {
                     // Steered onto a dead link by stale forwarding state.
                     self.channels[local].fault_drops += 1;
-                    self.count_fault_loss(ctx.chan_link[chan], flow, ctx);
+                    self.count_fault_loss(link_of(chan), flow, ctx);
                     return;
                 }
                 self.offer_to_channel(chan, local, sp, now, done, ctx);

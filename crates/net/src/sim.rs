@@ -25,7 +25,9 @@
 //! telemetry export — is byte-identical at any shard count; sharding is
 //! purely a wall-clock optimization. See [`crate::engine`].
 
-use crate::engine::{stream_seed, Engine, EngineStats, LdpRuntime, SrRuntime};
+use crate::engine::{
+    channels_of, stream_seed, Control, Engine, EngineStats, LdpRuntime, SrRuntime,
+};
 use crate::event::{ControlEvent, ControlQueue, SimTime};
 use crate::fault::{FaultKind, FaultPlan, FaultRecord, RestorationPolicy};
 use crate::link::Channel;
@@ -208,10 +210,9 @@ pub struct LinkUsage {
     pub utilization: f64,
 }
 
-/// Which control plane drove the run. Serializes to the exact strings
-/// the stringly-typed field used (`"centralized"` / `"ldp"`), so every
-/// existing report, golden and comparison is byte-identical — but the
-/// type makes casing drift impossible.
+/// Which control plane drives a run: the one name for the choice, from
+/// the scenario's `control` field and `--control` to the report, which
+/// serializes it as `"centralized"`, `"ldp"` or `"sr"`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ControlMode {
     /// The omniscient centralized solver programs all FIBs before t=0.
@@ -247,25 +248,12 @@ impl core::fmt::Display for ControlMode {
     }
 }
 
-/// String comparisons keep working (`report.control.mode == "ldp"`).
-impl PartialEq<&str> for ControlMode {
-    fn eq(&self, other: &&str) -> bool {
-        self.as_str() == *other
-    }
-}
-
-impl PartialEq<ControlMode> for &str {
-    fn eq(&self, other: &ControlMode) -> bool {
-        *self == other.as_str()
-    }
-}
-
 /// How the run's control plane behaved. For the default centralized
 /// solver the mode is all there is to say; on a `--control ldp`
 /// run the protocol's global counters and convergence time fill in.
 /// All values derive from coordinator-level events only, so the summary
 /// is shard-invariant and safe to serialize.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone, Default, serde::Serialize)]
 pub struct ControlSummary {
     /// Which control plane drove the run.
     pub mode: ControlMode,
@@ -298,25 +286,6 @@ pub struct ControlSummary {
     /// programming happens before t=0). The chaos harness's quiesce
     /// oracle checks this stops moving once the last fault heals.
     pub last_fib_change_ns: u64,
-}
-
-impl Default for ControlSummary {
-    fn default() -> Self {
-        Self {
-            mode: ControlMode::Centralized,
-            convergence_ns: None,
-            sessions_established: 0,
-            session_downs: 0,
-            pdus_sent: 0,
-            pdus_delivered: 0,
-            pdus_lost: 0,
-            loop_rejections: 0,
-            session_retries: 0,
-            sequence_violations: 0,
-            malformed_pdus: 0,
-            last_fib_change_ns: 0,
-        }
-    }
 }
 
 /// The outcome of a run.
@@ -409,10 +378,8 @@ pub(crate) fn octave_bounds() -> Vec<u64> {
 /// Telemetry is off unless [`Simulation::with_telemetry`] sets a live
 /// [`Registry`], whose snapshot lands in [`SimReport::telemetry`].
 pub struct Simulation {
+    /// Link `k`'s two channels are `2k` (from its `a` end) and `2k + 1`.
     pub(crate) channels: Vec<Channel>,
-    pub(crate) chan_index: HashMap<(NodeId, NodeId), usize>,
-    /// `chan_link[i]` is the topology link channel `i` belongs to.
-    pub(crate) chan_link: Vec<LinkId>,
     pub(crate) nodes: Vec<Box<dyn MplsForwarder + Send>>,
     /// The simulation's own control plane: shares the tables of the
     /// plane it was built from until a runtime fault first writes one,
@@ -428,10 +395,9 @@ pub struct Simulation {
     pub(crate) instr: SimInstruments,
     pub(crate) requested_shards: Option<usize>,
     pub(crate) shard_hints: HashMap<NodeId, usize>,
-    /// Present when the run uses the distributed control plane.
-    pub(crate) ldp: Option<LdpRuntime>,
-    /// Present when the run uses the segment-routing control plane.
-    pub(crate) sr: Option<SrRuntime>,
+    /// The run's one control plane: centralized until
+    /// [`Self::enable_ldp`] or [`Self::enable_sr`] chooses another.
+    pub(crate) control: Control,
     /// Control-PDU chaos windows from the fault plan; handed to the LDP
     /// runtime at engine assembly (plan and `enable_ldp` may arrive in
     /// either order).
@@ -456,12 +422,9 @@ impl Simulation {
     ) -> Self {
         let topo = cp.topology();
         let mut channels = Vec::new();
-        let mut chan_index = HashMap::new();
-        let mut chan_link = Vec::new();
         for (link_id, spec) in topo.links().iter().enumerate() {
             for (from, to) in [(spec.a, spec.b), (spec.b, spec.a)] {
                 let g = channels.len();
-                chan_index.insert((from, to), g);
                 let mut c = Channel::new(from, to, spec.bandwidth_bps, spec.delay_ns, discipline);
                 // Statically failed links exist but start dark.
                 c.up = !cp.link_is_failed(link_id as LinkId);
@@ -469,7 +432,6 @@ impl Simulation {
                 // depends only on (seed, channel), never on shard layout.
                 c.seed_loss_rng(stream_seed(seed, 2, g as u64));
                 channels.push(c);
-                chan_link.push(link_id as LinkId);
             }
         }
         let nodes = topo
@@ -479,8 +441,6 @@ impl Simulation {
             .collect();
         Self {
             channels,
-            chan_index,
-            chan_link,
             nodes,
             cp: cp.clone(),
             flows: Vec::new(),
@@ -492,8 +452,7 @@ impl Simulation {
             instr: SimInstruments::default(),
             requested_shards: None,
             shard_hints: HashMap::new(),
-            ldp: None,
-            sr: None,
+            control: Control::Centralized,
             pdu_chaos: Vec::new(),
         }
     }
@@ -553,18 +512,11 @@ impl Simulation {
 
     /// Attaches a fault plan: its link events run as control events, its
     /// loss probabilities program the channels, and its policy governs
-    /// detection and recovery.
+    /// detection and recovery. Under LDP or SR the plane recovers its own
+    /// way whatever the policy's mode says, and the fault records name
+    /// the plane; the plan may come before or after the plane is chosen.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.policy = plan.policy;
-        // A distributed-control run recovers via the protocol no matter
-        // what the plan's policy says (call order must not matter), and
-        // likewise a segment-routing run recompiles source routes.
-        if self.ldp.is_some() {
-            self.policy.mode = crate::fault::RecoveryMode::Ldp;
-        }
-        if self.sr.is_some() {
-            self.policy.mode = crate::fault::RecoveryMode::Sr;
-        }
         for ev in &plan.events {
             match ev.kind {
                 FaultKind::LinkDown(link) => self
@@ -589,8 +541,8 @@ impl Simulation {
         }
         self.pdu_chaos.extend(plan.pdu_chaos.iter().copied());
         for loss in &plan.losses {
-            for (i, c) in self.channels.iter_mut().enumerate() {
-                if self.chan_link[i] == loss.link {
+            for g in channels_of(loss.link) {
+                if let Some(c) = self.channels.get_mut(g) {
                     c.loss_prob = loss.probability;
                 }
             }
@@ -606,10 +558,16 @@ impl Simulation {
     /// therefore blackholes until sessions form and mappings arrive —
     /// that window *is* the convergence time the report measures.
     ///
-    /// The restoration policy switches to [`RecoveryMode::Ldp`]: link
-    /// faults are detected by session hold-timer expiry and repaired by
-    /// withdraw/re-advertise waves, not by the centralized solver.
+    /// Link faults are then detected by session hold-timer expiry and
+    /// repaired by withdraw/re-advertise waves, not by the centralized
+    /// solver, and their records name
+    /// [`RecoveryMode::Ldp`](crate::fault::RecoveryMode::Ldp).
+    ///
+    /// # Panics
+    ///
+    /// When LDP or SR is already enabled: a run has one control plane.
     pub fn enable_ldp(&mut self, cfg: LdpConfig) {
+        self.assert_centralized("enable_ldp");
         let mut fabric = LdpFabric::new(self.cp.topology(), cfg);
         for id in self.cp.lsp_ids() {
             let req = &self.cp.lsp(id).expect("listed lsp exists").request;
@@ -618,7 +576,6 @@ impl Simulation {
         for route in self.cp.attached_routes() {
             fabric.originate(route.node, route.prefix, mpls_packet::CosBits::BEST_EFFORT);
         }
-        self.policy.mode = crate::fault::RecoveryMode::Ldp;
         let mut rt = LdpRuntime::new(fabric, self.channels.len(), self.seed);
         // Strip the omniscient programming: nodes start with only their
         // locally originated state and learn the rest over the wire.
@@ -630,7 +587,7 @@ impl Simulation {
         }
         rt.fabric.take_dirty();
         self.globals.schedule(0, ControlEvent::LdpTick);
-        self.ldp = Some(rt);
+        self.control = Control::Ldp(rt);
     }
 
     /// Switches the run to the segment-routing control plane: every
@@ -643,9 +600,15 @@ impl Simulation {
     /// SID per node instead of per-LSP transit state) and fault recovery
     /// (a coordinator-side recompile instead of re-signaling).
     ///
-    /// The restoration policy switches to
-    /// [`crate::fault::RecoveryMode::Sr`].
+    /// A cut is detected after the fault plan's detection delay, whatever
+    /// its recovery mode says, and its record names
+    /// [`RecoveryMode::Sr`](crate::fault::RecoveryMode::Sr).
+    ///
+    /// # Panics
+    ///
+    /// When LDP or SR is already enabled: a run has one control plane.
     pub fn enable_sr(&mut self, cfg: mpls_sr::SrConfig) {
+        self.assert_centralized("enable_sr");
         let mut fabric = mpls_sr::SrFabric::new(self.cp.topology().clone(), cfg);
         for id in self.cp.lsp_ids() {
             let req = &self.cp.lsp(id).expect("listed lsp exists").request;
@@ -660,7 +623,6 @@ impl Simulation {
             fabric.add_local(route.node, route.prefix);
         }
         fabric.compile();
-        self.policy.mode = crate::fault::RecoveryMode::Sr;
         // Replace the centrally solved per-LSP state with the compiled
         // SR fabric's.
         for node in &mut self.nodes {
@@ -668,12 +630,24 @@ impl Simulation {
             node.reprogram(&cfg);
         }
         fabric.take_dirty();
-        self.sr = Some(SrRuntime::new(fabric));
+        self.control = Control::Sr(SrRuntime::new(fabric));
+    }
+
+    /// Refuses a second control plane, as [`Self::with_telemetry`]
+    /// refuses a second registry.
+    fn assert_centralized(&self, call: &str) {
+        assert!(
+            matches!(self.control, Control::Centralized),
+            "{call} called on a simulation that already runs LDP or SR: a run has one control plane"
+        );
     }
 
     /// The compiled SR fabric, when [`Self::enable_sr`] has run.
     pub fn sr_fabric(&self) -> Option<&mpls_sr::SrFabric> {
-        self.sr.as_ref().map(|rt| &rt.fabric)
+        match &self.control {
+            Control::Sr(rt) => Some(&rt.fabric),
+            _ => None,
+        }
     }
 
     /// Registers a flow; its first packet is emitted at `spec.start_ns`.
@@ -1294,7 +1268,7 @@ mod tests {
         sim.add_flow(f);
         let report = sim.run(30_000_000);
 
-        assert_eq!(report.control.mode, "ldp");
+        assert_eq!(report.control.mode, ControlMode::Ldp);
         let conv = report.control.convergence_ns.expect("protocol converged");
         assert!(conv < 10_000_000, "converged late: {conv} ns");
         // Three bidirectional adjacencies on the north path alone; every
@@ -1322,8 +1296,8 @@ mod tests {
         sim.enable_ldp(mpls_ldp::LdpConfig::default());
         // Cut the north path for good: the withdraw cascade must flip
         // traffic onto the south path with no centralized help. (The
-        // plan's policy mode is deliberately not Ldp — set_fault_plan
-        // must override it for a distributed run.)
+        // plan's policy mode is deliberately not Ldp — the record must
+        // name the plane all the same.)
         let north = cp.topology().link_between(2, 3).unwrap();
         let mut plan = crate::fault::FaultPlan::default();
         plan.link_down(20_000_000, north);
@@ -1432,6 +1406,46 @@ mod tests {
         let _ = sim
             .with_telemetry(TelemetryConfig::default())
             .with_telemetry(TelemetryConfig::default());
+    }
+
+    /// A simulation with LDP or SR refuses a second control plane, of
+    /// either kind: two would run one protocol and report the other, or
+    /// start two tick chains.
+    fn second_plane(first: ControlMode, second: ControlMode) {
+        let cp = plane_with_lsp();
+        let mut sim = Simulation::build(
+            &cp,
+            RouterKind::SoftwareHash {
+                timing: SwTimingModel::default(),
+            },
+            QueueDiscipline::Fifo { capacity: 64 },
+            1,
+        );
+        for mode in [first, second] {
+            match mode {
+                ControlMode::Centralized => {}
+                ControlMode::Ldp => sim.enable_ldp(mpls_ldp::LdpConfig::default()),
+                ControlMode::Sr => sim.enable_sr(mpls_sr::SrConfig::default()),
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "enable_sr called on a simulation that already runs LDP or SR")]
+    fn enable_sr_after_enable_ldp_is_refused() {
+        second_plane(ControlMode::Ldp, ControlMode::Sr);
+    }
+
+    #[test]
+    #[should_panic(expected = "enable_ldp called on a simulation that already runs LDP or SR")]
+    fn enable_ldp_after_enable_sr_is_refused() {
+        second_plane(ControlMode::Sr, ControlMode::Ldp);
+    }
+
+    #[test]
+    #[should_panic(expected = "enable_ldp called on a simulation that already runs LDP or SR")]
+    fn enable_ldp_twice_is_refused() {
+        second_plane(ControlMode::Ldp, ControlMode::Ldp);
     }
 
     #[test]

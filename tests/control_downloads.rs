@@ -14,7 +14,8 @@ use mpls_dataplane::ftn::Prefix;
 use mpls_ldp::LdpConfig;
 use mpls_net::traffic::{FlowSpec, TrafficPattern};
 use mpls_net::{
-    ControlMode, FaultPlan, QueueDiscipline, RecoveryMode, RouterKind, SimReport, Simulation,
+    ControlMode, FaultPlan, QueueDiscipline, RecoveryMode, RestorationPolicy, RouterKind,
+    SimReport, Simulation,
 };
 use mpls_packet::ipv4::parse_addr;
 use mpls_router::SwTimingModel;
@@ -209,12 +210,16 @@ fn centralized_reroute_reaches_a_restarted_node_before_it_reprovisions() {
 
 /// Attaching the fault plan before or after enabling LDP or SR gives the
 /// same report, and every fault record names the enabled plane, whatever
-/// the plan's own recovery mode says.
+/// the plan's own recovery mode says: here it asks for none, and both
+/// planes detect the cut all the same.
 #[test]
 fn the_plan_and_the_plane_may_arrive_in_either_order() {
     let plan = || {
         let cp = grid();
-        let mut plan = FaultPlan::default();
+        let mut plan = FaultPlan::new(RestorationPolicy {
+            mode: RecoveryMode::None,
+            ..RestorationPolicy::default()
+        });
         let path: Vec<LinkId> = cp.topology().path_links(&east_path(&cp)).unwrap();
         plan.outage(path[1], 3_000_000, 8_000_000);
         plan
@@ -233,5 +238,6 @@ fn the_plan_and_the_plane_may_arrive_in_either_order() {
         assert_eq!(after.control.mode, control);
         assert!(!after.faults.is_empty());
         assert!(after.faults.iter().all(|r| r.mode == mode), "{control}");
+        assert!(after.faults.iter().all(|r| r.detected_ns.is_some()));
     }
 }

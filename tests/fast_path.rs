@@ -11,8 +11,8 @@ use mpls_dataplane::ftn::Prefix;
 use mpls_ldp::LdpConfig;
 use mpls_net::traffic::{FlowSpec, TrafficPattern};
 use mpls_net::{
-    FaultPlan, QueueDiscipline, RecoveryMode, RestorationPolicy, RouterKind, SimReport, Simulation,
-    TelemetryConfig,
+    ControlMode, FaultPlan, QueueDiscipline, RecoveryMode, RestorationPolicy, RouterKind,
+    SimReport, Simulation, TelemetryConfig,
 };
 use mpls_packet::ipv4::parse_addr;
 use mpls_router::SwTimingModel;
@@ -204,7 +204,7 @@ fn ldp_withdraw_invalidates_cached_flows_identically() {
     };
 
     let (baseline, report) = run(variants()[0].1, 1);
-    assert_eq!(report.control.mode, "ldp");
+    assert_eq!(report.control.mode, ControlMode::Ldp);
     let s = report.flow("fwd").unwrap();
     assert!(s.delivered > 0, "withdraw wave never reconverged");
     assert!(

@@ -25,7 +25,9 @@ use mpls_dataplane::ftn::Prefix;
 use mpls_dataplane::LabelOp;
 use mpls_ldp::LdpConfig;
 use mpls_net::traffic::{FlowSpec, TrafficPattern};
-use mpls_net::{FaultPlan, QueueDiscipline, RouterKind, SimReport, Simulation, TelemetryConfig};
+use mpls_net::{
+    ControlMode, FaultPlan, QueueDiscipline, RouterKind, SimReport, Simulation, TelemetryConfig,
+};
 use mpls_packet::ipv4::parse_addr;
 use mpls_packet::Label;
 use proptest::prelude::*;
@@ -178,7 +180,7 @@ proptest! {
     ) {
         let cp = grid_plane(rows, cols, cost_salt);
         let report = build_ldp(&cp, seed).run(30_000_000);
-        prop_assert_eq!(report.control.mode, "ldp");
+        prop_assert_eq!(report.control.mode, ControlMode::Ldp);
         prop_assert!(report.control.convergence_ns.is_some(), "never settled");
         prop_assert_eq!(report.control.session_downs, 0);
         prop_assert_eq!(report.control.pdus_lost, 0);
@@ -350,7 +352,7 @@ fn keepalive_at_exact_hold_expiry_keeps_the_session_on_any_shard_count() {
             police: None,
         });
         let report: SimReport = sim.run(25_000_000);
-        assert_eq!(report.control.mode, "ldp");
+        assert_eq!(report.control.mode, ControlMode::Ldp);
         assert!(report.control.sessions_established > 0, "bring-up failed");
         assert_eq!(
             report.control.session_downs, 0,

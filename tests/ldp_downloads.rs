@@ -122,9 +122,10 @@ fn check(plan: impl Fn() -> FaultPlan, sample_ns: Option<u64>, horizon_ns: u64, 
 /// The grid's center crashes at 2.5 ms while the bring-up has left every
 /// node's download pending, and restarts at 5 ms while the crash's own
 /// wipe is pending; it relearns before the traffic starts. The crash
-/// downloads all nine nodes, then wipes the center, the restart
-/// downloads the pending wipe and the first round the three nodes the
-/// relearning changed: 14 downloads, against 26 after every PDU.
+/// downloads all nine nodes, then wipes the center, the restart skips the
+/// pending wipe of the still-crashed node, and the first round downloads
+/// the three nodes the relearning changed: 13 downloads, against 26 after
+/// every PDU.
 #[test]
 fn a_node_crashes_and_restarts_with_its_download_pending() {
     let plan = || {
@@ -132,7 +133,7 @@ fn a_node_crashes_and_restarts_with_its_download_pending() {
         plan.node_outage(4, 2_500_000, 5_000_000);
         plan
     };
-    check(plan, None, 30_000_000, (0xb4fb_caec_ea14_58a8, 14));
+    check(plan, None, 30_000_000, (0xb4fb_caec_ea14_58a8, 13));
 }
 
 /// Telemetry samples every 50 µs through the bring-up, so samples fall

@@ -21,7 +21,9 @@
 use mpls_control::{ControlPlane, LspRequest, Topology};
 use mpls_dataplane::ftn::Prefix;
 use mpls_net::traffic::{FlowSpec, TrafficPattern};
-use mpls_net::{FaultPlan, QueueDiscipline, RestorationPolicy, RouterKind, Simulation};
+use mpls_net::{
+    ControlMode, FaultPlan, QueueDiscipline, RestorationPolicy, RouterKind, Simulation,
+};
 use mpls_packet::ipv4::parse_addr;
 use mpls_router::SwTimingModel;
 use mpls_sr::SrConfig;
@@ -80,7 +82,7 @@ fn source_route_delivers_and_strips_metadata() {
     sim.add_flow(flow("app", 0, "10.0.0.1", "192.168.1.5", 20_000_000));
     let report = sim.run(1_000_000_000);
 
-    assert_eq!(report.control.mode, "sr");
+    assert_eq!(report.control.mode, ControlMode::Sr);
     let s = report.flow("app").unwrap();
     assert!(s.sent > 0);
     assert_eq!(s.delivered, s.sent, "strict source route must be lossless");
