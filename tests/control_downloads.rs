@@ -146,20 +146,25 @@ fn check(control: ControlMode, plan: impl Fn() -> FaultPlan, pin: (u64, u64)) ->
 /// four links' detections at 4 ms and a cut of link 0-1 at 5 ms
 /// (detected at 6 ms) recompile the source routes; the recompiles skip
 /// the crashed node. It restarts at 8 ms and reprovisions at 9 ms, and
-/// its links' hold-downs end at 13 ms, recompiling again, the last FIB
-/// change. 73 downloads.
+/// its links' hold-downs end at 13 ms, recompiling again. Link 0-1
+/// returns at 14 ms and its hold-down ends at 19 ms, after the traffic:
+/// that recompile is the last FIB change, stamped at its own instant
+/// although no shard round follows it before a partition window opens
+/// at 25 ms. 80 downloads.
 #[test]
 fn sr_recompiles_around_a_crashed_node_and_reprovisions_it() {
     let plan = || {
+        let link = grid().topology().link_between(0, 1).unwrap();
         let mut plan = FaultPlan::default();
         plan.node_outage(4, 3_000_000, 8_000_000);
-        plan.link_down(5_000_000, grid().topology().link_between(0, 1).unwrap());
+        plan.outage(link, 5_000_000, 14_000_000);
+        plan.partition(link, 25_000_000, 26_000_000);
         plan
     };
-    let report = check(ControlMode::Sr, plan, (0x891d8013a59208d1, 73));
+    let report = check(ControlMode::Sr, plan, (0x56a6_3db9_429b_d1a0, 80));
     assert_eq!(report.faults.len(), 5);
     assert!(report.faults.iter().all(|r| r.mode == RecoveryMode::Sr));
-    assert_eq!(report.control.last_fib_change_ns, 13_000_000);
+    assert_eq!(report.control.last_fib_change_ns, 19_000_000);
 }
 
 /// Under centralized restoration a cut at 3 ms of the eastbound LSP's
@@ -176,7 +181,7 @@ fn centralized_restoration_tears_its_husk_down_later() {
         plan.outage(link, 3_000_000, 8_000_000);
         plan
     };
-    let report = check(ControlMode::Centralized, plan, (0xf092ff93bed1bbc5, 36));
+    let report = check(ControlMode::Centralized, plan, (0xf092_ff93_bed1_bbc5, 36));
     assert_eq!(report.faults[0].restored_ns, Some(5_000_000));
 }
 
@@ -197,7 +202,7 @@ fn centralized_reroute_reaches_a_restarted_node_before_it_reprovisions() {
         plan.node_outage(east_path(&cp)[2], 2_500_000, 4_000_000);
         plan
     };
-    let report = check(ControlMode::Centralized, plan, (0xb72d62fcef6b1091, 56));
+    let report = check(ControlMode::Centralized, plan, (0xb72d_62fc_ef6b_1091, 56));
     assert!(
         report
             .faults
