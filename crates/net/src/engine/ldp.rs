@@ -280,9 +280,9 @@ impl Engine {
     /// corrupt each PDU, drawn from the channel's chaos stream.
     fn dispatch_ldp(&mut self, rt: &mut LdpRuntime, sends: Vec<LdpSend>) {
         for s in sends {
-            // The sender's port to the receiver.
-            let port = self.node_home.get(&s.from);
-            let Some(chan) = port.and_then(|&(sh, li)| self.shards[sh].port_to(li, s.to)) else {
+            // The channel of the sender's port to the receiver.
+            let home = self.node_home.get(&s.from);
+            let Some(chan) = home.and_then(|&(sh, li)| self.shards[sh].port_to(li, s.to)) else {
                 continue;
             };
             rt.pdus_sent += 1;
